@@ -5,30 +5,46 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .linalg import RatMatrix, invert, kernel_basis, rank, rref, solve_in_span
 from .table import StructureTable
 
 
+def _ad_map(t: StructureTable, i: int) -> dict:
+    """ad(b_i) as sparse columns: m -> {k: c} with [b_i, b_m] = sum_k c b_k, zero columns omitted."""
+    return {m: col for m in range(t.dim) if (col := t.bracket_map(i, m))}
+
+
+def _is_diagonal(ad: dict) -> bool:
+    return all(len(col) == 1 and m in col for m, col in ad.items())
+
+
+def _add_bracket(acc: dict, ad: dict, vec: dict, sign: int) -> None:
+    """acc += sign * [b, v] for ad = ad(b) and v given as a sparse map."""
+    for m, x in vec.items():
+        for k, y in ad.get(m, {}).items():
+            acc[k] = acc.get(k, 0) + sign * x * y
+
+
 def check_jacobi(t: StructureTable) -> list:
-    """All triples i < j < k where [[bi,bj],bk] cycling fails; empty means it holds."""
+    """All triples i < j < k where [[bi,bj],bk] cycling fails; empty means it holds.
+
+    Each violation is (i, j, k, total) with total the dense coefficient tuple of
+    [b_i,[b_j,b_k]] + [b_k,[b_i,b_j]] - [b_j,[b_i,b_k]], summed over bracket maps.
+    """
     n = t.dim
-    ads = [t.ad_matrix(i) for i in range(n)]
-    pair = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair[(i, j)] = t.bracket_vector(i, j)
+    ads = [_ad_map(t, i) for i in range(n)]
     violations = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                v = ads[i].apply(pair[(j, k)])
-                w = ads[k].apply(pair[(i, j)])
-                u = ads[j].apply(pair[(i, k)])
-                total = [a + b - c for a, b, c in zip(v, w, u)]  # jac(i,j,k) with [b_j,[b_k,b_i]] = -ad_j [b_i,b_k]
-                if any(x != 0 for x in total):
-                    violations.append((i, j, k, tuple(total)))
+                acc: dict = {}
+                _add_bracket(acc, ads[i], ads[j].get(k, {}), 1)
+                _add_bracket(acc, ads[k], ads[i].get(j, {}), 1)
+                _add_bracket(acc, ads[j], ads[i].get(k, {}), -1)  # [b_j,[b_k,b_i]] = -[b_j,[b_i,b_k]]
+                if any(acc.values()):
+                    violations.append((i, j, k, tuple(Fraction(acc.get(m, 0)) for m in range(n))))
     return violations
 
 
@@ -56,15 +72,25 @@ def derived_subalgebra_and_center(t: StructureTable) -> DerivedCenter:
     return DerivedCenter(len(derived), len(center), derived, center)
 
 
+def _killing_entry(adi: dict, adj: dict) -> Fraction:
+    """trace(ad b_i . ad b_j) = sum over m, k of c_{i m}^k c_{j k}^m."""
+    total = Fraction(0)
+    for m, col in adi.items():
+        for k, x in col.items():
+            y = adj.get(k, {}).get(m)
+            if y:
+                total += x * y
+    return total
+
+
 def killing_form(t: StructureTable) -> RatMatrix:
-    """K_ij = trace(ad b_i . ad b_j); symmetric by construction, verified anyway."""
+    """K_ij = trace(ad b_i . ad b_j), contracted over the bracket maps.
+
+    Symmetric by construction, verified anyway.
+    """
     n = t.dim
-    ads = [t.ad_matrix(i) for i in range(n)]
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            entries.append(ads[i].matmul(ads[j]).trace())
-    K = RatMatrix(n, n, entries)
+    ads = [_ad_map(t, i) for i in range(n)]
+    K = RatMatrix(n, n, [_killing_entry(ads[i], ads[j]) for i in range(n) for j in range(n)])
     if K != K.transpose():
         raise RuntimeError("Killing form came out asymmetric; table is inconsistent")
     return K
@@ -126,69 +152,144 @@ def cartan_check(t: StructureTable, indices) -> CartanCheck:
 
 # --- exact eigen machinery ----------------------------------------------------
 
-def char_poly(m: RatMatrix) -> list:
-    """Coefficients of det(xI - M), highest power first, by Faddeev-LeVerrier."""
-    n = m.rows
-    coeffs = [Fraction(1)]
-    Mk = m
-    I = RatMatrix.identity(n)
+def _integer_rows(m: RatMatrix) -> tuple:
+    """(D, rows) with D the least common denominator and rows the sparse integer rows of D*m."""
+    D = lcm(1, *(x.denominator for x in m.entries))
+    rows = [{j: x.numerator * (D // x.denominator) for j, x in enumerate(m.row(i)) if x}
+            for i in range(m.rows)]
+    return D, rows
+
+
+def _int_char_poly(rows: list) -> list:
+    """det(xI - A) for A given by sparse integer rows, highest power first, by Faddeev-LeVerrier.
+
+    M_1 = A, c_k = -trace(M_k)/k, M_{k+1} = A (M_k + c_k I). Every M_k is an integer
+    matrix and every c_k an integer coefficient of det(xI - A), so each trace
+    divides exactly.
+    """
+    n = len(rows)
+    coeffs = [1]
+    mk = rows
     for k in range(1, n + 1):
-        ck = Mk.trace() / k
-        coeffs.append(-ck)
+        ck = -sum(row.get(i, 0) for i, row in enumerate(mk)) // k
+        coeffs.append(ck)
         if k < n:
-            shifted = RatMatrix(n, n, [Mk.entries[idx] - (ck if idx % (n + 1) == 0 else 0)
-                                       for idx in range(n * n)])
-            Mk = m.matmul(shifted)
+            shifted = [dict(row) for row in mk]
+            for i, row in enumerate(shifted):
+                row[i] = row.get(i, 0) + ck
+            mk = []
+            for row in rows:
+                acc: dict = {}
+                for l, x in row.items():
+                    for j, y in shifted[l].items():
+                        acc[j] = acc.get(j, 0) + x * y
+                mk.append({j: v for j, v in acc.items() if v})
     return coeffs
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def char_poly(m: RatMatrix) -> list:
+    """Coefficients of det(xI - M), highest power first.
+
+    Runs Faddeev-LeVerrier over the integers on D*M, D the common denominator;
+    det(xI - M) = D^-n det(Dx I - D M) turns coefficient k into a_k / D^k.
+    """
+    D, rows = _integer_rows(m)
+    return [Fraction(a, D ** k) for k, a in enumerate(_int_char_poly(rows))]
+
+
+def _trim(p: list) -> list:
+    while len(p) > 1 and p[0] == 0:
+        p = p[1:]
+    return p
+
+
+def _poly_divmod(a: list, b: list) -> tuple:
+    """Quotient and remainder over Q of polynomials given highest power first."""
+    a = [Fraction(x) for x in a]
+    q = []
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        q.append(f)
+        for i in range(1, len(b)):
+            a[i] -= f * b[i]
+        a.pop(0)
+    return q, _trim(a or [Fraction(0)])
+
+
+def _primitive(p: list) -> list:
+    """p times a positive rational, as integers with no common factor."""
+    den = lcm(*(Fraction(x).denominator for x in p))
+    ints = [int(x * den) for x in p]
+    g = gcd(*ints) or 1
+    return [x // g for x in ints]
+
+
+def _derivative(p: list) -> list:
+    return [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+
+
+def _horner(p: list, x: int) -> int:
+    acc = 0
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _integer_roots(p: list) -> list:
+    """Sorted distinct integer roots of an integer polynomial, highest power first.
+
+    The squarefree part p / gcd(p, p') has the same roots, each simple, so a Sturm
+    sequence counts its real roots in (lo, hi] as V(lo) - V(hi), V the number of
+    sign changes. Integer bisection inside the Cauchy bound then shrinks every
+    interval that holds a root to (r - 1, r], and r is a root or the root is not an
+    integer. The work grows with the bound's bit length, not with its size.
+    """
+    p = _trim(list(p))
+    if len(p) == 1:
+        return []
+    g, h = p, _derivative(p)
+    while any(h):  # Euclid: g ends as gcd(p, p')
+        g, h = h, _poly_divmod(g, h)[1]
+    sq = _primitive(_poly_divmod(p, g)[0])
+    seq = [sq, _primitive(_derivative(sq))]
+    while len(seq[-1]) > 1:
+        r = _poly_divmod(seq[-2], seq[-1])[1]
+        if not any(r):
+            break
+        seq.append(_primitive([-c for c in r]))
+
+    def changes(x: int) -> int:
+        signs = [v > 0 for v in (_horner(s, x) for s in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 1 + -(-max(abs(c) for c in sq[1:]) // abs(sq[0]))
+    roots = []
+    stack = [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if _horner(sq, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        vmid = changes(mid)
+        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return sorted(roots)
 
 
 def rational_eigenvalues(m: RatMatrix) -> list:
     """All rational eigenvalues, exactly.
 
-    Scaling by the common denominator makes the matrix integral, whose monic integer
-    characteristic polynomial confines rational roots to integer divisors of its
-    constant term.
+    Scaling by the common denominator D makes the matrix integral, whose monic integer
+    characteristic polynomial confines rational roots to integers; those are
+    isolated exactly and divided by D.
     """
-    n = m.rows
-    if n == 0:
+    if m.rows == 0:
         return []
-    D = 1
-    for x in m.entries:
-        D = D * x.denominator // gcd(D, x.denominator)
-    scaled = RatMatrix(n, n, [x * D for x in m.entries])
-    coeffs = char_poly(scaled)
-    ints = [int(c) for c in coeffs]
-    # strip x^k factor: zero eigenvalues
-    k = 0
-    while ints[-1] == 0 and len(ints) > 1:
-        ints.pop()
-        k += 1
-    found = []
-    if k:
-        found.append(Fraction(0))
-    if len(ints) > 1:
-        a0 = ints[-1]
-        for d in _divisors(a0):
-            for cand in (d, -d):
-                acc = 0
-                for c in ints:
-                    acc = acc * cand + c
-                if acc == 0:
-                    found.append(Fraction(cand, D))
-    return sorted(set(found))
+    D, rows = _integer_rows(m)
+    return [Fraction(r, D) for r in _integer_roots(_int_char_poly(rows))]
 
 
 def _restriction(op: RatMatrix, space: list) -> RatMatrix:
@@ -248,27 +349,30 @@ def root_decomposition(t: StructureTable, cartan_indices) -> RootDatum:
 
     The zero-weight space must contain the Cartan span, and every root space must be
     spanned by table basis elements (all tables in scope are split in their own basis).
+    The root spaces are spanned by basis elements exactly when every ad(h) is
+    diagonal in the table basis: then each b_j is a common eigenvector, and its
+    weight is read off the diagonals, the coefficients of b_j in [h, b_j]. When some
+    ad(h) is not diagonal, the decomposition is refused; simultaneous_eigenspaces
+    runs first only so that a Cartan that is not rationally diagonalizable is
+    reported as such.
     """
     cartan_indices = tuple(cartan_indices)
     n = t.dim
-    mats = [t.ad_matrix(h) for h in cartan_indices]
-    spaces = simultaneous_eigenspaces(mats, n)
-    root_spaces: dict = {}
-    for weight, vecs in spaces:
-        members = []
-        for j in range(n):
-            e = [Fraction(int(j == b)) for b in range(n)]
-            if solve_in_span(vecs, e) is not None:
-                members.append(j)
-        if len(members) != len(vecs):
-            raise ValueError("root spaces are not aligned with the table basis")
-        root_spaces[weight] = tuple(members)
+    ads = {h: _ad_map(t, h) for h in cartan_indices}
+    if not all(_is_diagonal(ad) for ad in ads.values()):
+        simultaneous_eigenspaces([t.ad_matrix(h) for h in cartan_indices], n)
+        raise ValueError("root spaces are not aligned with the table basis")
+    grouped: dict = {}
+    for j in range(n):
+        weight = tuple(ads[h].get(j, {}).get(j, Fraction(0)) for h in cartan_indices)
+        grouped.setdefault(weight, []).append(j)
+    root_spaces = {w: tuple(grouped[w]) for w in sorted(grouped)}
     zero = tuple(Fraction(0) for _ in cartan_indices)
     zero_members = root_spaces.get(zero, ())
     if not set(cartan_indices) <= set(zero_members):
         raise ValueError("Cartan elements do not lie in the zero weight space")
-    K = killing_form(t)
-    ck = RatMatrix.from_rows([[K[a, b] for b in cartan_indices] for a in cartan_indices])
+    ck = RatMatrix.from_rows([[_killing_entry(ads[a], ads[b]) for b in cartan_indices]
+                              for a in cartan_indices])
     roots = tuple(sorted(w for w in root_spaces if w != zero))
     return RootDatum(cartan_indices, roots, root_spaces, ck)
 
@@ -336,20 +440,28 @@ def cartan_matrix_and_type(rd: RootDatum) -> tuple:
 
 
 def find_cartan_candidate(t: StructureTable) -> list:
-    """Greedy maximal set of commuting basis elements with rationally diagonalizable ad."""
+    """Greedy maximal set of commuting basis elements with rationally diagonalizable ad.
+
+    If ad(b_i) is diagonal in the table basis it is rationally diagonalizable, its
+    eigenvalues being the diagonal entries, and b_i needs no characteristic
+    polynomial. Any other element qualifies when the geometric multiplicities of
+    its rational eigenvalues add up to the dimension.
+    """
     n = t.dim
     chosen = []
     for i in range(n):
-        adi = t.ad_matrix(i)
-        total = 0
-        for lam in rational_eigenvalues(adi):
-            shifted = RatMatrix(n, n, [adi.entries[idx] - (lam if idx % (n + 1) == 0 else 0)
-                                       for idx in range(n * n)])
-            total += n - rank(shifted)
-        if total != n:
+        if any(t.bracket_map(i, j) for j in chosen):
             continue
-        if all(not any(x != 0 for x in t.bracket_vector(i, j)) for j in chosen):
-            chosen.append(i)
+        if not _is_diagonal(_ad_map(t, i)):
+            adi = t.ad_matrix(i)
+            total = 0
+            for lam in rational_eigenvalues(adi):
+                shifted = RatMatrix(n, n, [adi.entries[idx] - (lam if idx % (n + 1) == 0 else 0)
+                                           for idx in range(n * n)])
+                total += n - rank(shifted)
+            if total != n:
+                continue
+        chosen.append(i)
     return chosen
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def _q(x) -> Fraction:
     # Fraction(float) would silently absorb rounding error; insist on exact inputs.

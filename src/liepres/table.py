@@ -8,9 +8,14 @@ from .linalg import RatMatrix
 
 
 class StructureTable:
-    """Bracket table [b_i, b_j] = sum_k c[(i,j,k)] b_k, stored for i < j only."""
+    """Bracket table [b_i, b_j] = sum_k c[(i,j,k)] b_k, stored for i < j only.
 
-    __slots__ = ("names", "c")
+    c holds the nonzero constants keyed by (i, j, k). The constructor also indexes
+    them once by pair, (i, j) -> {k: c[(i,j,k)]}, so that bracket_map and
+    bracket_vector are a dict lookup rather than a scan of every entry.
+    """
+
+    __slots__ = ("names", "c", "_pairs")
 
     def __init__(self, names, c):
         self.names = tuple(names)
@@ -18,6 +23,7 @@ class StructureTable:
             raise ValueError("duplicate basis names")
         n = len(self.names)
         clean = {}
+        pairs = {}
         for (i, j, k), val in c.items():
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ValueError(f"index out of range: {(i, j, k)}")
@@ -26,7 +32,9 @@ class StructureTable:
             val = Fraction(val)
             if val:
                 clean[(i, j, k)] = val
+                pairs.setdefault((i, j), {})[k] = val
         self.c = clean
+        self._pairs = pairs
 
     @property
     def dim(self) -> int:
@@ -47,16 +55,9 @@ class StructureTable:
 
     def bracket_vector(self, i: int, j: int) -> list:
         """[b_i, b_j] as a dense coefficient vector (antisymmetry applied for i >= j)."""
-        n = self.dim
-        out = [Fraction(0)] * n
-        if i == j:
-            return out
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for (a, b, k), val in self.c.items():
-            if a == i and b == j:
-                out[k] = sign * val
+        out = [Fraction(0)] * self.dim
+        for k, val in self.bracket_map(i, j).items():
+            out[k] = val
         return out
 
     def bracket_map(self, i: int, j: int) -> dict:
@@ -66,28 +67,12 @@ class StructureTable:
         sign = 1
         if i > j:
             i, j, sign = j, i, -1
-        return {k: sign * v for (a, b, k), v in self.c.items() if a == i and b == j}
+        return {k: sign * v for k, v in self._pairs.get((i, j), {}).items()}
 
     def ad_matrix(self, i: int) -> RatMatrix:
         """Matrix of ad(b_i) acting on column vectors in the table basis."""
         cols = [self.bracket_vector(i, j) for j in range(self.dim)]
         return RatMatrix.from_rows([[cols[j][k] for j in range(self.dim)] for k in range(self.dim)])
-
-    def bracket_of_vectors(self, u, v) -> list:
-        """Bilinear extension of the table bracket to coefficient vectors."""
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if not u[i]:
-                continue
-            for j in range(n):
-                if not v[j]:
-                    continue
-                if i == j:
-                    continue
-                for k, val in self.bracket_map(i, j).items():
-                    out[k] += u[i] * v[j] * val
-        return out
 
     def index_of(self, name: str) -> int:
         try:
@@ -115,4 +100,4 @@ class StructureTable:
         return out
 
     def __repr__(self) -> str:
-        return f"StructureTable(dim={self.dim}, nonzero_pairs={len({(i, j) for (i, j, _) in self.c})})"
+        return f"StructureTable(dim={self.dim}, nonzero_pairs={len(self._pairs)})"

@@ -7,7 +7,7 @@ import pytest
 
 import liepres
 from liepres import analysis
-from liepres.linalg import RatMatrix, det
+from liepres.linalg import RatMatrix, det, invert
 from liepres.presentation import parse_presentation
 from liepres.quotient import quotient_closure, structure_table
 from liepres.table import StructureTable
@@ -132,6 +132,27 @@ def test_rational_eigenvalues_exact():
     assert analysis.rational_eigenvalues(rot) == []
     nil = RatMatrix.from_rows([[0, 1], [0, 0]])
     assert analysis.rational_eigenvalues(nil) == [Fraction(0)]
+
+
+def test_rational_eigenvalues_with_huge_constant_term():
+    # trial division up to the square root of the constant term would need >10^9 steps
+    eigs = [Fraction(10**6), Fraction(-2 * 10**6), Fraction(3 * 10**6), Fraction(1, 7)]
+    p = RatMatrix.from_rows([[1, 2, 0, -1], [0, 1, 3, 0], [1, 0, 1, 2], [0, -1, 0, 1]])
+    d = RatMatrix.from_rows([[eigs[i] if i == j else 0 for j in range(4)] for i in range(4)])
+    m = p.matmul(d).matmul(invert(p))
+    assert any(m[i, j] != 0 for i in range(4) for j in range(4) if i != j)
+    assert analysis.rational_eigenvalues(m) == sorted(eigs)
+    expected = [Fraction(1)]
+    for lam in eigs:  # times (x - lam)
+        expected = [a - lam * b for a, b in zip(expected + [0], [0] + expected)]
+    assert analysis.char_poly(m) == expected
+
+
+def test_rational_eigenvalues_skip_irrational_and_repeated_roots():
+    # x^2 - 2 (irrational roots) on a block, 3 twice on a Jordan block, 0 once
+    m = RatMatrix.from_rows([[0, 2, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 3, 1, 0],
+                             [0, 0, 0, 3, 0], [0, 0, 0, 0, 0]])
+    assert analysis.rational_eigenvalues(m) == [Fraction(0), Fraction(3)]
 
 
 def test_simultaneous_eigenspaces_rejects_jordan_block():

@@ -1,0 +1,171 @@
+"""Sparse Killing/Jacobi against dense references, and classify under changes of basis."""
+
+import io
+import os
+import random
+import tempfile
+from contextlib import redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import liepres
+from liepres import analysis
+from liepres.cli import main
+from liepres.linalg import RatMatrix, solve_in_span
+from liepres.presentation import parse_presentation
+from liepres.quotient import structure_table
+from liepres.table import StructureTable
+from liepres.tabledoc import load_table, save_table
+
+FIXTURES = Path(liepres.__file__).parent / "fixtures"
+GOLDEN = load_table(str(FIXTURES / "g2_table.json"))
+SL2 = structure_table(parse_presentation(
+    "generators: e f h\nrelation: [e,f] = h\nrelation: [h,e] = 2*e\nrelation: [h,f] = -2*f\n"),
+    degree_bound=4)
+HEIS = structure_table(parse_presentation(
+    "generators: p q\nrelation: [p,[p,q]] = 0\nrelation: [q,[p,q]] = 0\n"), degree_bound=5)
+
+
+def permuted_rescaled(t, perm, scales):
+    """The table over the basis b'_a = scales[a] * b_{perm[a]}."""
+    where = {old: new for new, old in enumerate(perm)}
+    c = {}
+    for (i, j, k), v in t.c.items():
+        a, b, m = where[i], where[j], where[k]
+        coeff = scales[a] * scales[b] * v / scales[m]
+        if a > b:
+            a, b, coeff = b, a, -coeff
+        c[(a, b, m)] = coeff
+    return StructureTable([t.names[p] for p in perm], c)
+
+
+def rebased(t, name, plus):
+    """The table over the basis with b_name replaced by b_name + b_plus."""
+    n = t.dim
+    basis = [[Fraction(int(r == m)) for r in range(n)] for m in range(n)]
+    basis[t.index_of(name)][t.index_of(plus)] += 1
+
+    def bracket(u, v):
+        out = [Fraction(0)] * n
+        for i in range(n):
+            for j in range(n):
+                if u[i] and v[j]:
+                    for k, x in t.bracket_map(i, j).items():
+                        out[k] += u[i] * v[j] * x
+        return out
+
+    return StructureTable.from_bracket_fn(
+        t.names, lambda i, j: solve_in_span(basis, bracket(basis[i], basis[j])))
+
+
+def jacobi_broken():
+    c = dict(GOLDEN.c)
+    h1, a12 = GOLDEN.index_of("h1"), GOLDEN.index_of("a12")
+    c[(h1, a12, a12)] = Fraction(3)
+    return StructureTable(GOLDEN.names, c)
+
+
+def seeded_g2():
+    rng = random.Random(7)
+    perm = list(range(GOLDEN.dim))
+    rng.shuffle(perm)
+    scales = [Fraction(rng.choice((1, 2, 3, 5, 10)), rng.choice((1, 2, 3))) * rng.choice((1, -1))
+              for _ in perm]
+    return permuted_rescaled(GOLDEN, perm, scales)
+
+
+INPUTS = {"g2": GOLDEN, "sl2": SL2, "heisenberg": HEIS, "g2-seeded": seeded_g2(),
+          "jacobi-broken": jacobi_broken()}
+
+
+def dense_killing(t):
+    ads = [t.ad_matrix(i) for i in range(t.dim)]
+    return RatMatrix(t.dim, t.dim, [a.matmul(b).trace() for a in ads for b in ads])
+
+
+def dense_jacobi(t):
+    n = t.dim
+    ads = [t.ad_matrix(i) for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                v = ads[i].apply(t.bracket_vector(j, k))
+                w = ads[k].apply(t.bracket_vector(i, j))
+                u = ads[j].apply(t.bracket_vector(i, k))
+                total = [a + b - c for a, b, c in zip(v, w, u)]
+                if any(total):
+                    out.append((i, j, k, tuple(total)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_killing_form_equals_dense_reference(name):
+    t = INPUTS[name]
+    assert analysis.killing_form(t) == dense_killing(t)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_jacobi_violations_equal_dense_reference(name):
+    t = INPUTS[name]
+    got, want = analysis.check_jacobi(t), dense_jacobi(t)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        assert all(type(x) is Fraction for x in g[3])
+    assert (want != []) == (name == "jacobi-broken")
+
+
+def classify_lines(t):
+    """(exit code, stdout lines) of `liepres classify` on the table."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.json")
+        save_table(t, path)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["classify", "--table", path])
+    return code, buf.getvalue().splitlines()
+
+
+def factors():
+    return st.builds(lambda k, inv, neg: (-1 if neg else 1) * (Fraction(1, k) if inv else Fraction(k)),
+                     st.integers(1, 1000), st.booleans(), st.booleans())
+
+
+@pytest.mark.parametrize("table, matrix, kind", [
+    (GOLDEN, "cartan matrix: [[2, -1], [-3, 2]]", "type: G2"),
+    (SL2, "cartan matrix: [[2]]", "type: A1"),
+], ids=["g2", "sl2"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_type_invariant_under_permutation_and_rescale(table, matrix, kind, data):
+    perm = data.draw(st.permutations(range(table.dim)))
+    scales = data.draw(st.lists(factors(), min_size=table.dim, max_size=table.dim))
+    code, lines = classify_lines(permuted_rescaled(table, perm, scales))
+    assert code == 0
+    assert matrix in lines
+    assert kind in lines
+
+
+def test_g2_with_h1_scaled_by_100_classifies():
+    scales = [Fraction(100) if name == "h1" else Fraction(1) for name in GOLDEN.names]
+    t = permuted_rescaled(GOLDEN, list(range(GOLDEN.dim)), scales)
+    h1 = t.index_of("h1")
+    diagonal = {t.bracket_map(h1, j).get(j, Fraction(0)) for j in range(t.dim)}
+    assert analysis.rational_eigenvalues(t.ad_matrix(h1)) == sorted(diagonal)
+    code, lines = classify_lines(t)
+    assert code == 0
+    assert "cartan matrix: [[2, -1], [-3, 2]]" in lines
+    assert lines[-1] == "type: G2"
+
+
+@pytest.mark.parametrize("name, plus", [("x1", "x2"), ("h1", "x1")])
+def test_classify_refuses_basis_not_aligned_with_roots(name, plus):
+    code, lines = classify_lines(rebased(GOLDEN, name, plus))
+    assert code == 1
+    assert "cartan: h1 h2" in lines
+    assert lines[-1] == "type: unrecognized (root spaces are not aligned with the table basis)"
