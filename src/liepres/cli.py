@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import analysis
-from .freelie import lyndon_words
+from .freelie import DegreeCapExceeded, lyndon_words
 from .linalg import det
 from .presentation import ParseError, parse_presentation
 from .quotient import (
@@ -62,7 +62,7 @@ def _load_presentation(path: str):
         return None
     try:
         return parse_presentation(text)
-    except ParseError as exc:
+    except (ParseError, DegreeCapExceeded) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None
 
@@ -130,19 +130,27 @@ def cmd_derive(args) -> int:
             print("quotient not stabilized at this bound; rerun with a larger --max-degree",
                   file=sys.stderr)
             return 4
-        if _is_standard_quadruple(pres):
-            from .g2 import named_basis_free
-            try:
-                table = structure_table(pres, named_basis_free(), qb=qb)
-            except NamesNotBasisError:
-                print("note: standard named basis rejected, falling back to representative names")
+        try:
+            if _is_standard_quadruple(pres):
+                from .g2 import named_basis_free
+                try:
+                    table = structure_table(pres, named_basis_free(), qb=qb)
+                except NamesNotBasisError:
+                    print("note: standard named basis rejected, falling back to representative names")
+                    table = structure_table(pres, None, qb=qb)
+            else:
                 table = structure_table(pres, None, qb=qb)
-        else:
-            table = structure_table(pres, None, qb=qb)
+        except (ValueError, DegreeCapExceeded) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         _write_table(table, args.out)
         return 0
 
-    report = cross_validate(pres, args.max_degree, qb=qb)
+    try:
+        report = cross_validate(pres, args.max_degree, qb=qb)
+    except (ValueError, DegreeCapExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not report.stabilized:
         print("quotient not stabilized at this bound; rerun with a larger --max-degree",
               file=sys.stderr)

@@ -16,24 +16,9 @@ Tower = tuple  # left-normed nesting [x_{t0}, [x_{t1}, [... x_{tk}]]]
 
 DEFAULT_DEGREE_CAP = 12
 
-_degree_cap = DEFAULT_DEGREE_CAP
-
 
 class DegreeCapExceeded(RuntimeError):
-    """A bracket would exceed the configured degree cap."""
-
-
-def set_degree_cap(n: int) -> int:
-    """Set the global bracket degree cap, returning the previous value."""
-    global _degree_cap
-    if n < 1:
-        raise ValueError("degree cap must be positive")
-    old, _degree_cap = _degree_cap, n
-    return old
-
-
-def degree_cap() -> int:
-    return _degree_cap
+    """A bracket would exceed the degree cap."""
 
 
 def is_lyndon(w: Word) -> bool:
@@ -142,13 +127,6 @@ class LiePoly:
         """Largest monomial degree; 0 for the zero polynomial."""
         return max((len(w) for w in self.terms), default=0)
 
-    def degree_components(self) -> dict:
-        """Split into homogeneous parts, degree -> LiePoly."""
-        parts = {}
-        for w, c in self.terms.items():
-            parts.setdefault(len(w), {})[w] = c
-        return {d: LiePoly(t) for d, t in sorted(parts.items())}
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -182,10 +160,9 @@ def _bracket_words(u: Word, v: Word) -> dict:
     if hit is not None:
         return hit
     _depth += 1
-    if _depth > _DEPTH_LIMIT:
-        _depth = 0
-        raise RuntimeError("bracket recursion depth guard tripped")
     try:
+        if _depth > _DEPTH_LIMIT:
+            raise RuntimeError("bracket recursion depth guard tripped")
         w = u + v
         if is_lyndon(w) and standard_factorization(w) == (u, v):
             out = {w: Fraction(1)}
@@ -207,7 +184,7 @@ def _bracket_words(u: Word, v: Word) -> dict:
 
 def bracket(p: LiePoly, q: LiePoly, cap: int | None = None) -> LiePoly:
     """Lie bracket [p, q] in the Lyndon basis."""
-    limit = _degree_cap if cap is None else cap
+    limit = DEFAULT_DEGREE_CAP if cap is None else cap
     acc: dict = {}
     for u, cu in p.terms.items():
         for v, cv in q.terms.items():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 
 from . import freelie
@@ -31,10 +32,13 @@ def _content_strip(vec: dict) -> dict:
 class _IntRref:
     """Sparse incremental RREF over Z: rows are content-stripped, tails pivot-free.
 
-    The pivot of a row is its maximum coordinate index.  Full back-substitution is
+    The pivot of a row is its maximum coordinate index and its value is positive,
+    so each row is the unique primitive integer row of the reduced echelon form and
+    the rows do not depend on the insertion order.  Full back-substitution is
     maintained on every insertion, so reduction of any vector is a single pass over
-    its initial support (eliminating one pivot only ever introduces non-pivot
-    coordinates).
+    its initial support, in any order (eliminating one pivot only ever introduces
+    non-pivot coordinates).  Back-substitution is cheapest when vectors arrive in
+    ascending order of their largest index.
     """
 
     def __init__(self):
@@ -44,11 +48,12 @@ class _IntRref:
     def reduce(self, vec: dict) -> dict:
         vec = dict(vec)
         rows = self.rows
-        for p in sorted((i for i in vec if i in rows), reverse=True):
-            vp = vec.get(p)
-            if not vp:
-                continue
+        for p in [i for i in vec if i in rows]:
             row = rows[p]
+            if len(row) == 1:
+                del vec[p]
+                continue
+            vp = vec[p]
             rp = row[p]
             g = gcd(vp, rp)
             mv, mr = rp // g, vp // g
@@ -79,6 +84,8 @@ class _IntRref:
         if not rem:
             return None
         p = max(rem)
+        if rem[p] < 0:
+            rem = {k: -v for k, v in rem.items()}
         for q in list(self.containing.get(p, ())):
             row = self.rows[q]
             self._unregister(q, row)
@@ -109,7 +116,17 @@ class TruncationEvent:
 
 @dataclass
 class QuotientBasis:
-    """Reduced model of L/(ideal + components above degree_bound)."""
+    """Reduced model of the truncated quotient F_b / N computed by quotient_closure.
+
+    F_b is the span of the Lyndon words of degree at most b = degree_bound, and N is
+    the span of the consequence tree: the relations and their iterated ad(x_g)
+    images, each expanded only while its top degree is below b.  Every tree node lies
+    in the relation ideal I, and the representatives are a basis of F_b / N.  This is
+    not L/(I + L_{>b}), which for G2 is 0 (x1 lies in I + L_{>=4}, and iterating
+    pushes it above any bound).  `stabilized` says that the dimension at bound b - 1
+    is the same and that every dropped subtree touched only high degrees: evidence
+    that the truncation has settled, not a proof of dim L/I.
+    """
     degree_bound: int
     alphabet: int
     generator_names: tuple
@@ -175,7 +192,7 @@ def _int_terms(p: LiePoly) -> dict:
     return {w: int(c * denom) for w, c in p.terms.items()}
 
 
-def quotient_closure(pres: Presentation, degree_bound: int, _with_stability: bool = True) -> QuotientBasis:
+def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
     """Close the relation ideal under ad(generator) up to degree_bound and quotient.
 
     Consequences are the full finite tree of ad(x_g) monomials applied to each
@@ -183,6 +200,15 @@ def quotient_closure(pres: Presentation, degree_bound: int, _with_stability: boo
     stops there: the children are dropped whole (never partially truncated, which
     would inject spurious low-degree vectors) and a TruncationEvent records which
     within-bound degrees the drop touched, so stabilization is certified, not assumed.
+
+    All nodes go through one elimination.  The tree at bound b - 1 is the set of
+    inner nodes of this one (top degree below b), so they are inserted first and
+    the rank read right after them gives dim_at_lower.  Inner nodes are inserted in
+    ascending order of their top word index, so a new pivot nearly always lies
+    above every existing one.  Leaves (top degree b) are never expanded and their
+    dicts are not kept: each is rebuilt from its parent and inserted last, also in
+    ascending order of top index.  The reduced echelon form of a span is unique, so
+    the order changes no result, and events are reported in tree preorder.
     """
     n = len(pres.generators)
     max_rel_deg = pres.max_relation_degree()
@@ -194,47 +220,76 @@ def quotient_closure(pres: Presentation, degree_bound: int, _with_stability: boo
     by_degree = freelie.lyndon_words(n, degree_bound)
     flat = [w for d in range(1, degree_bound + 1) for w in by_degree[d]]
     word_index = {w: i for i, w in enumerate(flat)}
+    degree = [len(w) for w in flat]
 
-    # expansion cache: [x_g, b_w] as integer term lists
-    exp_cache: dict = {}
+    # expansion cache: exp_cache[g][i] is [x_g, flat[i]] as (word index, int) terms
+    exp_cache = [[None] * len(flat) for _ in range(n)]
 
-    def expansion(g: int, w: tuple) -> list:
-        key = (g, w)
-        hit = exp_cache.get(key)
-        if hit is None:
-            terms = freelie._bracket_words((g,), w)
-            hit = [(w2, int(c)) for w2, c in terms.items()]
-            exp_cache[key] = hit
-        return hit
+    def child(terms, g: int) -> dict:
+        """[x_g, node] for a node given by its (word index, coefficient) terms."""
+        cache = exp_cache[g]
+        out: dict = {}
+        for i, c in terms:
+            expansion = cache[i]
+            if expansion is None:
+                expansion = [(word_index[w2], int(k))
+                             for w2, k in freelie._bracket_words((g,), flat[i]).items()]
+                cache[i] = expansion
+            for j, k in expansion:
+                nv = out.get(j, 0) + c * k
+                if nv:
+                    out[j] = nv
+                else:
+                    out.pop(j, None)
+        return out
 
-    elim = _IntRref()
-    events = []
-
+    # In a free Lie algebra [x_g, u] = 0 for a nonzero homogeneous u only when u is
+    # a multiple of x_g, so a nonzero child has top degree exactly one above its
+    # parent's.  Hence the tree at bound b - 1 (same roots, expanded while the top
+    # degree is at most b - 2) is exactly the set of inner nodes, those of top degree
+    # below b, and the leaves are the children of nodes of top degree b - 1.
+    # A path (relation index, g1, g2, ...) names a node; its lexicographic order is
+    # the tree's preorder.
+    heap: list = []     # inner nodes as (top index, path, node)
+    leaves: list = []   # (top index, path, parent, g); parent is the node itself for a root
     for ridx, rel in enumerate(pres.relations):
-        seed = _int_terms(rel)
+        seed = {word_index[w]: c for w, c in _int_terms(rel).items()}
         if not seed:
             continue
-        stack = [seed]
-        while stack:
-            node = stack.pop()
-            elim.add({word_index[w]: c for w, c in node.items()})
-            top = max(len(w) for w in node)
-            if top + 1 > degree_bound:
-                kept = tuple(sorted({len(w) + 1 for w in node if len(w) + 1 <= degree_bound}))
-                if kept:
-                    events.append(TruncationEvent(ridx, kept))
-                continue
-            for g in range(n - 1, -1, -1):
-                child: dict = {}
-                for w, c in node.items():
-                    for w2, k in expansion(g, w):
-                        nv = child.get(w2, 0) + c * k
-                        if nv:
-                            child[w2] = nv
-                        else:
-                            child.pop(w2, None)
-                if child:
-                    stack.append(child)
+        top = max(seed)
+        if degree[top] == degree_bound:
+            leaves.append((top, (ridx,), seed, None))
+        else:
+            heappush(heap, (top, (ridx,), seed))
+
+    elim = _IntRref()
+    while heap:
+        top, path, node = heappop(heap)
+        elim.add(node)
+        if degree[top] < degree_bound - 1:
+            for g in range(n):
+                ch = child(node.items(), g)
+                if ch:
+                    heappush(heap, (max(ch), path + (g,), ch))
+        else:
+            # The children are leaves; the top component alone says which are
+            # nonzero and where their pivots lie.  They are rebuilt in full below.
+            top_part = [(i, c) for i, c in node.items() if degree[i] == degree_bound - 1]
+            for g in range(n):
+                ch = child(top_part, g)
+                if ch:
+                    leaves.append((max(ch), path + (g,), node, g))
+    rank_lower = len(elim.rows)
+
+    dropped = []
+    leaves.sort(key=lambda leaf: leaf[:2])
+    for _, path, parent, g in leaves:
+        leaf = parent if g is None else child(parent.items(), g)
+        elim.add(leaf)
+        kept = tuple(sorted({degree[i] + 1 for i in leaf if degree[i] < degree_bound}))
+        if kept:
+            dropped.append((path, TruncationEvent(path[0], kept)))
+    events = tuple(e for _, e in sorted(dropped, key=lambda pe: pe[0]))
 
     pivots = set(elim.rows)
     reps = tuple(flat[i] for i in range(len(flat)) if i not in pivots)
@@ -245,9 +300,8 @@ def quotient_closure(pres: Presentation, degree_bound: int, _with_stability: boo
 
     dim_at_lower = None
     stabilized = False
-    if _with_stability and degree_bound - 1 >= max_rel_deg:
-        lower = quotient_closure(pres, degree_bound - 1, _with_stability=False)
-        dim_at_lower = lower.dim
+    if degree_bound - 1 >= max_rel_deg:
+        dim_at_lower = len(flat) - len(by_degree[degree_bound]) - rank_lower
         threshold = degree_bound - max_rel_deg
         events_ok = all(min(e.kept_degrees) > threshold for e in events)
         stabilized = (dim_at_lower == len(reps)) and events_ok
@@ -258,7 +312,7 @@ def quotient_closure(pres: Presentation, degree_bound: int, _with_stability: boo
         generator_names=pres.names,
         representatives=reps,
         stabilized=stabilized,
-        truncation_events=tuple(events),
+        truncation_events=events,
         dim_at_lower=dim_at_lower,
         _rep_index={word_index[w]: i for i, w in enumerate(reps)},
         _monic_rows=monic,

@@ -100,6 +100,38 @@ def test_derive_bound_below_relation_degree(run):
     assert "error:" in stderr
 
 
+@pytest.mark.parametrize("engine", ["both", "closure"])
+def test_derive_bound_too_small_to_bracket_named_basis(run, engine):
+    code, stdout, stderr = run("derive", G2, "--max-degree", "5", "--engine", engine)
+    assert code == 2
+    assert "stabilized: yes" in stdout
+    assert stderr.startswith("error: degree bound 5 is too small to bracket h1 with h2")
+
+
+def test_derive_relation_above_degree_cap(run, tmp_path):
+    nested = "x2"
+    for _ in range(12):
+        nested = f"[x1,{nested}]"
+    path = tmp_path / "deep.lp"
+    path.write_text(f"generators: x1 x2\nrelation: {nested} = 0\n")
+    code, stdout, stderr = run("derive", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {path}: bracket degree 13 exceeds cap 12\n"
+
+
+def test_derive_representatives_above_degree_cap(run, tmp_path):
+    # The quotient keeps representatives of degree 7 and 8, so its table needs
+    # brackets above the degree cap.
+    path = tmp_path / "filiform.lp"
+    path.write_text("generators: a b\nrelation: [b,[a,b]] = 0\nrelation: [[a,b],[a,[a,b]]] = 0\n"
+                    "relation: [a,[a,[a,[a,[a,[a,[a,b]]]]]]] = 0\n")
+    code, stdout, stderr = run("derive", str(path), "--max-degree", "13")
+    assert code == 2
+    assert "stabilized: yes" in stdout
+    assert stderr == "error: bracket degree 13 exceeds cap 12\n"
+
+
 def test_derive_bad_flag_values(run):
     code, _, stderr = run("derive", G2, "--jobs", "0")
     assert code == 2

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from liepres import freelie
 from liepres.freelie import (
     DegreeCapExceeded,
     LiePoly,
@@ -214,3 +215,15 @@ def test_degree_cap_enforced():
         raised = True
     assert raised
     assert bracket(p, q, cap=13).max_degree() == 13
+
+
+def test_depth_guard_unwinds_counter(monkeypatch):
+    monkeypatch.setattr(freelie, "_bracket_cache", {})
+    monkeypatch.setattr(freelie, "_DEPTH_LIMIT", 1)
+    try:
+        freelie._bracket_words((0, 0, 1), (1,))
+        raised = False
+    except RuntimeError:
+        raised = True
+    assert raised
+    assert freelie._depth == 0

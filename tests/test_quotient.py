@@ -5,10 +5,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liepres
-from liepres.freelie import LiePoly, bracket, lyndon_words, tower_to_poly
-from liepres.presentation import parse_presentation
+from liepres import freelie
+from liepres.freelie import Generator, LiePoly, bracket, lyndon_words, tower_to_poly
+from liepres.presentation import Presentation, parse_presentation
 from liepres.quotient import (
     NamesNotBasisError,
     cross_validate,
@@ -228,3 +231,138 @@ def test_mutated_presentations_detected():
         report = cross_validate(pres, 6, qb=qb)
         detected = (not qb.stabilized) or qb.dim != 14 or (not report.ok)
         assert detected, (old, new)
+
+
+def _reference_add(rows: dict, vec: dict) -> None:
+    """Insert vec into a fully reduced echelon form over Q with monic rows."""
+    for p in [i for i in vec if i in rows]:
+        c = vec.pop(p)
+        for k, v in rows[p].items():
+            if k != p:
+                nv = vec.get(k, 0) - c * v
+                if nv:
+                    vec[k] = nv
+                else:
+                    vec.pop(k, None)
+    if not vec:
+        return
+    p = max(vec)
+    lead = vec[p]
+    new = {k: Fraction(v) / lead for k, v in vec.items()}
+    for q, row in rows.items():
+        c = row.get(p)
+        if c:
+            for k, v in new.items():
+                nv = row.get(k, 0) - c * v
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+    rows[p] = new
+
+
+def reference_closure(pres: Presentation, bound: int) -> dict:
+    """The closure as a depth-first walk over the consequence tree, with the
+    stability check taken from a second, separate closure at bound - 1."""
+    n = len(pres.generators)
+    grouped = lyndon_words(n, bound) if bound else [[]]
+    flat = [w for d in range(1, bound + 1) for w in grouped[d]]
+    word_index = {w: i for i, w in enumerate(flat)}
+    rows: dict = {}
+    events = []
+    for ridx, rel in enumerate(pres.relations):
+        stack = [rel.terms] if rel.terms else []
+        while stack:
+            node = stack.pop()
+            _reference_add(rows, {word_index[w]: c for w, c in node.items()})
+            if max(len(w) for w in node) == bound:
+                kept = tuple(sorted({len(w) + 1 for w in node if len(w) < bound}))
+                if kept:
+                    events.append((ridx, kept))
+                continue
+            for g in reversed(range(n)):
+                child: dict = {}
+                for w, c in node.items():
+                    freelie._add_scaled(child, freelie._bracket_words((g,), w), c)
+                if child:
+                    stack.append(child)
+    reps = tuple(w for i, w in enumerate(flat) if i not in rows)
+    top = pres.max_relation_degree()
+    dim_at_lower, stabilized = None, False
+    if bound - 1 >= top:
+        dim_at_lower = len(reference_closure(pres, bound - 1)["representatives"])
+        stabilized = dim_at_lower == len(reps) and all(min(k) > bound - top for _, k in events)
+    return {
+        "representatives": reps,
+        "_rep_index": {word_index[w]: i for i, w in enumerate(reps)},
+        "_monic_rows": rows,
+        "dim_at_lower": dim_at_lower,
+        "stabilized": stabilized,
+        "truncation_events": events,
+    }
+
+
+def assert_matches_reference(pres: Presentation, bound: int) -> None:
+    qb = quotient_closure(pres, bound)
+    ref = reference_closure(pres, bound)
+    assert qb.representatives == ref["representatives"]
+    assert qb._rep_index == ref["_rep_index"]
+    assert qb._monic_rows == ref["_monic_rows"]
+    assert qb.dim_at_lower == ref["dim_at_lower"]
+    assert qb.stabilized == ref["stabilized"]
+    assert [(e.relation_index, e.kept_degrees) for e in qb.truncation_events] == ref["truncation_events"]
+
+
+@pytest.mark.parametrize("name", ["g2", "g2_mutated", "sl2", "heisenberg"])
+def test_closure_matches_reference_on_fixtures(name):
+    pres = parse_presentation((FIXTURES / f"{name}.lp").read_text(encoding="utf-8"))
+    for bound in range(pres.max_relation_degree(), 9):
+        assert_matches_reference(pres, bound)
+
+
+def test_closure_matches_reference_on_shuffled_scaled_g2(g2_pres):
+    rng = random.Random(31)
+    rels = list(g2_pres.relations)
+    rng.shuffle(rels)
+    rels = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5)) * r for r in rels]
+    pres = Presentation(g2_pres.generators, tuple(rels))
+    for bound in (5, 6, 7):
+        assert_matches_reference(pres, bound)
+
+
+@st.composite
+def presentations_and_bounds(draw):
+    n = draw(st.integers(2, 3))
+    towers = st.lists(st.integers(0, n - 1), min_size=1, max_size=4).map(tuple)
+    terms = st.tuples(st.integers(-5, 5), st.integers(1, 3), towers)
+    relations = []
+    for rel in draw(st.lists(st.lists(terms, min_size=1, max_size=4), max_size=4)):
+        p = LiePoly.zero()
+        for num, den, tower in rel:
+            p = p + Fraction(num, den) * tower_to_poly(tower)
+        relations.append(p)
+    pres = Presentation(tuple(Generator(i, f"x{i + 1}") for i in range(n)), tuple(relations))
+    bound = draw(st.integers(max(pres.max_relation_degree(), 1), 6 if n == 2 else 5))
+    return pres, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=presentations_and_bounds())
+def test_closure_matches_reference_on_random_presentations(case):
+    assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("bound,pivots,events", [(6, 182, 108), (7, 494, 324), (8, 1304, 972)])
+def test_g2_closure_counters(g2_pres, bound, pivots, events):
+    qb = quotient_closure(g2_pres, bound)
+    assert len(qb._monic_rows) == pivots
+    assert len(qb.truncation_events) == events
+    assert qb.dim_at_lower == 14
+    assert qb.dim == 14
+
+
+def test_bound_one_without_relations_is_not_stabilized():
+    qb = quotient_closure(parse_presentation("generators: a b"), 1)
+    assert qb.dim == 2
+    assert qb.dim_at_lower == 0
+    assert not qb.stabilized
