@@ -5,9 +5,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .linalg import RatMatrix, invert, kernel_basis, rank, rref, solve_in_span
+from .linalg import RatMatrix, integer_scaled, invert, kernel_basis, rank, rref, solve_in_span
 from .table import StructureTable
 
 
@@ -154,8 +154,8 @@ def cartan_check(t: StructureTable, indices) -> CartanCheck:
 
 def _integer_rows(m: RatMatrix) -> tuple:
     """(D, rows) with D the least common denominator and rows the sparse integer rows of D*m."""
-    D = lcm(1, *(x.denominator for x in m.entries))
-    rows = [{j: x.numerator * (D // x.denominator) for j, x in enumerate(m.row(i)) if x}
+    D, flat = integer_scaled(m.entries)
+    rows = [{j: x for j, x in enumerate(flat[i * m.cols:(i + 1) * m.cols]) if x}
             for i in range(m.rows)]
     return D, rows
 
@@ -218,8 +218,7 @@ def _poly_divmod(a: list, b: list) -> tuple:
 
 def _primitive(p: list) -> list:
     """p times a positive rational, as integers with no common factor."""
-    den = lcm(*(Fraction(x).denominator for x in p))
-    ints = [int(x * den) for x in p]
+    _, ints = integer_scaled(p)
     g = gcd(*ints) or 1
     return [x // g for x in ints]
 

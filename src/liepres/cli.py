@@ -298,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="degree bound for the closure engine (default 8)")
     p.add_argument("--engine", choices=("rewriter", "closure", "both"), default="both")
     p.add_argument("--out", help="write the derived table as JSON to this path")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker count; accepted for compatibility, output bytes never change")
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("verify", help="compare a table against a golden table")

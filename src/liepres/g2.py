@@ -6,18 +6,22 @@ generators, three degree-2 towers T(j,k) with j < k, and eight degree-3 towers
 T(i,j,k) with j < k, T(3,1,2) excluded (it rewrites through Jacobi).  Degree-4 towers
 collapse to degree <= 1 through the quadruple relations, which is what makes the
 rewriter total.
+
+The relations are read from the shipped `fixtures/g2.lp`, and the named basis is
+defined once, as free Lie polynomials in `named_basis_free`; its tower form is
+computed from them.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
+from importlib.resources import files
 
 from . import freelie
-from .freelie import Generator, LiePoly, bracket
+from .freelie import LiePoly, bracket
 from .linalg import RatMatrix, invert
-from .presentation import Presentation
+from .presentation import Presentation, parse_presentation
 from .table import StructureTable
 
 G2_NAMES = ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32",
@@ -43,75 +47,31 @@ def epsilon(i: int, j: int, k: int) -> int:
 
 # --- relations ----------------------------------------------------------------
 
-def g2_relations() -> list:
-    """The 54 quadruple relations as free Lie polynomials (LHS - RHS).
+def g2_presentation_text() -> str:
+    """The shipped presentation file `fixtures/g2.lp`, the one copy of the relations.
 
-    Families, instantiated over i,j,k in {1,2,3} and skipping instantiations whose
-    tower already vanishes in the free algebra:
+    It lists the 54 quadruple relations (LHS - RHS), three families instantiated
+    over i,j,k in {1,2,3} with eps evaluated, skipping instantiations whose tower
+    already vanishes in the free algebra:
       1:  [xi,[xj,[xi,xk]]] = 2 eps(i,j,k) xi   (skip i == k)
       2:  [xi,[xi,[xj,xk]]] = 4 eps(i,j,k) xi   (skip j == k)
       3:  [xi,[xj,[xj,xk]]] = 6 eps(i,j,k) xj   (skip j == k)
     eps = 0 instantiations stay as homogeneous degree-4 relations.
     """
-    rels = []
-    for i, j, k in itertools.product((1, 2, 3), repeat=3):
-        if i != k:
-            lhs = freelie.tower_to_poly((i - 1, j - 1, i - 1, k - 1))
-            rels.append(lhs - Fraction(2 * epsilon(i, j, k)) * LiePoly.generator(i - 1))
-    for i, j, k in itertools.product((1, 2, 3), repeat=3):
-        if j != k:
-            lhs = freelie.tower_to_poly((i - 1, i - 1, j - 1, k - 1))
-            rels.append(lhs - Fraction(4 * epsilon(i, j, k)) * LiePoly.generator(i - 1))
-    for i, j, k in itertools.product((1, 2, 3), repeat=3):
-        if j != k:
-            lhs = freelie.tower_to_poly((i - 1, j - 1, j - 1, k - 1))
-            rels.append(lhs - Fraction(6 * epsilon(i, j, k)) * LiePoly.generator(j - 1))
-    return rels
+    return (files(__package__) / "fixtures" / "g2.lp").read_text(encoding="utf-8")
 
 
 def g2_presentation() -> Presentation:
     """The quadruple presentation as a parsed object."""
-    gens = tuple(Generator(i, f"x{i + 1}") for i in range(3))
-    return Presentation(gens, tuple(g2_relations()))
+    return parse_presentation(g2_presentation_text())
 
 
-def g2_presentation_text() -> str:
-    """Presentation file content: families expanded, eps evaluated."""
-    lines = [
-        "# Quadruple presentation of a 14-dimensional algebra on three generators.",
-        "generators: x1 x2 x3",
-    ]
-    shapes = (
-        ("family 1: [xi,[xj,[xi,xk]]] = 2 eps(i,j,k) xi",
-         lambda i, j, k: (f"[x{i},[x{j},[x{i},x{k}]]]", 2 * epsilon(i, j, k), i),
-         lambda i, j, k: i == k),
-        ("family 2: [xi,[xi,[xj,xk]]] = 4 eps(i,j,k) xi",
-         lambda i, j, k: (f"[x{i},[x{i},[x{j},x{k}]]]", 4 * epsilon(i, j, k), i),
-         lambda i, j, k: j == k),
-        ("family 3: [xi,[xj,[xj,xk]]] = 6 eps(i,j,k) xj",
-         lambda i, j, k: (f"[x{i},[x{j},[x{j},x{k}]]]", 6 * epsilon(i, j, k), j),
-         lambda i, j, k: j == k),
-    )
-    for comment, shape, skip in shapes:
-        lines.append(f"# {comment}")
-        for i, j, k in itertools.product((1, 2, 3), repeat=3):
-            if skip(i, j, k):
-                continue
-            lhs, coeff, target = shape(i, j, k)
-            if coeff == 0:
-                rhs = "0"
-            elif coeff > 0:
-                rhs = f"{coeff}*x{target}"
-            else:
-                rhs = f"-{-coeff}*x{target}"
-            lines.append(f"relation: {lhs} = {rhs}")
-    return "\n".join(lines) + "\n"
+def g2_relations() -> list:
+    """The 54 quadruple relations as free Lie polynomials, in the file's order."""
+    return list(g2_presentation().relations)
 
 
 # --- tower reduction ----------------------------------------------------------
-
-def _scaled(vec: dict, c: Fraction) -> dict:
-    return {t: c * v for t, v in vec.items()} if c else {}
 
 def _acc(acc: dict, vec: dict, c: Fraction = Fraction(1)) -> None:
     for t, v in vec.items():
@@ -147,7 +107,7 @@ def reduce_quadruple(a: int, b: int, c: int, d: int) -> dict:
         results.append(("family 3 (flipped)", -6 * epsilon(a, b, c), b))
     if not results:
         raise RuntimeError(f"no quadruple relation applies to {(a, b, c, d)}")
-    vecs = [_scaled({(t,): Fraction(1)}, Fraction(sign * coeff)) for _, coeff, t in results]
+    vecs = [{(t,): Fraction(sign * coeff)} if coeff else {} for _, coeff, t in results]
     if any(v != vecs[0] for v in vecs[1:]):
         detail = ", ".join(f"{name}: {v}" for (name, _, _), v in zip(results, vecs))
         raise RuntimeError(f"quadruple reduction is not confluent at {(a, b, c, d)}: {detail}")
@@ -210,42 +170,23 @@ def reduce_bracket(p: dict, q: dict) -> dict:
 
 # --- named basis --------------------------------------------------------------
 
+def _word_towers(w: tuple) -> dict:
+    """A Lyndon monomial over the canonical towers, through its standard factorization."""
+    if len(w) == 1:
+        return {(w[0] + 1,): Fraction(1)}
+    u, v = freelie.standard_factorization(w)
+    return reduce_bracket(_word_towers(u), _word_towers(v))
+
+
 @lru_cache(maxsize=None)
 def named_basis_towers() -> dict:
-    """The 14 named elements as canonical-tower vectors.
-
-    y carries the coefficient 1/2 on a generator bracket; a and h carry 1/3 on
-    brackets against y elements.
-    """
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    x = {i: {(i,): Fraction(1)} for i in (1, 2, 3)}
-    y = {
-        1: _scaled(reduce_bracket(x[2], x[3]), half),
-        2: _scaled(reduce_bracket(x[3], x[1]), half),
-        3: _scaled(reduce_bracket(x[1], x[2]), half),
-    }
-    a = {
-        (1, 2): _scaled(reduce_bracket(x[2], y[1]), third),
-        (1, 3): _scaled(reduce_bracket(x[3], y[1]), third),
-        (2, 3): _scaled(reduce_bracket(x[3], y[2]), third),
-        (2, 1): _scaled(reduce_bracket(x[1], y[2]), third),
-        (3, 1): _scaled(reduce_bracket(x[1], y[3]), third),
-        (3, 2): _scaled(reduce_bracket(x[2], y[3]), third),
-    }
-    h1ter: dict = {}
-    _acc(h1ter, reduce_bracket(x[1], y[1]))
-    _acc(h1ter, reduce_bracket(x[2], y[2]), Fraction(-1))
-    h2ter: dict = {}
-    _acc(h2ter, reduce_bracket(x[2], y[2]))
-    _acc(h2ter, reduce_bracket(x[3], y[3]), Fraction(-1))
-    named = {
-        "h1": _scaled(h1ter, third),
-        "h2": _scaled(h2ter, third),
-        "a12": a[(1, 2)], "a13": a[(1, 3)], "a23": a[(2, 3)],
-        "a21": a[(2, 1)], "a31": a[(3, 1)], "a32": a[(3, 2)],
-        "x1": x[1], "x2": x[2], "x3": x[3],
-        "y1": y[1], "y2": y[2], "y3": y[3],
-    }
+    """The 14 named elements of named_basis_free() as canonical-tower vectors."""
+    named = {}
+    for name, p in named_basis_free().items():
+        acc: dict = {}
+        for w, c in p.terms.items():
+            _acc(acc, _word_towers(w), c)
+        named[name] = acc
     return named
 
 

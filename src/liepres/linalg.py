@@ -1,8 +1,15 @@
-"""Dense exact linear algebra over the rationals."""
+"""Exact linear algebra over the rationals.
+
+`Echelon` is the package's one elimination kernel: a sparse reduced echelon form
+over the integers.  The closure engine, `QuotientBasis.reduce` and the dense
+`RatMatrix` wrappers (`rref`, and on top of it `rank`, `kernel_basis`,
+`solve_in_span`, `invert`) all run on it.  Only `det` keeps its own elimination.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _q(x) -> Fraction:
@@ -77,7 +84,8 @@ class RatMatrix:
         vec = [_q(x) for x in vec]
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        return [sum((self.row(i)[k] * vec[k] for k in range(self.cols)), Fraction(0)) for i in range(self.rows)]
+        support = [(k, x) for k, x in enumerate(vec) if x]
+        return [sum((row[k] * x for k, x in support), Fraction(0)) for row in self.row_list()]
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -100,28 +108,132 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
+def integer_scaled(values) -> tuple:
+    """(D, ints): D the least common denominator of the rationals in values, ints their multiples by D."""
+    values = list(values)
+    D = lcm(1, *(x.denominator for x in values))
+    return D, [x.numerator * (D // x.denominator) for x in values]
+
+
+def _content_strip(vec: dict) -> dict:
+    g = 0
+    for v in vec.values():
+        g = gcd(g, v)
+        if g == 1:
+            return vec
+    if g > 1:
+        return {k: v // g for k, v in vec.items()}
+    return vec
+
+
+class Echelon:
+    """Sparse incremental reduced echelon form over Z: rows are content-stripped, tails pivot-free.
+
+    Vectors are dicts {index: int}.  The pivot of a row is its maximum index and its
+    value is positive, so each row is the unique primitive integer row of the reduced
+    echelon form of the span and the rows do not depend on the insertion order.  Full
+    back-substitution is maintained on every insertion, so reduction of any vector is
+    a single pass over its initial support, in any order (eliminating one pivot only
+    ever introduces non-pivot coordinates).  Back-substitution is cheapest when
+    vectors arrive in ascending order of their largest index.
+    """
+
+    def __init__(self):
+        self.rows: dict = {}            # pivot index -> {index: int}
+        self.containing: dict = {}      # index -> set of pivots whose row touches it
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Echelon) and self.rows == other.rows
+
+    def reduce(self, vec: dict) -> tuple:
+        """(r, s) with r = s*vec minus a combination of rows, supported off the pivots.
+
+        s > 0 is the product of the multipliers applied to vec, so vec is congruent
+        to r / s modulo the span of the rows.
+        """
+        vec = dict(vec)
+        rows = self.rows
+        s = 1
+        for p in [i for i in vec if i in rows]:
+            row = rows[p]
+            if len(row) == 1:
+                del vec[p]
+                continue
+            vp = vec[p]
+            rp = row[p]
+            g = gcd(vp, rp)
+            mv, mr = rp // g, vp // g
+            if mv != 1:
+                s *= mv
+                for k in vec:
+                    vec[k] *= mv
+            for k, rv in row.items():
+                nv = vec.get(k, 0) - mr * rv
+                if nv:
+                    vec[k] = nv
+                else:
+                    vec.pop(k, None)
+        return vec, s
+
+    def _register(self, p: int, row: dict) -> None:
+        for k in row:
+            self.containing.setdefault(k, set()).add(p)
+
+    def _unregister(self, p: int, row: dict) -> None:
+        for k in row:
+            s = self.containing.get(k)
+            if s:
+                s.discard(p)
+
+    def add(self, vec: dict) -> int | None:
+        """Reduce vec and, if independent, insert it; returns the new pivot or None."""
+        rem = _content_strip(self.reduce(vec)[0])
+        if not rem:
+            return None
+        p = max(rem)
+        if rem[p] < 0:
+            rem = {k: -v for k, v in rem.items()}
+        for q in list(self.containing.get(p, ())):
+            row = self.rows[q]
+            self._unregister(q, row)
+            rp, qv = rem[p], row[p]
+            g = gcd(rp, qv)
+            mq, mr = rp // g, qv // g
+            new = {k: v * mq for k, v in row.items()}
+            for k, rv in rem.items():
+                nv = new.get(k, 0) - mr * rv
+                if nv:
+                    new[k] = nv
+                else:
+                    new.pop(k, None)
+            new = _content_strip(new)
+            self.rows[q] = new
+            self._register(q, new)
+        self.rows[p] = rem
+        self._register(p, rem)
+        return p
+
+
 def rref(m: RatMatrix) -> tuple:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    rows = m.row_list()
-    pivots = []
-    r = 0
-    for j in range(m.cols):
-        # pivot: first row at or below r with a nonzero entry in column j
-        p = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = 1 / rows[r][j]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j] != 0:
-                c = rows[i][j]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(j)
-        r += 1
-        if r == len(rows):
-            break
-    return RatMatrix.from_rows(rows) if rows else m, tuple(pivots)
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    The rows go into an Echelon with their columns reversed, so that its
+    maximum-index pivot is the leftmost column; each row is then divided by its
+    pivot.  Zero rows fill the matrix up to m.rows.
+    """
+    last = m.cols - 1
+    ech = Echelon()
+    for i in range(m.rows):
+        _, ints = integer_scaled(m.row(i))
+        ech.add({last - j: x for j, x in enumerate(ints) if x})
+    pivots = sorted(last - p for p in ech.rows)
+    entries = []
+    for j in pivots:
+        row = ech.rows[last - j]
+        lead = row[last - j]
+        entries += [Fraction(row.get(last - k, 0), lead) for k in range(m.cols)]
+    entries += [Fraction(0)] * ((m.rows - len(pivots)) * m.cols)
+    return RatMatrix(m.rows, m.cols, entries), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
@@ -180,7 +292,11 @@ def invert(m: RatMatrix) -> RatMatrix | None:
 
 
 def det(m: RatMatrix) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
+    """Exact determinant by fraction Gaussian elimination.
+
+    Not on Echelon: its rows are content-stripped, which throws away the scale
+    a determinant needs.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
     rows = m.row_list()

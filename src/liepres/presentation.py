@@ -34,6 +34,10 @@ _PUNCT = {"[": "LBRACK", "]": "RBRACK", ",": "COMMA", "=": "EQ", "*": "STAR",
 
 _KEYWORDS = {"generators", "relation"}
 
+# Deeper bracket nesting is a ParseError, not a RecursionError: the parser recurses
+# once per level.  Brackets of nonzero terms pass the degree cap (12) long before.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -74,6 +78,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.index: dict = {}
 
     def peek(self):
@@ -165,10 +170,14 @@ class _Parser:
                 raise ParseError(f"unknown generator {val!r}", ln, col)
             return LiePoly.generator(self.index[val])
         if kind == "LBRACK":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"brackets nested deeper than {MAX_NESTING}", ln, col)
+            self.depth += 1
             left = self.parse_expr()
             self.expect("COMMA", "',' between bracket arguments")
             right = self.parse_expr()
             self.expect("RBRACK", "']'")
+            self.depth -= 1
             return bracket(left, right)
         raise ParseError(f"expected a generator name or '[', found {val!r}", ln, col)
 

@@ -5,106 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
 
 from . import freelie
 from .freelie import LiePoly, bracket, bracket_string
-from .linalg import RatMatrix, invert
+from .linalg import Echelon, RatMatrix, integer_scaled, invert
 from .presentation import Presentation
 from .table import StructureTable
 
 
 class NamesNotBasisError(ValueError):
     """The provided named elements do not form a basis of the computed quotient."""
-
-
-def _content_strip(vec: dict) -> dict:
-    g = 0
-    for v in vec.values():
-        g = gcd(g, v)
-        if g == 1:
-            return vec
-    if g > 1:
-        return {k: v // g for k, v in vec.items()}
-    return vec
-
-
-class _IntRref:
-    """Sparse incremental RREF over Z: rows are content-stripped, tails pivot-free.
-
-    The pivot of a row is its maximum coordinate index and its value is positive,
-    so each row is the unique primitive integer row of the reduced echelon form and
-    the rows do not depend on the insertion order.  Full back-substitution is
-    maintained on every insertion, so reduction of any vector is a single pass over
-    its initial support, in any order (eliminating one pivot only ever introduces
-    non-pivot coordinates).  Back-substitution is cheapest when vectors arrive in
-    ascending order of their largest index.
-    """
-
-    def __init__(self):
-        self.rows: dict = {}            # pivot index -> {index: int}
-        self.containing: dict = {}      # index -> set of pivots whose row touches it
-
-    def reduce(self, vec: dict) -> dict:
-        vec = dict(vec)
-        rows = self.rows
-        for p in [i for i in vec if i in rows]:
-            row = rows[p]
-            if len(row) == 1:
-                del vec[p]
-                continue
-            vp = vec[p]
-            rp = row[p]
-            g = gcd(vp, rp)
-            mv, mr = rp // g, vp // g
-            if mv != 1:
-                for k in vec:
-                    vec[k] *= mv
-            for k, rv in row.items():
-                nv = vec.get(k, 0) - mr * rv
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-        return _content_strip(vec)
-
-    def _register(self, p: int, row: dict) -> None:
-        for k in row:
-            self.containing.setdefault(k, set()).add(p)
-
-    def _unregister(self, p: int, row: dict) -> None:
-        for k in row:
-            s = self.containing.get(k)
-            if s:
-                s.discard(p)
-
-    def add(self, vec: dict) -> int | None:
-        """Reduce vec and, if independent, insert it; returns the new pivot or None."""
-        rem = self.reduce(vec)
-        if not rem:
-            return None
-        p = max(rem)
-        if rem[p] < 0:
-            rem = {k: -v for k, v in rem.items()}
-        for q in list(self.containing.get(p, ())):
-            row = self.rows[q]
-            self._unregister(q, row)
-            rp, qv = rem[p], row[p]
-            g = gcd(rp, qv)
-            mq, mr = rp // g, qv // g
-            new = {k: v * mq for k, v in row.items()}
-            for k, rv in rem.items():
-                nv = new.get(k, 0) - mr * rv
-                if nv:
-                    new[k] = nv
-                else:
-                    new.pop(k, None)
-            new = _content_strip(new)
-            self.rows[q] = new
-            self._register(q, new)
-        self.rows[p] = rem
-        self._register(p, rem)
-        return p
 
 
 @dataclass
@@ -126,6 +36,9 @@ class QuotientBasis:
     pushes it above any bound).  `stabilized` says that the dimension at bound b - 1
     is the same and that every dropped subtree touched only high degrees: evidence
     that the truncation has settled, not a proof of dim L/I.
+
+    The closure's own integer `Echelon` is kept: `reduce` eliminates against its
+    rows, whose pivots are exactly the non-representative words.
     """
     degree_bound: int
     alphabet: int
@@ -135,7 +48,7 @@ class QuotientBasis:
     truncation_events: tuple
     dim_at_lower: int | None         # quotient dimension at degree_bound - 1, if computable
     _rep_index: dict = field(repr=False, default_factory=dict)
-    _monic_rows: dict = field(repr=False, default_factory=dict)
+    _echelon: Echelon = field(repr=False, default_factory=Echelon)
     _word_index: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -144,28 +57,17 @@ class QuotientBasis:
 
     def reduce(self, p: LiePoly) -> tuple:
         """Coordinates of p over the representatives."""
+        D, ints = integer_scaled(p.terms.values())
         vec: dict = {}
-        for w, c in p.terms.items():
+        for w, c in zip(p.terms, ints):
             idx = self._word_index.get(w)
             if idx is None:
                 raise ValueError(f"monomial degree {len(w)} exceeds bound {self.degree_bound} or bad alphabet: {w}")
             vec[idx] = c
-        rows = self._monic_rows
-        for piv in sorted((i for i in vec if i in rows), reverse=True):
-            coeff = vec.pop(piv, None)
-            if not coeff:
-                continue
-            for k, rv in rows[piv].items():
-                if k == piv:
-                    continue
-                nv = vec.get(k, 0) - coeff * rv
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
+        rem, s = self._echelon.reduce(vec)
         out = [Fraction(0)] * len(self.representatives)
-        for idx, c in vec.items():
-            out[self._rep_index[idx]] = c
+        for idx, c in rem.items():
+            out[self._rep_index[idx]] = Fraction(c, D * s)
         return tuple(out)
 
     def representative_name(self, i: int) -> str:
@@ -183,13 +85,6 @@ class QuotientBasis:
         for w in freelie.lyndon_words(self.alphabet, degree)[degree]:
             out.append((w, self.reduce(LiePoly.monomial(w))))
         return out
-
-
-def _int_terms(p: LiePoly) -> dict:
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return {w: int(c * denom) for w, c in p.terms.items()}
 
 
 def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
@@ -253,7 +148,8 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
     heap: list = []     # inner nodes as (top index, path, node)
     leaves: list = []   # (top index, path, parent, g); parent is the node itself for a root
     for ridx, rel in enumerate(pres.relations):
-        seed = {word_index[w]: c for w, c in _int_terms(rel).items()}
+        _, ints = integer_scaled(rel.terms.values())
+        seed = {word_index[w]: c for w, c in zip(rel.terms, ints)}
         if not seed:
             continue
         top = max(seed)
@@ -262,7 +158,7 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
         else:
             heappush(heap, (top, (ridx,), seed))
 
-    elim = _IntRref()
+    elim = Echelon()
     while heap:
         top, path, node = heappop(heap)
         elim.add(node)
@@ -293,10 +189,6 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
 
     pivots = set(elim.rows)
     reps = tuple(flat[i] for i in range(len(flat)) if i not in pivots)
-    monic = {
-        p: {k: Fraction(v, row[p]) for k, v in row.items()}
-        for p, row in elim.rows.items()
-    }
 
     dim_at_lower = None
     stabilized = False
@@ -315,7 +207,7 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
         truncation_events=events,
         dim_at_lower=dim_at_lower,
         _rep_index={word_index[w]: i for i, w in enumerate(reps)},
-        _monic_rows=monic,
+        _echelon=elim,
         _word_index=word_index,
     )
     return qb

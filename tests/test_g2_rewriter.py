@@ -46,6 +46,27 @@ def test_relation_family_instances():
     assert tower_to_poly((1, 0, 0, 2)) + Fraction(6) * x[0] in rels
 
 
+def family_relations():
+    """The three eps-families built from their formulas: the reference for g2.lp."""
+    x = {i: LiePoly.generator(i - 1) for i in (1, 2, 3)}
+    triples = list(itertools.product((1, 2, 3), repeat=3))
+    rels = []
+    for i, j, k in triples:
+        if i != k:
+            rels.append(tower_to_poly((i - 1, j - 1, i - 1, k - 1)) - Fraction(2 * epsilon(i, j, k)) * x[i])
+    for i, j, k in triples:
+        if j != k:
+            rels.append(tower_to_poly((i - 1, i - 1, j - 1, k - 1)) - Fraction(4 * epsilon(i, j, k)) * x[i])
+    for i, j, k in triples:
+        if j != k:
+            rels.append(tower_to_poly((i - 1, j - 1, j - 1, k - 1)) - Fraction(6 * epsilon(i, j, k)) * x[j])
+    return rels
+
+
+def test_fixture_relations_equal_the_families_in_order():
+    assert g2_relations() == family_relations()
+
+
 def test_relations_never_identically_zero():
     for r in g2_relations():
         assert r != LiePoly.zero()
@@ -107,6 +128,39 @@ def test_named_basis_towers_cover_all_names():
     assert set(named) == set(G2_NAMES)
     free = named_basis_free()
     assert tuple(free) == G2_NAMES
+
+
+def hand_written_named_towers():
+    """The named basis written out on canonical towers: y = [x, x]/2, a = [x, y]/3,
+    h = ([x, y] - [x', y'])/3.  The reference for named_basis_towers()."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+
+    def combo(*terms):
+        acc = {}
+        for c, p, q in terms:
+            for t, v in reduce_bracket(p, q).items():
+                acc[t] = acc.get(t, 0) + c * v
+        return {t: v for t, v in acc.items() if v}
+
+    x = {i: {(i,): Fraction(1)} for i in (1, 2, 3)}
+    y = {1: combo((half, x[2], x[3])), 2: combo((half, x[3], x[1])), 3: combo((half, x[1], x[2]))}
+    named = {
+        "h1": combo((third, x[1], y[1]), (-third, x[2], y[2])),
+        "h2": combo((third, x[2], y[2]), (-third, x[3], y[3])),
+    }
+    for i, j in ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)):
+        named[f"a{i}{j}"] = combo((third, x[j], y[i]))
+    named.update({f"x{i}": x[i] for i in (1, 2, 3)})
+    named.update({f"y{i}": y[i] for i in (1, 2, 3)})
+    return named
+
+
+def test_named_basis_towers_equal_hand_written_values():
+    named = named_basis_towers()
+    assert tuple(named) == G2_NAMES
+    assert named == hand_written_named_towers()
+    assert named["y1"] == {(2, 3): Fraction(1, 2)}
+    assert named["a12"] == {(2, 2, 3): Fraction(1, 6)}
 
 
 def test_named_bracket_worked_identities():

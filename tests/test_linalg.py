@@ -50,6 +50,53 @@ def test_rref_row_space_matches_independent_elimination():
             assert in_span(mine, v)
 
 
+def gauss_jordan(m):
+    """Dense Gauss-Jordan over Fraction, leftmost pivot first: the reference for rref."""
+    rows = m.row_list()
+    pivots = []
+    r = 0
+    for j in range(m.cols):
+        p = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = 1 / rows[r][j]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j] != 0:
+                c = rows[i][j]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(j)
+        r += 1
+        if r == len(rows):
+            break
+    return RatMatrix.from_rows(rows) if rows else m, tuple(pivots)
+
+
+def test_rref_equals_dense_gauss_jordan():
+    rng = random.Random(4242)
+    shapes = [(0, 0), (0, 4), (3, 0), (1, 1), (5, 9), (9, 5), (6, 6), (12, 4), (3, 14)]
+    for trial in range(40):
+        rows, cols = shapes[trial % len(shapes)]
+        entries = []
+        for _ in range(rows * cols):
+            if trial % 2:
+                entries.append(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+            else:
+                entries.append(rng.randint(-5, 5) if rng.random() < 0.6 else 0)
+        m = RatMatrix(rows, cols, entries)
+        if rows > 2 and cols > 2:
+            # a zero row, a zero column and a repeated row
+            zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+            grid = m.row_list()
+            grid[zero_row] = [Fraction(0)] * cols
+            for r in grid:
+                r[zero_col] = Fraction(0)
+            grid[(zero_row + 1) % rows] = list(grid[(zero_row + 2) % rows])
+            m = RatMatrix.from_rows(grid)
+        assert rref(m) == gauss_jordan(m), m
+
+
 def test_rref_shape_and_pivots():
     rng = random.Random(7)
     for trial in range(25):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from liepres.freelie import LiePoly, bracket, tower_to_poly
 from liepres.presentation import (
+    MAX_NESTING,
     ParseError,
     Presentation,
     format_presentation,
@@ -51,6 +52,22 @@ def test_error_positions_are_reported():
     exc = parse_error("generators: a b\nrelation: [a,c] = 0")
     assert "c" in str(exc)
     assert exc.line == 2
+
+
+def _nested_zero(depth):
+    text = "x1"
+    for _ in range(depth):
+        text = f"[0,{text}]"
+    return f"generators: x1\nrelation: {text} = 0"
+
+
+def test_nesting_depth_is_bounded():
+    assert parse_presentation(_nested_zero(MAX_NESTING)).relations == (LiePoly.zero(),)
+    for depth in (MAX_NESTING + 1, 3000):
+        exc = parse_error(_nested_zero(depth))
+        assert exc.message == f"brackets nested deeper than {MAX_NESTING}"
+        # the first '[' is column 11, and each level adds the 3 characters "[0,"
+        assert (exc.line, exc.col) == (2, 11 + 3 * MAX_NESTING)
 
 
 def test_duplicate_generator_rejected():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -294,12 +295,39 @@ def reference_closure(pres: Presentation, bound: int) -> dict:
         stabilized = dim_at_lower == len(reps) and all(min(k) > bound - top for _, k in events)
     return {
         "representatives": reps,
+        "word_index": word_index,
         "_rep_index": {word_index[w]: i for i, w in enumerate(reps)},
-        "_monic_rows": rows,
+        "monic_rows": rows,
         "dim_at_lower": dim_at_lower,
         "stabilized": stabilized,
         "truncation_events": events,
     }
+
+
+def primitive(row: dict) -> dict:
+    """The integer multiple of a monic row whose entries have no common factor."""
+    d = lcm(*(v.denominator for v in row.values()))
+    g = gcd(*(int(v * d) for v in row.values()))
+    return {k: int(v * d) // g for k, v in row.items()}
+
+
+def reference_reduce(ref: dict, p: LiePoly) -> tuple:
+    """Coordinates of p over the representatives, by the monic rows over Q."""
+    vec = {ref["word_index"][w]: c for w, c in p.terms.items()}
+    rows = ref["monic_rows"]
+    for piv in [i for i in vec if i in rows]:
+        c = vec.pop(piv)
+        for k, v in rows[piv].items():
+            if k != piv:
+                nv = vec.get(k, 0) - c * v
+                if nv:
+                    vec[k] = nv
+                else:
+                    vec.pop(k, None)
+    out = [Fraction(0)] * len(ref["representatives"])
+    for idx, c in vec.items():
+        out[ref["_rep_index"][idx]] = c
+    return tuple(out)
 
 
 def assert_matches_reference(pres: Presentation, bound: int) -> None:
@@ -307,7 +335,15 @@ def assert_matches_reference(pres: Presentation, bound: int) -> None:
     ref = reference_closure(pres, bound)
     assert qb.representatives == ref["representatives"]
     assert qb._rep_index == ref["_rep_index"]
-    assert qb._monic_rows == ref["_monic_rows"]
+    assert qb._echelon.rows == {p: primitive(row) for p, row in ref["monic_rows"].items()}
+    assert all(row[p] > 0 for p, row in qb._echelon.rows.items())
+    terms = {}
+    for degree in range(1, bound + 1):
+        for i, (w, vec) in enumerate(qb.degree_images(degree)):
+            assert vec == reference_reduce(ref, LiePoly.monomial(w)), w
+            terms[w] = Fraction(i % 5 - 2, i % 3 + 1)
+    dense = LiePoly(terms)
+    assert qb.reduce(dense) == reference_reduce(ref, dense)
     assert qb.dim_at_lower == ref["dim_at_lower"]
     assert qb.stabilized == ref["stabilized"]
     assert [(e.relation_index, e.kept_degrees) for e in qb.truncation_events] == ref["truncation_events"]
@@ -327,6 +363,16 @@ def test_closure_matches_reference_on_shuffled_scaled_g2(g2_pres):
     rels = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5)) * r for r in rels]
     pres = Presentation(g2_pres.generators, tuple(rels))
     for bound in (5, 6, 7):
+        assert_matches_reference(pres, bound)
+
+
+@pytest.mark.parametrize("text", [
+    "generators: a b\nrelation: 2*[a,b] = 3*a\n",
+    "generators: a b c\nrelation: 3*[a,[a,b]] = 2*[a,c] + 5*b\nrelation: 2*[b,c] = 7*a\n",
+])
+def test_closure_matches_reference_with_non_unit_pivots(text):
+    pres = parse_presentation(text)
+    for bound in range(pres.max_relation_degree(), 6):
         assert_matches_reference(pres, bound)
 
 
@@ -355,7 +401,7 @@ def test_closure_matches_reference_on_random_presentations(case):
 @pytest.mark.parametrize("bound,pivots,events", [(6, 182, 108), (7, 494, 324), (8, 1304, 972)])
 def test_g2_closure_counters(g2_pres, bound, pivots, events):
     qb = quotient_closure(g2_pres, bound)
-    assert len(qb._monic_rows) == pivots
+    assert len(qb._echelon.rows) == pivots
     assert len(qb.truncation_events) == events
     assert qb.dim_at_lower == 14
     assert qb.dim == 14
