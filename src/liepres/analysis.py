@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import RatMatrix, integer_scaled, invert, kernel_basis, rank, rref, solve_in_span
+from .linalg import RatMatrix, integer_char_poly, integer_scaled, invert, kernel_basis, rank, rref
+from .linalg import char_poly  # noqa: F401  (re-exported: analysis.char_poly is public)
 from .table import StructureTable
 
 
@@ -152,51 +153,6 @@ def cartan_check(t: StructureTable, indices) -> CartanCheck:
 
 # --- exact eigen machinery ----------------------------------------------------
 
-def _integer_rows(m: RatMatrix) -> tuple:
-    """(D, rows) with D the least common denominator and rows the sparse integer rows of D*m."""
-    D, flat = integer_scaled(m.entries)
-    rows = [{j: x for j, x in enumerate(flat[i * m.cols:(i + 1) * m.cols]) if x}
-            for i in range(m.rows)]
-    return D, rows
-
-
-def _int_char_poly(rows: list) -> list:
-    """det(xI - A) for A given by sparse integer rows, highest power first, by Faddeev-LeVerrier.
-
-    M_1 = A, c_k = -trace(M_k)/k, M_{k+1} = A (M_k + c_k I). Every M_k is an integer
-    matrix and every c_k an integer coefficient of det(xI - A), so each trace
-    divides exactly.
-    """
-    n = len(rows)
-    coeffs = [1]
-    mk = rows
-    for k in range(1, n + 1):
-        ck = -sum(row.get(i, 0) for i, row in enumerate(mk)) // k
-        coeffs.append(ck)
-        if k < n:
-            shifted = [dict(row) for row in mk]
-            for i, row in enumerate(shifted):
-                row[i] = row.get(i, 0) + ck
-            mk = []
-            for row in rows:
-                acc: dict = {}
-                for l, x in row.items():
-                    for j, y in shifted[l].items():
-                        acc[j] = acc.get(j, 0) + x * y
-                mk.append({j: v for j, v in acc.items() if v})
-    return coeffs
-
-
-def char_poly(m: RatMatrix) -> list:
-    """Coefficients of det(xI - M), highest power first.
-
-    Runs Faddeev-LeVerrier over the integers on D*M, D the common denominator;
-    det(xI - M) = D^-n det(Dx I - D M) turns coefficient k into a_k / D^k.
-    """
-    D, rows = _integer_rows(m)
-    return [Fraction(a, D ** k) for k, a in enumerate(_int_char_poly(rows))]
-
-
 def _trim(p: list) -> list:
     while len(p) > 1 and p[0] == 0:
         p = p[1:]
@@ -287,52 +243,8 @@ def rational_eigenvalues(m: RatMatrix) -> list:
     """
     if m.rows == 0:
         return []
-    D, rows = _integer_rows(m)
-    return [Fraction(r, D) for r in _integer_roots(_int_char_poly(rows))]
-
-
-def _restriction(op: RatMatrix, space: list) -> RatMatrix:
-    """Matrix of op on the subspace spanned by space, in that basis."""
-    cols = []
-    for v in space:
-        img = op.apply(v)
-        coords = solve_in_span(space, img)
-        if coords is None:
-            raise ValueError("operator does not preserve the subspace")
-        cols.append(coords)
-    k = len(space)
-    return RatMatrix.from_rows([[cols[j][i] for j in range(k)] for i in range(k)])
-
-
-def simultaneous_eigenspaces(mats: list, dim: int) -> list:
-    """Common eigenspace decomposition: list of (eigenvalue tuple, basis vectors).
-
-    Errors with "not simultaneously diagonalizable over the rationals" when any
-    restriction fails to split into rational eigenspaces of full total dimension.
-    """
-    spaces = [((), [list(r) for r in RatMatrix.identity(dim).row_list()])]
-    for op in mats:
-        refined = []
-        for prefix, space in spaces:
-            R = _restriction(op, space)
-            eigs = rational_eigenvalues(R)
-            total = 0
-            for lam in eigs:
-                shifted = RatMatrix(R.rows, R.cols,
-                                    [R.entries[idx] - (lam if idx % (R.cols + 1) == 0 else 0)
-                                     for idx in range(R.rows * R.cols)])
-                for kv in kernel_basis(shifted):
-                    lifted = [sum((kv[a] * space[a][b] for a in range(len(space))), Fraction(0))
-                              for b in range(dim)]
-                    refined.append((prefix + (lam,), lifted, lam))
-                total += R.rows - rank(shifted)
-            if total != len(space):
-                raise ValueError("not simultaneously diagonalizable over the rationals")
-        regrouped: dict = {}
-        for prefix, vec, _ in refined:
-            regrouped.setdefault(prefix, []).append(vec)
-        spaces = [(prefix, vecs) for prefix, vecs in sorted(regrouped.items())]
-    return spaces
+    D, a = integer_char_poly(m)
+    return [Fraction(r, D) for r in _integer_roots(a)]
 
 
 @dataclass
@@ -350,16 +262,16 @@ def root_decomposition(t: StructureTable, cartan_indices) -> RootDatum:
     spanned by table basis elements (all tables in scope are split in their own basis).
     The root spaces are spanned by basis elements exactly when every ad(h) is
     diagonal in the table basis: then each b_j is a common eigenvector, and its
-    weight is read off the diagonals, the coefficients of b_j in [h, b_j]. When some
-    ad(h) is not diagonal, the decomposition is refused; simultaneous_eigenspaces
-    runs first only so that a Cartan that is not rationally diagonalizable is
-    reported as such.
+    weight is read off the diagonals, the coefficients of b_j in [h, b_j].  When
+    some ad(h) is not diagonal the decomposition is refused, whether or not the
+    ad(h) are simultaneously diagonalizable in another basis.  For a set from
+    find_cartan_candidate they always are: the elements bracket to zero, so under
+    Jacobi their ads commute, and each ad is diagonalizable over Q.
     """
     cartan_indices = tuple(cartan_indices)
     n = t.dim
     ads = {h: _ad_map(t, h) for h in cartan_indices}
     if not all(_is_diagonal(ad) for ad in ads.values()):
-        simultaneous_eigenspaces([t.ad_matrix(h) for h in cartan_indices], n)
         raise ValueError("root spaces are not aligned with the table basis")
     grouped: dict = {}
     for j in range(n):

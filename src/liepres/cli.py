@@ -45,14 +45,6 @@ def _vec_str(coeffs: dict, names) -> str:
     return " ".join(parts)
 
 
-def _is_standard_quadruple(pres) -> bool:
-    """Whether the relations are exactly the three quadruple families the rewriter implements."""
-    from .g2 import g2_relations
-    if len(pres.generators) != 3:
-        return False
-    return set(pres.relations) == set(g2_relations())
-
-
 def _load_presentation(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -100,16 +92,16 @@ def cmd_derive(args) -> int:
         return 2
 
     if args.engine == "rewriter":
+        from .g2 import has_g2_relation_span, rewriter_structure_table
         if not rewriter_applicable(pres):
             print("error: the rewriter engine needs 3 generators and relations of top degree 4",
                   file=sys.stderr)
             return 2
-        if not _is_standard_quadruple(pres):
+        if not has_g2_relation_span(pres):
             print("error: the rewriter engine implements the standard quadruple relation "
                   "families; this presentation differs, use --engine closure or both",
                   file=sys.stderr)
             return 2
-        from .g2 import rewriter_structure_table
         table = rewriter_structure_table()
         print("engine: rewriter")
         print(f"dim = {table.dim}")
@@ -130,9 +122,9 @@ def cmd_derive(args) -> int:
             print("quotient not stabilized at this bound; rerun with a larger --max-degree",
                   file=sys.stderr)
             return 4
+        from .g2 import has_g2_relation_span, named_basis_free
         try:
-            if _is_standard_quadruple(pres):
-                from .g2 import named_basis_free
+            if has_g2_relation_span(pres):
                 try:
                     table = structure_table(pres, named_basis_free(), qb=qb)
                 except NamesNotBasisError:
@@ -280,7 +272,11 @@ def cmd_export(args) -> int:
 
 
 def cmd_free(args) -> int:
-    grouped = lyndon_words(args.alphabet, args.max_degree)
+    try:
+        grouped = lyndon_words(args.alphabet, args.max_degree)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     counts = [len(ws) for ws in grouped[1:]]
     print(f"{' '.join(str(c) for c in counts)}, total {sum(counts)}")
     return 0

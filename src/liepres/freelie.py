@@ -16,6 +16,9 @@ Tower = tuple  # left-normed nesting [x_{t0}, [x_{t1}, [... x_{tk}]]]
 
 DEFAULT_DEGREE_CAP = 12
 
+# lyndon_words refuses to build more words than this (G2 at degree 13 needs 192,346).
+MAX_LYNDON_WORDS = 200_000
+
 
 class DegreeCapExceeded(RuntimeError):
     """A bracket would exceed the degree cap."""
@@ -29,10 +32,13 @@ def is_lyndon(w: Word) -> bool:
 def lyndon_words(alphabet_size: int, max_degree: int) -> list:
     """Lyndon words over 0..alphabet_size-1 grouped by length: result[d] for d in 1..max_degree.
 
-    Duval's algorithm; each group comes out in lexicographic order.
+    Duval's algorithm; each group comes out in lexicographic order.  Raises
+    ValueError before allocating anything when the words would number more than
+    MAX_LYNDON_WORDS, counted degree by degree with Witt's formula.
     """
     if alphabet_size < 1 or max_degree < 1:
         raise ValueError("alphabet size and degree must be positive")
+    _check_word_budget(alphabet_size, max_degree)
     by_degree = [None] + [[] for _ in range(max_degree)]
     w = [-1]
     while w:
@@ -44,6 +50,26 @@ def lyndon_words(alphabet_size: int, max_degree: int) -> list:
         while w and w[-1] == alphabet_size - 1:
             w.pop()
     return by_degree
+
+
+def _check_word_budget(alphabet_size: int, max_degree: int) -> None:
+    """Raise ValueError if there are more than MAX_LYNDON_WORDS words up to max_degree.
+
+    Witt: a^d = sum over e | d of e * N(e), N(e) the number of Lyndon words of
+    length e, so N(d) follows from the smaller lengths with N(e) > 0.
+    """
+    if max_degree > MAX_LYNDON_WORDS:
+        raise ValueError(f"degree bound {max_degree} exceeds the Lyndon word budget {MAX_LYNDON_WORDS}")
+    total = 0
+    weighted = []  # (e, e * N(e)) for the lengths e with N(e) > 0
+    for d in range(1, max_degree + 1):
+        count = (alphabet_size ** d - sum(m for e, m in weighted if d % e == 0)) // d
+        if count:
+            weighted.append((d, d * count))
+        total += count
+        if total > MAX_LYNDON_WORDS:
+            raise ValueError(f"more than {MAX_LYNDON_WORDS} Lyndon words on {alphabet_size} letters "
+                             f"up to degree {max_degree}")
 
 
 def standard_factorization(w: Word) -> tuple:
@@ -137,49 +163,44 @@ class LiePoly:
 
 
 _bracket_cache: dict = {}
-_depth = 0
 _DEPTH_LIMIT = 500
 
 
-def _bracket_words(u: Word, v: Word) -> dict:
+def _bracket_words(u: Word, v: Word, depth: int = 1) -> dict:
     """[b_u, b_v] as a term dict over Lyndon words; results are cached and read-only.
 
     For u < v the pair is a basis bracket exactly when uv is Lyndon with standard
     factorization (u, v); otherwise u = u1 u2 splits and Jacobi rewrites
     [b_u, b_v] = [b_u1, [b_u2, b_v]] - [b_u2, [b_u1, b_v]].  Both inner brackets drop
     the total degree, and the outer re-brackets keep the total degree while the first
-    argument shrinks; the depth guard backstops the induction.
+    argument shrinks; the depth guard backstops the induction.  depth counts the
+    uncached calls on the stack, this one included.
     """
-    global _depth
     if u == v:
         return {}
     if u > v:
-        return {w: -c for w, c in _bracket_words(v, u).items()}
+        return {w: -c for w, c in _bracket_words(v, u, depth).items()}
     key = (u, v)
     hit = _bracket_cache.get(key)
     if hit is not None:
         return hit
-    _depth += 1
-    try:
-        if _depth > _DEPTH_LIMIT:
-            raise RuntimeError("bracket recursion depth guard tripped")
-        w = u + v
-        if is_lyndon(w) and standard_factorization(w) == (u, v):
-            out = {w: Fraction(1)}
-        else:
-            if len(u) == 1:
-                raise AssertionError(f"letter pair {u},{v} must be standard")
-            u1, u2 = standard_factorization(u)
-            acc: dict = {}
-            for m, c in _bracket_words(u2, v).items():
-                _add_scaled(acc, _bracket_words(u1, m), c)
-            for m, c in _bracket_words(u1, v).items():
-                _add_scaled(acc, _bracket_words(u2, m), -c)
-            out = _clean(acc)
-        _bracket_cache[key] = out
-        return out
-    finally:
-        _depth -= 1
+    if depth > _DEPTH_LIMIT:
+        raise RuntimeError("bracket recursion depth guard tripped")
+    w = u + v
+    if is_lyndon(w) and standard_factorization(w) == (u, v):
+        out = {w: Fraction(1)}
+    else:
+        if len(u) == 1:
+            raise AssertionError(f"letter pair {u},{v} must be standard")
+        u1, u2 = standard_factorization(u)
+        acc: dict = {}
+        for m, c in _bracket_words(u2, v, depth + 1).items():
+            _add_scaled(acc, _bracket_words(u1, m, depth + 1), c)
+        for m, c in _bracket_words(u1, v, depth + 1).items():
+            _add_scaled(acc, _bracket_words(u2, m, depth + 1), -c)
+        out = _clean(acc)
+    _bracket_cache[key] = out
+    return out
 
 
 def bracket(p: LiePoly, q: LiePoly, cap: int | None = None) -> LiePoly:

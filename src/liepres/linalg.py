@@ -2,8 +2,9 @@
 
 `Echelon` is the package's one elimination kernel: a sparse reduced echelon form
 over the integers.  The closure engine, `QuotientBasis.reduce` and the dense
-`RatMatrix` wrappers (`rref`, and on top of it `rank`, `kernel_basis`,
-`solve_in_span`, `invert`) all run on it.  Only `det` keeps its own elimination.
+`RatMatrix` wrappers (`rref`, and on top of it `rank`, `kernel_basis`, `invert`)
+all run on it.  The integer characteristic polynomial (Faddeev-LeVerrier, no
+elimination) gives `char_poly`, the eigenvalues in `analysis` and `det`.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class RatMatrix:
     def row(self, i) -> list:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j) -> list:
-        return self.entries[j :: self.cols]
-
     def row_list(self) -> list:
         return [self.row(i) for i in range(self.rows)]
 
@@ -99,9 +97,6 @@ class RatMatrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -256,29 +251,6 @@ def kernel_basis(m: RatMatrix) -> list:
     return basis
 
 
-def solve_in_span(basis, target) -> list | None:
-    """Coefficients writing target as a combination of basis vectors, or None.
-
-    basis is a list of vectors; if coefficients are returned the combination
-    reconstructs target exactly (free coefficients are set to zero).
-    """
-    target = [_q(x) for x in target]
-    n = len(target)
-    if any(len(b) != n for b in basis):
-        raise ValueError("vector length mismatch")
-    if not basis:
-        return [] if all(x == 0 for x in target) else None
-    # columns = basis vectors, augmented with target
-    aug = RatMatrix.from_rows([[_q(b[i]) for b in basis] + [target[i]] for i in range(n)])
-    red, pivots = rref(aug)
-    if len(basis) in pivots:
-        return None
-    coeffs = [Fraction(0)] * len(basis)
-    for i, pj in enumerate(pivots):
-        coeffs[pj] = red[i, len(basis)]
-    return coeffs
-
-
 def invert(m: RatMatrix) -> RatMatrix | None:
     """Exact inverse, or None if the matrix is singular."""
     if m.rows != m.cols:
@@ -291,28 +263,51 @@ def invert(m: RatMatrix) -> RatMatrix | None:
     return RatMatrix.from_rows([red.row(i)[n:] for i in range(n)])
 
 
-def det(m: RatMatrix) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination.
+def integer_char_poly(m: RatMatrix) -> tuple:
+    """(D, a): D the common denominator of m, a = det(xI - D*m) over Z, highest power first.
 
-    Not on Echelon: its rows are content-stripped, which throws away the scale
-    a determinant needs.
+    Faddeev-LeVerrier on the sparse integer rows of A = D*m: M_1 = A,
+    c_k = -trace(M_k)/k, M_{k+1} = A (M_k + c_k I).  Every M_k is an integer matrix
+    and every c_k an integer coefficient of det(xI - A), so each trace divides
+    exactly.
     """
     if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    rows = m.row_list()
+        raise ValueError("characteristic polynomial and determinant need a square matrix")
     n = m.rows
-    d = Fraction(1)
-    for j in range(n):
-        p = next((i for i in range(j, n) if rows[i][j] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != j:
-            rows[j], rows[p] = rows[p], rows[j]
-            d = -d
-        d *= rows[j][j]
-        inv = 1 / rows[j][j]
-        for i in range(j + 1, n):
-            if rows[i][j] != 0:
-                c = rows[i][j] * inv
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[j])]
-    return d
+    D, flat = integer_scaled(m.entries)
+    rows = [{j: x for j, x in enumerate(flat[i * n:(i + 1) * n]) if x} for i in range(n)]
+    coeffs = [1]
+    mk = rows
+    for k in range(1, n + 1):
+        ck = -sum(row.get(i, 0) for i, row in enumerate(mk)) // k
+        coeffs.append(ck)
+        if k < n:
+            shifted = [dict(row) for row in mk]
+            for i, row in enumerate(shifted):
+                row[i] = row.get(i, 0) + ck
+            mk = []
+            for row in rows:
+                acc: dict = {}
+                for l, x in row.items():
+                    for j, y in shifted[l].items():
+                        acc[j] = acc.get(j, 0) + x * y
+                mk.append({j: v for j, v in acc.items() if v})
+    return D, coeffs
+
+
+def char_poly(m: RatMatrix) -> list:
+    """Coefficients of det(xI - M), highest power first.
+
+    det(xI - M) = D^-n det(Dx I - D M) turns integer coefficient k into a_k / D^k.
+    """
+    D, a = integer_char_poly(m)
+    return [Fraction(c, D ** k) for k, c in enumerate(a)]
+
+
+def det(m: RatMatrix) -> Fraction:
+    """Exact determinant: (-1)^n times the constant term of det(xI - M).
+
+    No elimination: the integer characteristic polynomial already carries it.
+    """
+    D, a = integer_char_poly(m)
+    return Fraction((-1) ** m.rows * a[-1], D ** m.rows)

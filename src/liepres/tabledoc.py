@@ -31,17 +31,16 @@ def parse_rational(s: str) -> Fraction:
 
 def table_to_document(t: StructureTable) -> dict:
     """Canonical JSON-shaped document: brackets sorted by (i, j), zero pairs omitted."""
-    pairs = {}
-    for (i, j, k), val in t.c.items():
-        pairs.setdefault((i, j), {})[k] = val
     brackets = []
-    for (i, j) in sorted(pairs):
-        coeffs = pairs[(i, j)]
-        brackets.append({
-            "i": i,
-            "j": j,
-            "coefficients": {t.names[k]: format_rational(coeffs[k]) for k in sorted(coeffs)},
-        })
+    for i in range(t.dim):
+        for j in range(i + 1, t.dim):
+            coeffs = t.bracket_map(i, j)
+            if coeffs:
+                brackets.append({
+                    "i": i,
+                    "j": j,
+                    "coefficients": {t.names[k]: format_rational(coeffs[k]) for k in sorted(coeffs)},
+                })
     return {
         "schema_version": SCHEMA_VERSION,
         "dim": t.dim,
@@ -125,11 +124,11 @@ def _latex_name(name: str) -> str:
 
 
 def _latex_cell(t: StructureTable, i: int, j: int) -> str:
-    terms = [(k, v) for (a, b, k), v in sorted(t.c.items()) if (a, b) == (i, j)]
+    terms = t.bracket_map(i, j)
     if not terms:
         return "0"
     bits = []
-    for k, v in terms:
+    for k, v in sorted(terms.items()):
         coeff = "" if v == 1 else ("-" if v == -1 else format_rational(v))
         term = f"{coeff}{_latex_name(t.names[k])}"
         if bits and not term.startswith("-"):

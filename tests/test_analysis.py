@@ -155,10 +155,13 @@ def test_rational_eigenvalues_skip_irrational_and_repeated_roots():
     assert analysis.rational_eigenvalues(m) == [Fraction(0), Fraction(3)]
 
 
-def test_simultaneous_eigenspaces_rejects_jordan_block():
-    jordan = RatMatrix.from_rows([[1, 1], [0, 1]])
-    with pytest.raises(ValueError, match="not simultaneously diagonalizable over the rationals"):
-        analysis.simultaneous_eigenspaces([jordan], 2)
+def test_root_decomposition_refuses_non_diagonal_cartan():
+    # ad(p) is nilpotent and not zero, so not diagonalizable at all; the refusal
+    # names the basis and no longer runs an eigenspace decomposition first
+    heis = structure_table(parse_presentation(HEIS), degree_bound=5)
+    p = heis.index_of("p")
+    with pytest.raises(ValueError, match="^root spaces are not aligned with the table basis$"):
+        analysis.root_decomposition(heis, [p])
 
 
 def test_root_decomposition_on_golden(golden):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import liepres
 from liepres import analysis
 from liepres.cli import main
-from liepres.linalg import RatMatrix, solve_in_span
+from liepres.linalg import RatMatrix, invert, rank
 from liepres.presentation import parse_presentation
 from liepres.quotient import structure_table
 from liepres.table import StructureTable
@@ -43,11 +43,14 @@ def permuted_rescaled(t, perm, scales):
     return StructureTable([t.names[p] for p in perm], c)
 
 
-def rebased(t, name, plus):
-    """The table over the basis with b_name replaced by b_name + b_plus."""
+def rebased(t, name, plus, c=1):
+    """The table over the basis with b_name replaced by b_name + c * b_plus."""
     n = t.dim
     basis = [[Fraction(int(r == m)) for r in range(n)] for m in range(n)]
-    basis[t.index_of(name)][t.index_of(plus)] += 1
+    basis[t.index_of(name)][t.index_of(plus)] += c
+    # new coordinates of an old-coordinate vector: apply the inverse of the matrix
+    # whose columns are the new basis vectors
+    to_new = invert(RatMatrix.from_rows([[basis[m][r] for m in range(n)] for r in range(n)]))
 
     def bracket(u, v):
         out = [Fraction(0)] * n
@@ -59,7 +62,7 @@ def rebased(t, name, plus):
         return out
 
     return StructureTable.from_bracket_fn(
-        t.names, lambda i, j: solve_in_span(basis, bracket(basis[i], basis[j])))
+        t.names, lambda i, j: to_new.apply(bracket(basis[i], basis[j])))
 
 
 def jacobi_broken():
@@ -169,3 +172,45 @@ def test_classify_refuses_basis_not_aligned_with_roots(name, plus):
     assert code == 1
     assert "cartan: h1 h2" in lines
     assert lines[-1] == "type: unrecognized (root spaces are not aligned with the table basis)"
+
+
+def diagonalizable_over_q(m):
+    """The geometric multiplicities of the rational eigenvalues add up to the size."""
+    n = m.rows
+    total = 0
+    for lam in analysis.rational_eigenvalues(m):
+        shifted = RatMatrix(n, n, [x - lam if idx % (n + 1) == 0 else x for idx, x in enumerate(m.entries)])
+        total += n - rank(shifted)
+    return total == n
+
+
+@pytest.mark.parametrize("table", [GOLDEN, SL2], ids=["g2", "sl2"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_accepted_cartan_candidates_commute_and_diagonalize(table, data):
+    # Why root_decomposition can refuse a non-diagonal Cartan outright: a candidate
+    # that passes the Cartan check is simultaneously diagonalizable over Q anyway.
+    a = data.draw(st.integers(0, table.dim - 1))
+    b = data.draw(st.sampled_from([k for k in range(table.dim) if k != a]))
+    t = rebased(table, table.names[a], table.names[b], data.draw(factors()))
+    assert analysis.check_jacobi(t) == []
+    cartan = analysis.find_cartan_candidate(t)
+    if not cartan or not analysis.cartan_check(t, cartan).ok:
+        return
+    ads = [t.ad_matrix(h) for h in cartan]
+    for x in ads:
+        assert diagonalizable_over_q(x)
+        for y in ads:
+            assert x.matmul(y) == y.matmul(x)
+
+
+def test_non_diagonal_cartan_passes_the_check():
+    # the property above is not vacuous: here the picked h1 + x1 has a
+    # non-diagonal ad and the candidate passes the Cartan check
+    t = rebased(GOLDEN, "h1", "x1", Fraction(-3, 2))
+    cartan = analysis.find_cartan_candidate(t)
+    assert analysis.cartan_check(t, cartan).ok
+    h1 = t.index_of("h1")
+    assert h1 in cartan
+    assert any(k != m for m in range(t.dim) for k in t.bracket_map(h1, m))
+    assert diagonalizable_over_q(t.ad_matrix(h1))

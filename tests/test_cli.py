@@ -7,6 +7,8 @@ import pytest
 
 import liepres
 from liepres.cli import main
+from liepres.g2 import g2_presentation
+from liepres.presentation import Presentation, format_presentation
 from liepres.table import StructureTable
 from liepres.tabledoc import load_table, save_table
 
@@ -284,3 +286,49 @@ def test_free_counts(run):
 def test_no_command_is_usage_error(run):
     code, _, _ = run()
     assert code == 2
+
+
+def g2_variant(tmp_path, scales, drop=0):
+    """g2.lp with its relations reversed, the first `drop` of them left out, each scaled."""
+    pres = g2_presentation()
+    rels = list(reversed(pres.relations))[drop:]
+    scaled = tuple(scales[i % len(scales)] * r for i, r in enumerate(rels))
+    path = tmp_path / "variant.lp"
+    path.write_text(format_presentation(Presentation(pres.generators, scaled)), encoding="utf-8")
+    return str(path)
+
+
+RESCALE = (Fraction(3, 2), Fraction(-7), Fraction(2, 5), Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("engine", ["rewriter", "closure"])
+def test_derive_rescaled_shuffled_g2_writes_golden_bytes(run, tmp_path, engine):
+    out = tmp_path / "t.json"
+    code, stdout, stderr = run("derive", g2_variant(tmp_path, RESCALE), "--engine", engine, "--out", str(out))
+    assert code == 0, stderr
+    assert "note:" not in stdout
+    assert out.read_bytes() == Path(GOLDEN).read_bytes()
+
+
+def test_derive_rewriter_decides_by_relation_span(run, tmp_path):
+    # every relation is a combination of the other 53: one dropped leaves the ideal alone
+    out = tmp_path / "t.json"
+    code, _, stderr = run("derive", g2_variant(tmp_path, RESCALE, drop=1), "--engine", "rewriter", "--out", str(out))
+    assert code == 0, stderr
+    assert out.read_bytes() == Path(GOLDEN).read_bytes()
+    # the first 43 relations of the file do not span the last 11
+    code, _, stderr = run("derive", g2_variant(tmp_path, RESCALE, drop=11), "--engine", "rewriter")
+    assert code == 2
+    assert "standard quadruple" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("derive", HEIS, "--max-degree", "40"),
+    ("free", "--alphabet", "2", "--max-degree", "40"),
+    ("free", "--alphabet", "1", "--max-degree", "200001"),
+], ids=["derive-heisenberg-40", "free-2-40", "free-1-over-budget"])
+def test_word_budget_exits_2_before_allocating(run, argv):
+    code, stdout, stderr = run(*argv)
+    assert code == 2
+    assert stderr.startswith("error: ") and "Lyndon word" in stderr
+    assert stdout == ""

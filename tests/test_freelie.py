@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from liepres import freelie
 from liepres.freelie import (
     DegreeCapExceeded,
@@ -218,12 +220,25 @@ def test_degree_cap_enforced():
 
 
 def test_depth_guard_unwinds_counter(monkeypatch):
+    # the depth travels as an argument, so a tripped guard leaves no state behind:
+    # with the default limit the same bracket then succeeds and is correct
+    default_limit = freelie._DEPTH_LIMIT
     monkeypatch.setattr(freelie, "_bracket_cache", {})
     monkeypatch.setattr(freelie, "_DEPTH_LIMIT", 1)
-    try:
+    with pytest.raises(RuntimeError, match="depth guard"):
         freelie._bracket_words((0, 0, 1), (1,))
-        raised = False
-    except RuntimeError:
-        raised = True
-    assert raised
-    assert freelie._depth == 0
+    monkeypatch.setattr(freelie, "_DEPTH_LIMIT", default_limit)
+    u, v = LiePoly.monomial((0, 0, 1)), LiePoly.monomial((1,))
+    got = LiePoly(freelie._bracket_words((0, 0, 1), (1,)))
+    assert not got.is_zero()
+    assert expand_to_associative(got) == expand_to_associative(u).commutator(expand_to_associative(v))
+
+
+@pytest.mark.parametrize("alphabet, bound", [(3, 6), (2, 9), (4, 4), (5, 3)])
+def test_word_budget_counts_exactly_with_witt(monkeypatch, alphabet, bound):
+    total = sum(witt(alphabet, d) for d in range(1, bound + 1))
+    monkeypatch.setattr(freelie, "MAX_LYNDON_WORDS", total)
+    assert sum(len(ws) for ws in lyndon_words(alphabet, bound)[1:]) == total
+    monkeypatch.setattr(freelie, "MAX_LYNDON_WORDS", total - 1)
+    with pytest.raises(ValueError, match=f"more than {total - 1} Lyndon words"):
+        lyndon_words(alphabet, bound)

@@ -4,7 +4,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from liepres.linalg import RatMatrix, det, invert, kernel_basis, rank, rref, solve_in_span
+import pytest
+
+from liepres.linalg import RatMatrix, det, invert, kernel_basis, rank, rref
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -33,7 +35,7 @@ def eliminate_right_to_left(rows):
 
 
 def in_span(basis, vec):
-    return solve_in_span([list(b) for b in basis], list(vec)) is not None
+    return rank(RatMatrix.from_rows(list(basis) + [list(vec)])) == rank(RatMatrix.from_rows(basis))
 
 
 def test_rref_row_space_matches_independent_elimination():
@@ -126,20 +128,6 @@ def test_kernel_annihilates_and_has_right_dimension():
             assert rank(RatMatrix.from_rows(ker)) == len(ker)
 
 
-def test_solve_in_span_reconstructs_and_rejects():
-    rng = random.Random(123)
-    for trial in range(25):
-        basis = [[Fraction(rng.randint(-3, 3)) for _ in range(5)] for _ in range(3)]
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
-        target = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(5)]
-        sol = solve_in_span(basis, target)
-        assert sol is not None
-        rebuilt = [sum(c * b[j] for c, b in zip(sol, basis)) for j in range(5)]
-        assert rebuilt == target
-    basis = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(1), Fraction(0)]]
-    assert solve_in_span(basis, [Fraction(0), Fraction(0), Fraction(1)]) is None
-
-
 def test_invert_round_trip_and_singular():
     rng = random.Random(5)
     found = 0
@@ -156,22 +144,38 @@ def test_invert_round_trip_and_singular():
     assert invert(singular) is None
 
 
+def permutation_expansion(m):
+    """Leibniz formula: the sum over permutations of sign times the product of entries."""
+    n = m.rows
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        prod = Fraction(1)
+        for i in range(n):
+            prod *= m[i, perm[i]]
+        total += sign * prod
+    return total
+
+
 def test_det_against_permutation_expansion():
     rng = random.Random(77)
     for trial in range(10):
         m = rand_matrix(rng, 4, 4, -3, 3)
-        total = Fraction(0)
-        for perm in itertools.permutations(range(4)):
-            sign = 1
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            prod = Fraction(1)
-            for i in range(4):
-                prod *= m[i, perm[i]]
-            total += sign * prod
-        assert det(m) == total
+        assert det(m) == permutation_expansion(m)
+    # every size 0..5 with Fraction entries: odd sizes catch a dropped (-1)^n,
+    # unequal denominators a dropped D^n
+    rng = random.Random(2026)
+    for n in range(6):
+        for trial in range(6):
+            m = RatMatrix(n, n, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.8 else 0
+                                 for _ in range(n * n)])
+            assert det(m) == permutation_expansion(m), m
+    with pytest.raises(ValueError):
+        det(RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_det_multiplicative_and_identity():
