@@ -3,10 +3,8 @@
 from .freelie import LiePoly, bracket, is_lyndon, lyndon_words, standard_factorization
 from .presentation import ParseError, Presentation, parse_presentation
 from .quotient import (
-    CrossCheckReport,
     NamesNotBasisError,
     QuotientBasis,
-    cross_validate,
     quotient_closure,
     structure_table,
 )
@@ -23,10 +21,8 @@ __all__ = [
     "ParseError",
     "Presentation",
     "parse_presentation",
-    "CrossCheckReport",
     "NamesNotBasisError",
     "QuotientBasis",
-    "cross_validate",
     "quotient_closure",
     "structure_table",
     "StructureTable",

@@ -8,7 +8,6 @@ from fractions import Fraction
 from math import gcd
 
 from .linalg import RatMatrix, integer_char_poly, integer_scaled, invert, kernel_basis, rank, rref
-from .linalg import char_poly  # noqa: F401  (re-exported: analysis.char_poly is public)
 from .table import StructureTable
 
 

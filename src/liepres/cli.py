@@ -7,16 +7,18 @@ import sys
 
 from . import analysis
 from .freelie import DegreeCapExceeded, lyndon_words
+from .g2 import named_basis_free, rewriter_structure_table
 from .linalg import det
 from .presentation import ParseError, parse_presentation
 from .quotient import (
     NamesNotBasisError,
-    cross_validate,
     quotient_closure,
     rewriter_applicable,
     structure_table,
 )
 from .tabledoc import SchemaError, format_rational, load_table, save_table, to_csv, to_json_text, to_latex
+
+_NOT_G2 = "the rewriter engine needs 3 generators and relations spanning the standard quadruple relations"
 
 
 def _positive_int(text: str) -> int:
@@ -92,15 +94,8 @@ def cmd_derive(args) -> int:
         return 2
 
     if args.engine == "rewriter":
-        from .g2 import has_g2_relation_span, rewriter_structure_table
         if not rewriter_applicable(pres):
-            print("error: the rewriter engine needs 3 generators and relations of top degree 4",
-                  file=sys.stderr)
-            return 2
-        if not has_g2_relation_span(pres):
-            print("error: the rewriter engine implements the standard quadruple relation "
-                  "families; this presentation differs, use --engine closure or both",
-                  file=sys.stderr)
+            print(f"error: {_NOT_G2}; use --engine closure or both", file=sys.stderr)
             return 2
         table = rewriter_structure_table()
         print("engine: rewriter")
@@ -116,54 +111,36 @@ def cmd_derive(args) -> int:
         return 2
     print(f"engine: {args.engine}")
     _print_closure_report(pres, qb)
-
-    if args.engine == "closure":
-        if not qb.stabilized:
-            print("quotient not stabilized at this bound; rerun with a larger --max-degree",
-                  file=sys.stderr)
-            return 4
-        from .g2 import has_g2_relation_span, named_basis_free
-        try:
-            if has_g2_relation_span(pres):
-                try:
-                    table = structure_table(pres, named_basis_free(), qb=qb)
-                except NamesNotBasisError:
-                    print("note: standard named basis rejected, falling back to representative names")
-                    table = structure_table(pres, None, qb=qb)
-            else:
-                table = structure_table(pres, None, qb=qb)
-        except (ValueError, DegreeCapExceeded) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _write_table(table, args.out)
-        return 0
-
-    try:
-        report = cross_validate(pres, args.max_degree, qb=qb)
-    except (ValueError, DegreeCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not report.stabilized:
+    if not qb.stabilized:
         print("quotient not stabilized at this bound; rerun with a larger --max-degree",
               file=sys.stderr)
         return 4
-    if not report.rewriter_applicable:
-        print(f"rewriter engine skipped: {report.reason}")
-        _write_table(report.closure_table, args.out)
-        return 0
-    if not report.names_ok:
+
+    applicable = rewriter_applicable(pres)
+    try:
+        table = structure_table(pres, named_basis_free() if applicable else None, qb=qb)
+    except NamesNotBasisError:
         print("engines disagree: the closure quotient does not admit the rewriter basis",
               file=sys.stderr)
         return 3
-    if report.mismatches:
-        print(f"engines disagree on {len(report.mismatches)} bracket pairs:", file=sys.stderr)
-        for ni, nj, cmap, rmap in report.mismatches:
-            print(f"  [{ni},{nj}]: closure {_vec_str(cmap, report.closure_table.names)}, "
-                  f"rewriter {_vec_str(rmap, report.rewriter_table.names)}", file=sys.stderr)
-        return 3
-    pairs = report.closure_table.dim * (report.closure_table.dim - 1) // 2
-    print(f"engines agree on all {pairs} bracket pairs")
-    _write_table(report.closure_table, args.out)
+    except (ValueError, DegreeCapExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    if args.engine == "both":
+        if not applicable:
+            print(f"rewriter engine skipped: {_NOT_G2}")
+        else:
+            rewriter_table = rewriter_structure_table()
+            mismatches = table.diff(rewriter_table)
+            if mismatches:
+                print(f"engines disagree on {len(mismatches)} bracket pairs:", file=sys.stderr)
+                for i, j, cmap, rmap in mismatches:
+                    print(f"  [{table.names[i]},{table.names[j]}]: closure {_vec_str(cmap, table.names)}, "
+                          f"rewriter {_vec_str(rmap, rewriter_table.names)}", file=sys.stderr)
+                return 3
+            print(f"engines agree on all {table.dim * (table.dim - 1) // 2} bracket pairs")
+    _write_table(table, args.out)
     return 0
 
 

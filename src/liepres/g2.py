@@ -20,7 +20,7 @@ from importlib.resources import files
 
 from . import freelie
 from .freelie import LiePoly, bracket
-from .linalg import Echelon, RatMatrix, integer_scaled, invert
+from .linalg import RatMatrix, invert
 from .presentation import Presentation, parse_presentation
 from .table import StructureTable
 
@@ -69,35 +69,6 @@ def g2_presentation() -> Presentation:
 def g2_relations() -> list:
     """The 54 quadruple relations as free Lie polynomials, in the file's order."""
     return list(g2_presentation().relations)
-
-
-def _relation_span(relations) -> Echelon | None:
-    """Echelon form of the relations over the Lyndon words of degree <= 4 on 3 letters.
-
-    None when a relation has a monomial outside that range.
-    """
-    words = [w for group in freelie.lyndon_words(3, 4)[1:] for w in group]
-    index = {w: i for i, w in enumerate(words)}
-    span = Echelon()
-    for rel in relations:
-        if any(w not in index for w in rel.terms):
-            return None
-        _, ints = integer_scaled(rel.terms.values())
-        span.add({index[w]: c for w, c in zip(rel.terms, ints)})
-    return span
-
-
-def has_g2_relation_span(pres: Presentation) -> bool:
-    """Whether pres has 3 generators and relations spanning the same space as g2_relations().
-
-    Equal spans generate the same ideal, so rescaled, reordered or recombined
-    relations still present G2 with its named basis.  Echelon rows are the unique
-    primitive reduced echelon form of the span, so equal Echelons mean equal spans.
-    """
-    if len(pres.generators) != 3:
-        return False
-    span = _relation_span(pres.relations)
-    return span is not None and span == _relation_span(g2_relations())
 
 
 # --- tower reduction ----------------------------------------------------------

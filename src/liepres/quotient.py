@@ -1,4 +1,7 @@
-"""Degree-truncated quotient of a free Lie algebra by the ideal of a presentation."""
+"""Degree-truncated quotient of a free Lie algebra by the ideal of a presentation.
+
+Also the one test of whether the G2 rewriter applies to a presentation.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +11,7 @@ from heapq import heappop, heappush
 
 from . import freelie
 from .freelie import LiePoly, bracket, bracket_string
+from .g2 import g2_relations
 from .linalg import Echelon, RatMatrix, integer_scaled, invert
 from .presentation import Presentation
 from .table import StructureTable
@@ -253,73 +257,30 @@ def structure_table(pres: Presentation, names: dict | None = None,
     return StructureTable.from_bracket_fn(name_list, fn)
 
 
-@dataclass
-class CrossCheckReport:
-    rewriter_applicable: bool
-    reason: str
-    closure_dim: int
-    stabilized: bool
-    names_ok: bool
-    mismatches: tuple
-    closure_table: StructureTable | None
-    rewriter_table: StructureTable | None
+def _relation_span(relations) -> Echelon | None:
+    """Echelon form of the relations over the Lyndon words of degree <= 4 on 3 letters.
 
-    @property
-    def ok(self) -> bool:
-        if not self.stabilized:
-            return False
-        if not self.rewriter_applicable:
-            return True
-        return self.names_ok and not self.mismatches
+    None when a relation has a monomial outside that range.
+    """
+    words = [w for group in freelie.lyndon_words(3, 4)[1:] for w in group]
+    index = {w: i for i, w in enumerate(words)}
+    span = Echelon()
+    for rel in relations:
+        if any(w not in index for w in rel.terms):
+            return None
+        _, ints = integer_scaled(rel.terms.values())
+        span.add({index[w]: c for w, c in zip(rel.terms, ints)})
+    return span
 
 
 def rewriter_applicable(pres: Presentation) -> bool:
-    """The rewriter path is specific to quadruple presentations on three generators."""
-    return (
-        len(pres.generators) == 3
-        and len(pres.relations) > 0
-        and all(r.max_degree() == 4 for r in pres.relations)
-    )
+    """Whether the G2 rewriter applies: 3 generators and relations spanning g2_relations().
 
-
-def cross_validate(pres: Presentation, degree_bound: int = 8,
-                   qb: QuotientBasis | None = None) -> CrossCheckReport:
-    """Run the closure engine and, when the shape fits, the quadruple rewriter; compare."""
-    from .g2 import named_basis_free, rewriter_structure_table
-
-    if qb is None:
-        qb = quotient_closure(pres, degree_bound)
-    applicable = rewriter_applicable(pres)
-    if not qb.stabilized:
-        return CrossCheckReport(
-            rewriter_applicable=applicable,
-            reason="closure did not stabilize at this bound; no table was built",
-            closure_dim=qb.dim, stabilized=False, names_ok=True,
-            mismatches=(), closure_table=None, rewriter_table=None,
-        )
-    if not applicable:
-        closure_tab = structure_table(pres, None, degree_bound, qb=qb)
-        return CrossCheckReport(
-            rewriter_applicable=False,
-            reason="rewriter needs 3 generators and relations with top degree 4",
-            closure_dim=qb.dim, stabilized=qb.stabilized, names_ok=True,
-            mismatches=(), closure_table=closure_tab, rewriter_table=None,
-        )
-
-    rew = rewriter_structure_table()
-    names_ok = True
-    closure_tab = None
-    mismatches: list = []
-    try:
-        closure_tab = structure_table(pres, named_basis_free(), degree_bound, qb=qb)
-    except NamesNotBasisError:
-        names_ok = False
-    if closure_tab is not None:
-        for i, j, cmap, rmap in closure_tab.diff(rew):
-            mismatches.append((closure_tab.names[i], closure_tab.names[j], cmap, rmap))
-    return CrossCheckReport(
-        rewriter_applicable=True,
-        reason="quadruple presentation: both engines ran",
-        closure_dim=qb.dim, stabilized=qb.stabilized, names_ok=names_ok,
-        mismatches=tuple(mismatches), closure_table=closure_tab, rewriter_table=rew,
-    )
+    Equal spans generate the same ideal, so rescaled, reordered or recombined
+    relations still present G2 with its named basis.  Echelon rows are the unique
+    primitive reduced echelon form of the span, so equal Echelons mean equal spans.
+    """
+    if len(pres.generators) != 3:
+        return False
+    span = _relation_span(pres.relations)
+    return span is not None and span == _relation_span(g2_relations())

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import liepres
+from liepres import cli
 from liepres.cli import main
-from liepres.g2 import g2_presentation
+from liepres.g2 import g2_presentation, named_basis_free
 from liepres.presentation import Presentation, format_presentation
 from liepres.table import StructureTable
 from liepres.tabledoc import load_table, save_table
@@ -321,6 +322,32 @@ def test_derive_rewriter_decides_by_relation_span(run, tmp_path):
     assert code == 2
     assert "standard quadruple" in stderr
 
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2, 3), (0, 0, 0)], ids=["1-2-3", "0-0-0"])
+def test_derive_non_g2_family_member_skips_rewriter(run, tmp_path, family_member_text, coeffs):
+    # another member of the quadruple family: the rewriter does not implement it
+    lp, out, closure_out = tmp_path / "member.lp", tmp_path / "t.json", tmp_path / "closure.json"
+    lp.write_text(family_member_text(*coeffs), encoding="utf-8")
+    code, stdout, stderr = run("derive", str(lp), "--max-degree", "6", "--out", str(out))
+    assert code == 0, stderr
+    assert "rewriter engine skipped:" in stdout
+    assert "dim = 14" in stdout
+    code, _, stderr = run("derive", str(lp), "--max-degree", "6", "--engine", "closure", "--out", str(closure_out))
+    assert code == 0, stderr
+    assert out.read_bytes() == closure_out.read_bytes()
+
+
+@pytest.mark.parametrize("engine", ["both", "closure"])
+def test_derive_named_basis_rejected_exits_3(run, tmp_path, monkeypatch, engine):
+    names = dict(named_basis_free())
+    names["h2"] = names["h1"]
+    monkeypatch.setattr(cli, "named_basis_free", lambda: names)
+    out = tmp_path / "t.json"
+    code, _, stderr = run("derive", G2, "--max-degree", "6", "--engine", engine, "--out", str(out))
+    assert code == 3
+    assert "does not admit the rewriter basis" in stderr
+    assert not out.exists()
 
 @pytest.mark.parametrize("argv", [
     ("derive", HEIS, "--max-degree", "40"),

@@ -1,4 +1,4 @@
-"""Ideal-closure engine: quotient bases, reduction maps, tables, cross-checks."""
+"""Ideal-closure engine: quotient bases, reduction maps, tables, the rewriter gate."""
 
 import random
 from fractions import Fraction
@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 import liepres
 from liepres import freelie
+from liepres.cli import main
 from liepres.freelie import Generator, LiePoly, bracket, lyndon_words, tower_to_poly
+from liepres.g2 import named_basis_free, rewriter_structure_table
 from liepres.presentation import Presentation, parse_presentation
 from liepres.quotient import (
     NamesNotBasisError,
-    cross_validate,
     default_names,
     quotient_closure,
     rewriter_applicable,
@@ -27,6 +28,11 @@ FIXTURES = Path(liepres.__file__).parent / "fixtures"
 
 SL2 = "generators: e f h\nrelation: [e,f] = h\nrelation: [h,e] = 2*e\nrelation: [h,f] = -2*f\n"
 HEIS = "generators: p q\nrelation: [p,[p,q]] = 0\nrelation: [q,[p,q]] = 0\n"
+MUTATIONS = (
+    ("relation: [x1,[x1,[x2,x3]]] = 4*x1", "relation: [x1,[x1,[x2,x3]]] = 5*x1"),
+    ("relation: [x1,[x2,[x1,x3]]] = 2*x1", "relation: [x1,[x2,[x1,x3]]] = -2*x1"),
+    ("relation: [x1,[x2,[x2,x3]]] = 6*x2", "relation: [x1,[x2,[x2,x3]]] = 3*x2"),
+)
 
 
 @pytest.fixture(scope="module")
@@ -184,54 +190,64 @@ def test_truncation_events_recorded(g2_qb6):
         assert min(e.kept_degrees) > 2
 
 
-def test_rewriter_applicability_rule(g2_pres):
+def shuffled_scaled(pres: Presentation, seed: int) -> Presentation:
+    """pres with its relations in a seeded order, each scaled by a nonzero rational."""
+    rng = random.Random(seed)
+    rels = list(pres.relations)
+    rng.shuffle(rels)
+    rels = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5)) * r for r in rels]
+    return Presentation(pres.generators, tuple(rels))
+
+
+def test_rewriter_applicability_rule(g2_pres, family_member_text):
     assert rewriter_applicable(g2_pres)
+    assert rewriter_applicable(shuffled_scaled(g2_pres, 31))
     assert not rewriter_applicable(parse_presentation(SL2))
     assert not rewriter_applicable(parse_presentation(HEIS))
     assert not rewriter_applicable(parse_presentation("generators: a b c"))
+    assert rewriter_applicable(parse_presentation(family_member_text(2, 4, 6)))
+    for coeffs in ((1, 2, 3), (0, 0, 0)):
+        assert not rewriter_applicable(parse_presentation(family_member_text(*coeffs))), coeffs
+    base = (FIXTURES / "g2.lp").read_text(encoding="utf-8")
+    for old, new in MUTATIONS:
+        assert not rewriter_applicable(parse_presentation(base.replace(old, new, 1))), new
 
 
-def test_cross_validate_g2(g2_pres, g2_qb6):
-    report = cross_validate(g2_pres, 6, qb=g2_qb6)
-    assert report.rewriter_applicable
-    assert report.stabilized
-    assert report.names_ok
-    assert report.mismatches == ()
-    assert report.ok
-    assert report.closure_table.diff(report.rewriter_table) == []
+def test_closure_table_matches_rewriter_g2(g2_pres, g2_qb6):
+    assert rewriter_applicable(g2_pres)
+    assert g2_qb6.stabilized
+    table = structure_table(g2_pres, named_basis_free(), qb=g2_qb6)
+    assert table.diff(rewriter_structure_table()) == []
 
 
-def test_cross_validate_non_applicable():
-    report = cross_validate(parse_presentation(SL2), 4)
-    assert not report.rewriter_applicable
-    assert report.ok
-    assert report.rewriter_table is None
-    assert report.closure_table.dim == 3
+def test_non_g2_table_over_representatives():
+    pres = parse_presentation(SL2)
+    qb = quotient_closure(pres, 4)
+    assert not rewriter_applicable(pres)
+    assert qb.stabilized
+    assert structure_table(pres, None, qb=qb).dim == 3
+    with pytest.raises(NamesNotBasisError):
+        structure_table(pres, named_basis_free(), qb=qb)
 
 
-def test_cross_validate_unstabilized_is_clean():
+def test_unstabilized_derive_writes_no_table(tmp_path, capsys):
     text = "generators: p q z\nrelation: [p,q] = z\nrelation: [p,[p,q]] = 0\nrelation: [q,[p,q]] = 0\n"
-    report = cross_validate(parse_presentation(text), 4)
-    assert not report.stabilized
-    assert not report.ok
-    assert report.closure_table is None
+    assert not quotient_closure(parse_presentation(text), 4).stabilized
+    lp, out = tmp_path / "pqz.lp", tmp_path / "t.json"
+    lp.write_text(text, encoding="utf-8")
+    for engine in ("both", "closure"):
+        assert main(["derive", str(lp), "--max-degree", "4", "--engine", engine, "--out", str(out)]) == 4
+        assert "not stabilized" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_mutated_presentations_detected():
     base = (FIXTURES / "g2.lp").read_text(encoding="utf-8")
-    edits = [
-        ("relation: [x1,[x1,[x2,x3]]] = 4*x1", "relation: [x1,[x1,[x2,x3]]] = 5*x1"),
-        ("relation: [x1,[x2,[x1,x3]]] = 2*x1", "relation: [x1,[x2,[x1,x3]]] = -2*x1"),
-        ("relation: [x1,[x2,[x2,x3]]] = 6*x2", "relation: [x1,[x2,[x2,x3]]] = 3*x2"),
-    ]
-    for old, new in edits:
+    for old, new in MUTATIONS:
         assert old in base
-        mutated = base.replace(old, new, 1)
-        pres = parse_presentation(mutated)
-        qb = quotient_closure(pres, 6)
-        report = cross_validate(pres, 6, qb=qb)
-        detected = (not qb.stabilized) or qb.dim != 14 or (not report.ok)
-        assert detected, (old, new)
+        pres = parse_presentation(base.replace(old, new, 1))
+        for bound in (6, 7, 8):
+            assert not quotient_closure(pres, bound).stabilized, (new, bound)
 
 
 def _reference_add(rows: dict, vec: dict) -> None:
@@ -357,11 +373,7 @@ def test_closure_matches_reference_on_fixtures(name):
 
 
 def test_closure_matches_reference_on_shuffled_scaled_g2(g2_pres):
-    rng = random.Random(31)
-    rels = list(g2_pres.relations)
-    rng.shuffle(rels)
-    rels = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5)) * r for r in rels]
-    pres = Presentation(g2_pres.generators, tuple(rels))
+    pres = shuffled_scaled(g2_pres, 31)
     for bound in (5, 6, 7):
         assert_matches_reference(pres, bound)
 
