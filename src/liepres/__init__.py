@@ -5,6 +5,7 @@ from .presentation import ParseError, Presentation, parse_presentation
 from .quotient import (
     NamesNotBasisError,
     QuotientBasis,
+    certify,
     quotient_closure,
     structure_table,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "parse_presentation",
     "NamesNotBasisError",
     "QuotientBasis",
+    "certify",
     "quotient_closure",
     "structure_table",
     "StructureTable",

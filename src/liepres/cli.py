@@ -12,6 +12,8 @@ from .linalg import det
 from .presentation import ParseError, parse_presentation
 from .quotient import (
     NamesNotBasisError,
+    certify,
+    check_degree_bound,
     quotient_closure,
     rewriter_applicable,
     structure_table,
@@ -61,25 +63,16 @@ def _load_presentation(path: str):
         return None
 
 
-def _print_closure_report(pres, qb) -> None:
+def _print_closure_report(pres, qb, cert) -> None:
     print(f"degree bound: {qb.degree_bound}")
     print(f"dim = {qb.dim}")
-    if qb.dim_at_lower is not None:
-        print(f"dim at degree bound {qb.degree_bound - 1}: {qb.dim_at_lower}")
-    print(f"stabilized: {'yes' if qb.stabilized else 'no'}")
-    events = qb.truncation_events
-    if events:
-        margin = qb.degree_bound - pres.max_relation_degree()
-        lowest = min(min(e.kept_degrees) for e in events)
-        status = "above" if lowest > margin else "NOT above"
-        print(f"dropped consequence trees above degree {qb.degree_bound}: {len(events)} "
-              f"(kept components {status} degree {margin})")
-    else:
-        print(f"dropped consequence trees above degree {qb.degree_bound}: 0")
-    witt = {d: len(ws) for d, ws in enumerate(lyndon_words(qb.alphabet, min(qb.degree_bound, pres.max_relation_degree()))) if ws}
-    survive = qb.dims_by_degree()
-    for d in sorted(witt):
-        print(f"degree {d}: {witt[d]} Lyndon words, {survive.get(d, 0)} independent in the quotient")
+    print(f"certified: {'yes' if cert.ok else 'no'} ({cert.detail})")
+    top = min(qb.degree_bound, pres.max_relation_degree())
+    if top:
+        survive = qb.dims_by_degree()
+        for d, words in enumerate(lyndon_words(qb.alphabet, top)[1:], start=1):
+            if words:
+                print(f"degree {d}: {len(words)} Lyndon words, {survive.get(d, 0)} independent in the quotient")
 
 
 def _write_table(table, out_path: str | None) -> None:
@@ -104,16 +97,23 @@ def cmd_derive(args) -> int:
         _write_table(table, args.out)
         return 0
 
+    # The closure runs from scratch at each bound, from the relations' degree up
+    # to the ceiling --max-degree, and stops at the first bound that certifies.
     try:
-        qb = quotient_closure(pres, args.max_degree)
+        check_degree_bound(pres, args.max_degree)
+        for bound in range(max(pres.max_relation_degree(), 1), args.max_degree + 1):
+            qb = quotient_closure(pres, bound)
+            cert = certify(pres, qb)
+            if cert.ok:
+                break
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"engine: {args.engine}")
-    _print_closure_report(pres, qb)
-    if not qb.stabilized:
-        print("quotient not stabilized at this bound; rerun with a larger --max-degree",
-              file=sys.stderr)
+    _print_closure_report(pres, qb, cert)
+    if not cert.ok:
+        print(f"quotient not certified up to degree bound {args.max_degree}; "
+              "rerun with a larger --max-degree", file=sys.stderr)
         return 4
 
     applicable = rewriter_applicable(pres)
@@ -123,9 +123,6 @@ def cmd_derive(args) -> int:
         print("engines disagree: the closure quotient does not admit the rewriter basis",
               file=sys.stderr)
         return 3
-    except (ValueError, DegreeCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     if args.engine == "both":
         if not applicable:
@@ -268,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="derive the quotient table from a presentation file")
     p.add_argument("presentation", help="presentation file (.lp)")
     p.add_argument("--max-degree", type=_positive_int, default=8,
-                   help="degree bound for the closure engine (default 8)")
+                   help="highest degree bound the closure engine climbs to (default 8)")
     p.add_argument("--engine", choices=("rewriter", "closure", "both"), default="both")
     p.add_argument("--out", help="write the derived table as JSON to this path")
     p.set_defaults(func=cmd_derive)

@@ -38,7 +38,7 @@ def lyndon_words(alphabet_size: int, max_degree: int) -> list:
     """
     if alphabet_size < 1 or max_degree < 1:
         raise ValueError("alphabet size and degree must be positive")
-    _check_word_budget(alphabet_size, max_degree)
+    check_word_budget(alphabet_size, max_degree)
     by_degree = [None] + [[] for _ in range(max_degree)]
     w = [-1]
     while w:
@@ -52,7 +52,7 @@ def lyndon_words(alphabet_size: int, max_degree: int) -> list:
     return by_degree
 
 
-def _check_word_budget(alphabet_size: int, max_degree: int) -> None:
+def check_word_budget(alphabet_size: int, max_degree: int) -> None:
     """Raise ValueError if there are more than MAX_LYNDON_WORDS words up to max_degree.
 
     Witt: a^d = sum over e | d of e * N(e), N(e) the number of Lyndon words of

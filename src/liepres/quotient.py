@@ -10,7 +10,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from . import freelie
-from .freelie import LiePoly, bracket, bracket_string
+from .analysis import check_jacobi
+from .freelie import LiePoly, bracket_string
 from .g2 import g2_relations
 from .linalg import Echelon, RatMatrix, integer_scaled, invert
 from .presentation import Presentation
@@ -37,9 +38,10 @@ class QuotientBasis:
     images, each expanded only while its top degree is below b.  Every tree node lies
     in the relation ideal I, and the representatives are a basis of F_b / N.  This is
     not L/(I + L_{>b}), which for G2 is 0 (x1 lies in I + L_{>=4}, and iterating
-    pushes it above any bound).  `stabilized` says that the dimension at bound b - 1
-    is the same and that every dropped subtree touched only high degrees: evidence
-    that the truncation has settled, not a proof of dim L/I.
+    pushes it above any bound).  `certify` proves dim L/I = dim or names the check
+    that fails.  `stabilized` (the dimension at bound b - 1 is the same and every
+    dropped subtree touched only high degrees) is a heuristic, kept with
+    `dim_at_lower` and `truncation_events` only for the benchmark's replay.
 
     The closure's own integer `Echelon` is kept: `reduce` eliminates against its
     rows, whose pivots are exactly the non-representative words.
@@ -91,6 +93,20 @@ class QuotientBasis:
         return out
 
 
+def check_degree_bound(pres: Presentation, degree_bound: int) -> None:
+    """Raise ValueError unless quotient_closure can run at degree_bound.
+
+    The bound must be positive, reach the relations' degree and keep the Lyndon
+    words within their budget; nothing is allocated before these checks.
+    """
+    if degree_bound < 1:
+        raise ValueError("degree bound must be positive")
+    max_rel_deg = pres.max_relation_degree()
+    if max_rel_deg > degree_bound:
+        raise ValueError(f"degree bound {degree_bound} below max relation degree {max_rel_deg}")
+    freelie.check_word_budget(len(pres.generators), degree_bound)
+
+
 def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
     """Close the relation ideal under ad(generator) up to degree_bound and quotient.
 
@@ -98,7 +114,7 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
     relation.  A consequence whose children would carry a component above the bound
     stops there: the children are dropped whole (never partially truncated, which
     would inject spurious low-degree vectors) and a TruncationEvent records which
-    within-bound degrees the drop touched, so stabilization is certified, not assumed.
+    within-bound degrees the drop touched, for the `stabilized` heuristic.
 
     All nodes go through one elimination.  The tree at bound b - 1 is the set of
     inner nodes of this one (top degree below b), so they are inserted first and
@@ -109,13 +125,9 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
     ascending order of top index.  The reduced echelon form of a span is unique, so
     the order changes no result, and events are reported in tree preorder.
     """
+    check_degree_bound(pres, degree_bound)
     n = len(pres.generators)
     max_rel_deg = pres.max_relation_degree()
-    if degree_bound < 1:
-        raise ValueError("degree bound must be positive")
-    if max_rel_deg > degree_bound:
-        raise ValueError(f"degree bound {degree_bound} below max relation degree {max_rel_deg}")
-
     by_degree = freelie.lyndon_words(n, degree_bound)
     flat = [w for d in range(1, degree_bound + 1) for w in by_degree[d]]
     word_index = {w: i for i, w in enumerate(flat)}
@@ -217,42 +229,166 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
     return qb
 
 
-def default_names(qb: QuotientBasis) -> dict:
-    """Representative monomials named by their bracket strings."""
-    return {qb.representative_name(i): LiePoly.monomial(w) for i, w in enumerate(qb.representatives)}
+def _sparse(vec) -> dict:
+    return {k: c for k, c in enumerate(vec) if c}
+
+
+def _compose(a: list, b: list) -> list:
+    """The product a.b of two operators given as lists of sparse columns."""
+    out = []
+    for col in b:
+        acc: dict = {}
+        for k, x in col.items():
+            for m, y in a[k].items():
+                acc[m] = acc.get(m, 0) + x * y
+        out.append({m: v for m, v in acc.items() if v})
+    return out
+
+
+def _commutator(a: list, b: list) -> list:
+    return [{m: v for m in x.keys() | y.keys() if (v := x.get(m, 0) - y.get(m, 0))}
+            for x, y in zip(_compose(a, b), _compose(b, a))]
+
+
+def _representative_action(qb: QuotientBasis) -> list:
+    """act[i][j]: rep_i acting on rep_j in the model, as sparse coordinates.
+
+    rho(x_g) has the columns qb.reduce([x_g, rep_j]), which needs every
+    representative below the degree bound.  A Lyndon word w with standard
+    factorization (u, v) acts by the commutator [rho(u), rho(v)], so rho extends the
+    generators' action to the free Lie algebra.  Only the words that the
+    representatives factor through are computed.
+    """
+    rho: dict = {}
+    for g in range(qb.alphabet):
+        rho[(g,)] = [_sparse(qb.reduce(LiePoly(freelie._bracket_words((g,), w))))
+                     for w in qb.representatives]
+
+    def action(w):
+        if w not in rho:
+            u, v = freelie.standard_factorization(w)
+            rho[w] = _commutator(action(u), action(v))
+        return rho[w]
+
+    return [action(w) for w in qb.representatives]
+
+
+def _model_table(qb: QuotientBasis, act: list) -> StructureTable:
+    """The table [e_i, e_j] = rho(rep_i) e_j over the representatives' names, i < j."""
+    c = {(i, j, k): v for i, row in enumerate(act) for j in range(i + 1, qb.dim) for k, v in row[j].items()}
+    return StructureTable((qb.representative_name(i) for i in range(qb.dim)), c)
+
+
+def _table_bracket(table: StructureTable, a: dict, b: dict) -> dict:
+    """[a, b] for sparse coordinate vectors, through the table's bracket."""
+    acc: dict = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            for k, v in table.bracket_map(i, j).items():
+                acc[k] = acc.get(k, 0) + x * y * v
+    return {k: v for k, v in acc.items() if v}
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Outcome of certify: the model table with its evidence, or the first failed check."""
+    table: StructureTable | None     # the quotient over the representatives, when certified
+    detail: str                      # the evidence, or the check that failed
+
+    @property
+    def ok(self) -> bool:
+        return self.table is not None
+
+
+def certify(pres: Presentation, qb: QuotientBasis) -> Certificate:
+    """Prove dim L/I = qb.dim, where L/I is the algebra pres presents, or say why not.
+
+    Upper bound: every representative has degree below the bound b.  Then
+    [x_g, rep] lies in F_b = V + N, V the span of the representatives, and N lies
+    in I; so V + I is closed under every ad(x_g), contains the generators and is
+    all of L, and dim L/I <= #reps.
+
+    Lower bound: the model table [e_i, e_j] = rho(rep_i) e_j must be
+    antisymmetric and satisfy Jacobi, so it is a Lie algebra T.  The map phi from
+    the free Lie algebra, fixed on the generators by their coordinates and
+    extended through T's bracket alone, phi([u, v]) = [phi(u), phi(v)], is then a
+    homomorphism.  When every relation maps to 0 it factors through L/I, and when
+    every representative maps to its own basis vector it is onto T; so
+    dim L/I >= dim T = #reps, and T is the quotient's table.
+    """
+    b = qb.degree_bound
+    for i, w in enumerate(qb.representatives):
+        if len(w) >= b:
+            return Certificate(None, f"representative {qb.representative_name(i)} has degree "
+                                     f"{len(w)}, not below the degree bound {b}")
+    act = _representative_action(qb)
+    table = _model_table(qb, act)
+    names = table.names
+    for i in range(qb.dim):
+        for j in range(i, qb.dim):
+            if act[i][j] != {k: -v for k, v in act[j][i].items()}:
+                return Certificate(None, f"model not antisymmetric at [{names[i]},{names[j]}]")
+    violations = check_jacobi(table)
+    if violations:
+        i, j, k, _ = violations[0]
+        return Certificate(None, f"model fails Jacobi at ({names[i]},{names[j]},{names[k]})")
+
+    phi: dict = {(g,): _sparse(qb.reduce(LiePoly.generator(g))) for g in range(qb.alphabet)}
+
+    def image(w):
+        if w not in phi:
+            u, v = freelie.standard_factorization(w)
+            phi[w] = _table_bracket(table, image(u), image(v))
+        return phi[w]
+
+    for r, rel in enumerate(pres.relations, start=1):
+        acc: dict = {}
+        for w, c in rel.terms.items():
+            for k, v in image(w).items():
+                acc[k] = acc.get(k, 0) + c * v
+        if any(acc.values()):
+            return Certificate(None, f"relation {r} does not vanish in the model")
+    for i, w in enumerate(qb.representatives):
+        if image(w) != {i: 1}:
+            return Certificate(None, f"representative {names[i]} does not map to its own basis vector")
+    triples = qb.dim * (qb.dim - 1) * (qb.dim - 2) // 6
+    return Certificate(table, f"every representative below degree {b}; model of dim {qb.dim} "
+                              f"passes Jacobi on {triples} triples; all {len(pres.relations)} relations vanish")
 
 
 def structure_table(pres: Presentation, names: dict | None = None,
                     degree_bound: int = 8, qb: QuotientBasis | None = None) -> StructureTable:
     """Bracket table of the quotient over named elements (default: the representatives).
 
-    names maps name -> LiePoly in the free algebra, in the desired basis order.
-    Raises NamesNotBasisError if they do not form a basis of the quotient.
+    The table is the model that `certify` checks, built from the generators'
+    action on the representatives; every representative must lie below the
+    degree bound.  names maps name -> LiePoly in the free algebra, in the desired
+    basis order; the model is renamed by the names' coordinates.  Raises
+    NamesNotBasisError if they do not form a basis of the quotient.
     """
     if qb is None:
         qb = quotient_closure(pres, degree_bound)
+    model = _model_table(qb, _representative_action(qb))
     if names is None:
-        names = default_names(qb)
+        return model
     name_list = tuple(names)
-    exprs = [names[n] for n in name_list]
-    if len(exprs) != qb.dim:
+    if len(name_list) != qb.dim:
         raise NamesNotBasisError(
-            f"{len(exprs)} names for a quotient of dimension {qb.dim}")
-    cols = [qb.reduce(e) for e in exprs]
+            f"{len(name_list)} names for a quotient of dimension {qb.dim}")
+    cols = [qb.reduce(names[n]) for n in name_list]
     m = RatMatrix.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(qb.dim)])
     minv = invert(m)
     if minv is None:
         raise NamesNotBasisError("the names do not form a basis of the quotient")
+    coords = [_sparse(col) for col in cols]
+    inverse = [_sparse(col) for col in minv.transpose().row_list()]   # name coordinates of rep_k
 
     def fn(i, j):
-        br = bracket(exprs[i], exprs[j])
-        try:
-            reduced = qb.reduce(br)
-        except ValueError as exc:
-            raise ValueError(
-                f"degree bound {qb.degree_bound} is too small to bracket "
-                f"{name_list[i]} with {name_list[j]}: {exc}") from exc
-        return minv.apply(reduced)
+        out = [0] * qb.dim
+        for k, x in _table_bracket(model, coords[i], coords[j]).items():
+            for t, y in inverse[k].items():
+                out[t] += x * y
+        return out
 
     return StructureTable.from_bracket_fn(name_list, fn)
 

@@ -16,7 +16,7 @@ from liepres import analysis, cli, g2
 from liepres.freelie import LiePoly, bracket, expand_to_associative, lyndon_words
 from liepres.linalg import det
 from liepres.presentation import parse_presentation
-from liepres.quotient import quotient_closure, rewriter_applicable, structure_table
+from liepres.quotient import certify, quotient_closure, rewriter_applicable, structure_table
 from liepres.table import StructureTable
 from liepres.tabledoc import load_table
 
@@ -92,6 +92,7 @@ def test_criterion_03_engines_agree_and_mutants_detected(g2_pres, derived):
         mutated = parse_presentation(text.replace(old, new))
         assert not rewriter_applicable(mutated)
         assert not quotient_closure(mutated, 6).stabilized
+        assert not certify(mutated, quotient_closure(mutated, 6)).ok
     print("criterion 3: engines agree on 91 pairs; 3 mutated presentations detected")
 
 

@@ -9,7 +9,8 @@ import liepres
 from liepres import cli
 from liepres.cli import main
 from liepres.g2 import g2_presentation, named_basis_free
-from liepres.presentation import Presentation, format_presentation
+from liepres.presentation import Presentation, format_presentation, parse_presentation
+from liepres.quotient import quotient_closure
 from liepres.table import StructureTable
 from liepres.tabledoc import load_table, save_table
 
@@ -35,8 +36,10 @@ def test_derive_both_agrees_and_writes_golden_bytes(run, tmp_path):
     code, stdout, stderr = run("derive", G2, "--out", str(out))
     assert code == 0, stderr
     assert "engine: both" in stdout
+    assert "degree bound: 4" in stdout
     assert "dim = 14" in stdout
-    assert "stabilized: yes" in stdout
+    assert ("certified: yes (every representative below degree 4; model of dim 14 passes Jacobi "
+            "on 364 triples; all 54 relations vanish)") in stdout
     assert "engines agree on all 91 bracket pairs" in stdout
     assert f"wrote {out}" in stdout
     assert out.read_bytes() == Path(GOLDEN).read_bytes()
@@ -70,8 +73,62 @@ def test_derive_sl2_skips_rewriter(run):
 def test_derive_mutant_fails_to_stabilize(run):
     code, stdout, stderr = run("derive", MUTANT, "--max-degree", "6")
     assert code == 4
-    assert "not stabilized" in stderr
-    assert "stabilized: no" in stdout
+    assert stderr == "quotient not certified up to degree bound 6; rerun with a larger --max-degree\n"
+    assert "degree bound: 6" in stdout
+    assert "certified: no (relation 8 does not vanish in the model)" in stdout
+
+
+# The bound-4 and bound-5 quotients agree on dim 4, which the old stabilization
+# test took for the answer; the quotient is 1-dimensional.
+FALSE_STABLE = ("generators: x1 x2\nrelation: x1 - [[[x1,x2],x2],x2] = 0\n"
+                "relation: 3/2*[x1,x2] - 4*[x1,[x1,x2]] = 0\n")
+# Dims 3, 3, 5, 6, 9 at bounds 5-9: the old test called bound 6 stabilized.
+GROWING = ("generators: x1 x2\nrelation: -5*[x1,x2] + [[x1,x2],x2] = 0\n"
+           "relation: -3*x2 - 2/3*[x1,x2] - 2*[x1,[[x1,x2],x2]] = 0\n"
+           "relation: 5/2*x2 + 4/3*[[x1,x2],x2] = 0\n")
+
+
+@pytest.mark.parametrize("bound", ["5", "6"])
+def test_derive_false_stabilization_is_not_certified(run, tmp_path, bound):
+    lp, out = tmp_path / "p.lp", tmp_path / "t.json"
+    lp.write_text(FALSE_STABLE, encoding="utf-8")
+    code, stdout, stderr = run("derive", str(lp), "--max-degree", bound, "--engine", "closure", "--out", str(out))
+    assert code == 4
+    assert f"degree bound: {bound}\n" in stdout
+    assert "certified: no (" in stdout
+    assert stderr == f"quotient not certified up to degree bound {bound}; rerun with a larger --max-degree\n"
+    assert not out.exists()
+
+
+def test_derive_false_stabilization_certifies_dim_1(run, tmp_path):
+    lp, out = tmp_path / "p.lp", tmp_path / "t.json"
+    lp.write_text(FALSE_STABLE, encoding="utf-8")
+    code, stdout, stderr = run("derive", str(lp), "--max-degree", "7", "--engine", "closure", "--out", str(out))
+    assert code == 0, stderr
+    assert "degree bound: 7\ndim = 1\ncertified: yes (" in stdout
+    assert load_table(str(out)).names == ("x2",)
+
+
+@pytest.mark.parametrize("engine", ["both", "closure"])
+def test_derive_growing_quotient_is_not_certified(run, tmp_path, engine):
+    lp, out = tmp_path / "p.lp", tmp_path / "t.json"
+    lp.write_text(GROWING, encoding="utf-8")
+    code, stdout, stderr = run("derive", str(lp), "--max-degree", "6", "--engine", engine, "--out", str(out))
+    assert code == 4
+    assert "certified: no (" in stdout
+    assert "not certified" in stderr
+    assert not out.exists()
+
+
+def test_derive_without_relations_is_not_certified(run, tmp_path):
+    # the free Lie algebra: no bound certifies it, and there are no relation degrees to list
+    lp = tmp_path / "free.lp"
+    lp.write_text("generators: a b\n", encoding="utf-8")
+    code, stdout, stderr = run("derive", str(lp), "--max-degree", "3")
+    assert code == 4
+    assert stdout == ("engine: both\ndegree bound: 3\ndim = 5\n"
+                      "certified: no (representative [a,[a,b]] has degree 3, not below the degree bound 3)\n")
+    assert "not certified up to degree bound 3" in stderr
 
 
 def test_derive_rewriter_rejected_off_domain(run):
@@ -116,11 +173,15 @@ def test_derive_bound_below_relation_degree(run):
 
 
 @pytest.mark.parametrize("engine", ["both", "closure"])
-def test_derive_bound_too_small_to_bracket_named_basis(run, engine):
-    code, stdout, stderr = run("derive", G2, "--max-degree", "5", "--engine", engine)
-    assert code == 2
-    assert "stabilized: yes" in stdout
-    assert stderr.startswith("error: degree bound 5 is too small to bracket h1 with h2")
+def test_derive_bound_too_small_to_bracket_named_basis(run, tmp_path, engine):
+    # the table comes from the model at the certifying bound 4, not from brackets
+    # in the free algebra, so no bound is too small to bracket the named basis
+    out = tmp_path / "t.json"
+    code, stdout, stderr = run("derive", G2, "--max-degree", "5", "--engine", engine, "--out", str(out))
+    assert code == 0, stderr
+    assert "degree bound: 4" in stdout
+    assert "certified: yes" in stdout
+    assert out.read_bytes() == Path(GOLDEN).read_bytes()
 
 
 def test_derive_relation_above_degree_cap(run, tmp_path):
@@ -136,15 +197,18 @@ def test_derive_relation_above_degree_cap(run, tmp_path):
 
 
 def test_derive_representatives_above_degree_cap(run, tmp_path):
-    # The quotient keeps representatives of degree 7 and 8, so its table needs
-    # brackets above the degree cap.
-    path = tmp_path / "filiform.lp"
-    path.write_text("generators: a b\nrelation: [b,[a,b]] = 0\nrelation: [[a,b],[a,[a,b]]] = 0\n"
-                    "relation: [a,[a,[a,[a,[a,[a,[a,b]]]]]]] = 0\n")
-    code, stdout, stderr = run("derive", str(path), "--max-degree", "13")
-    assert code == 2
-    assert "stabilized: yes" in stdout
-    assert stderr == "error: bracket degree 13 exceeds cap 12\n"
+    # The quotient keeps representatives of degree 7 and 8; their brackets in the
+    # free algebra would pass the degree cap, but the model's table needs none.
+    text = ("generators: a b\nrelation: [b,[a,b]] = 0\nrelation: [[a,b],[a,[a,b]]] = 0\n"
+            "relation: [a,[a,[a,[a,[a,[a,[a,b]]]]]]] = 0\n")
+    path, out = tmp_path / "filiform.lp", tmp_path / "t.json"
+    path.write_text(text)
+    code, stdout, stderr = run("derive", str(path), "--max-degree", "13", "--out", str(out))
+    assert code == 0, stderr
+    assert "degree bound: 10" in stdout
+    assert "dim = 11" in stdout
+    assert "certified: yes" in stdout
+    assert load_table(str(out)).dim == 11 == quotient_closure(parse_presentation(text), 13).dim
 
 
 def test_derive_bad_flag_values(run):

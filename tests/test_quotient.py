@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 import liepres
 from liepres import freelie
+from liepres.analysis import check_jacobi
 from liepres.cli import main
 from liepres.freelie import Generator, LiePoly, bracket, lyndon_words, tower_to_poly
 from liepres.g2 import named_basis_free, rewriter_structure_table
 from liepres.presentation import Presentation, parse_presentation
 from liepres.quotient import (
     NamesNotBasisError,
-    default_names,
+    certify,
     quotient_closure,
     rewriter_applicable,
     structure_table,
@@ -64,9 +65,8 @@ def test_heisenberg_quotient():
     assert qb.dim == 3
     assert qb.stabilized
     assert qb.representatives == ((0,), (1,), (0, 1))
-    names = default_names(qb)
-    assert list(names) == ["p", "q", "[p,q]"]
     t = structure_table(pres, degree_bound=5, qb=qb)
+    assert t.names == ("p", "q", "[p,q]")
     assert t.bracket_map(0, 1) == {2: Fraction(1)}
     assert t.bracket_map(0, 2) == {}
     assert t.bracket_map(1, 2) == {}
@@ -237,7 +237,7 @@ def test_unstabilized_derive_writes_no_table(tmp_path, capsys):
     lp.write_text(text, encoding="utf-8")
     for engine in ("both", "closure"):
         assert main(["derive", str(lp), "--max-degree", "4", "--engine", engine, "--out", str(out)]) == 4
-        assert "not stabilized" in capsys.readouterr().err
+        assert "not certified up to degree bound 4" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -248,6 +248,8 @@ def test_mutated_presentations_detected():
         pres = parse_presentation(base.replace(old, new, 1))
         for bound in (6, 7, 8):
             assert not quotient_closure(pres, bound).stabilized, (new, bound)
+        for bound in range(4, 9):
+            assert not certify(pres, quotient_closure(pres, bound)).ok, (new, bound)
 
 
 def _reference_add(rows: dict, vec: dict) -> None:
@@ -424,3 +426,85 @@ def test_bound_one_without_relations_is_not_stabilized():
     assert qb.dim == 2
     assert qb.dim_at_lower == 0
     assert not qb.stabilized
+
+
+def _certified_dim(pres: Presentation, bound: int):
+    """qb.dim when certify proves it at this bound, else None."""
+    qb = quotient_closure(pres, bound)
+    cert = certify(pres, qb)
+    return qb.dim if cert.ok else None
+
+
+@pytest.mark.parametrize("name,bound,dim", [("g2", 4, 14), ("sl2", 2, 3), ("heisenberg", 3, 3)])
+def test_fixtures_certify_at_their_first_bound(name, bound, dim):
+    pres = parse_presentation((FIXTURES / f"{name}.lp").read_text(encoding="utf-8"))
+    assert pres.max_relation_degree() == bound
+    assert _certified_dim(pres, bound) == dim
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2, 3), (0, 0, 0)], ids=["1-2-3", "0-0-0"])
+def test_family_members_certify_dim_14_at_bound_4(family_member_text, coeffs):
+    assert _certified_dim(parse_presentation(family_member_text(*coeffs)), 4) == 14
+
+
+def test_mutated_g2_is_not_certified():
+    pres = parse_presentation((FIXTURES / "g2_mutated.lp").read_text(encoding="utf-8"))
+    for bound in range(4, 9):
+        assert _certified_dim(pres, bound) is None, bound
+
+
+def test_family_member_1_2_4_is_not_certified(family_member_text):
+    pres = parse_presentation(family_member_text(1, 2, 4))
+    for bound in range(4, 7):
+        assert _certified_dim(pres, bound) is None, bound
+
+
+def test_certified_g2_model_is_the_golden_table(g2_pres):
+    qb = quotient_closure(g2_pres, 4)
+    cert = certify(g2_pres, qb)
+    assert cert.ok
+    assert cert.table == structure_table(g2_pres, None, qb=qb)
+    assert cert.table.names == tuple(qb.representative_name(i) for i in range(14))
+    named = structure_table(g2_pres, named_basis_free(), qb=qb)
+    assert named == load_table(str(FIXTURES / "g2_table.json"))
+
+
+def test_certify_names_the_first_failed_check():
+    # representatives reach the bound: no upper bound
+    pres = parse_presentation("generators: a b")
+    assert certify(pres, quotient_closure(pres, 3)).detail == (
+        "representative [a,[a,b]] has degree 3, not below the degree bound 3")
+    # no representative at all: the upper bound alone proves dim 0
+    pres = parse_presentation("generators: a b\nrelation: a = 0\nrelation: b = 0\n")
+    cert = certify(pres, quotient_closure(pres, 1))
+    assert cert.ok and cert.table.dim == 0
+
+
+def test_certify_maps_relations_through_the_table_bracket():
+    # At bound 4 the closure keeps x2 alone and reduces [x1,x2] to -x2.  The model
+    # table is the 1-dim abelian algebra, where relation 1 maps to x2, not 0.  The
+    # operator rho(x1) still sends x2 to -x2, so mapping the relations through the
+    # operators instead of the table's bracket would certify dim 1; the quotient is 0.
+    pres = parse_presentation("generators: x1 x2 x3\nrelation: x2 + [x1,x2] = 0\n"
+                              "relation: x1 + [x1,[x1,[x1,x3]]] = 0\nrelation: x3 = 0\n")
+    qb = quotient_closure(pres, 4)
+    assert qb.dim == 1
+    assert certify(pres, qb).detail == "relation 1 does not vanish in the model"
+    assert _certified_dim(pres, 5) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=presentations_and_bounds())
+def test_certificate_fixes_the_quotient_above_its_bound(case):
+    pres, bound = case
+    qb = quotient_closure(pres, bound)
+    cert = certify(pres, qb)
+    if not cert.ok:
+        return
+    assert check_jacobi(cert.table) == []
+    assert cert.table.dim == qb.dim
+    for higher in (bound + 1, bound + 2):
+        above = quotient_closure(pres, higher)
+        assert above.dim == qb.dim, higher
+        assert above.representatives == qb.representatives, higher
+        assert certify(pres, above).table == cert.table, higher
