@@ -18,7 +18,7 @@ from .quotient import (
     rewriter_applicable,
     structure_table,
 )
-from .tabledoc import SchemaError, format_rational, load_table, save_table, to_csv, to_json_text, to_latex
+from .tabledoc import format_rational, load_table, save_table, to_csv, to_json_text, to_latex
 
 _NOT_G2 = "the rewriter engine needs 3 generators and relations spanning the standard quadruple relations"
 
@@ -60,6 +60,15 @@ def _load_presentation(path: str):
         return parse_presentation(text)
     except (ParseError, DegreeCapExceeded) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def _load_table(path: str):
+    """The table at path, or None after printing the error (a SchemaError is a ValueError)."""
+    try:
+        return load_table(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return None
 
 
@@ -142,14 +151,9 @@ def cmd_derive(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        table = load_table(args.table)
-        golden = load_table(args.golden)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    table = _load_table(args.table)
+    golden = _load_table(args.golden) if table is not None else None
+    if golden is None:
         return 2
     if table.names != golden.names:
         print("tables differ: basis names do not match")
@@ -169,13 +173,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        table = load_table(args.table)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    table = _load_table(args.table)
+    if table is None:
         return 2
     n = table.dim
     violations = analysis.check_jacobi(table)
@@ -223,13 +222,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        table = load_table(args.table)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    table = _load_table(args.table)
+    if table is None:
         return 2
     try:
         if args.format == "json":

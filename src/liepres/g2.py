@@ -7,9 +7,12 @@ T(i,j,k) with j < k, T(3,1,2) excluded (it rewrites through Jacobi).  Degree-4 t
 collapse to degree <= 1 through the quadruple relations, which is what makes the
 rewriter total.
 
-The relations are read from the shipped `fixtures/g2.lp`, and the named basis is
-defined once, as free Lie polynomials in `named_basis_free`; its tower form is
-computed from them.
+The rules give the generators' action on the canonical towers, and `table.py`
+builds the table from it, the way the closure engine builds its own from the
+generators' action on its representatives.  The relations are read from the
+shipped `fixtures/g2.lp`, and the named basis is defined once, as free Lie
+polynomials in `named_basis_free`; the rewriter's table is renamed to it through
+their images in the tower model.
 """
 
 from __future__ import annotations
@@ -18,16 +21,12 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib.resources import files
 
-from . import freelie
 from .freelie import LiePoly, bracket
-from .linalg import RatMatrix, invert
 from .presentation import Presentation, parse_presentation
-from .table import StructureTable
+from .table import StructureTable, action_table, generator_action, lie_map
 
 G2_NAMES = ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32",
             "x1", "x2", "x3", "y1", "y2", "y3")
-
-GENERATOR_NAMES = ("x1", "x2", "x3")
 
 CANONICAL_TOWERS = (
     (1,), (2,), (3,),
@@ -72,15 +71,6 @@ def g2_relations() -> list:
 
 
 # --- tower reduction ----------------------------------------------------------
-
-def _acc(acc: dict, vec: dict, c: Fraction = Fraction(1)) -> None:
-    for t, v in vec.items():
-        s = acc.get(t, 0) + c * v
-        if s:
-            acc[t] = s
-        else:
-            acc.pop(t, None)
-
 
 def reduce_quadruple(a: int, b: int, c: int, d: int) -> dict:
     """Rewrite the degree-4 tower [xa,[xb,[xc,xd]]] to degree <= 1 via the relations.
@@ -139,103 +129,38 @@ def tower_reduce(t: tuple) -> dict:
     return reduce_quadruple(*t)
 
 
-@lru_cache(maxsize=None)
-def _bracket_towers(t1: tuple, t2: tuple) -> tuple:
-    """[T1, T2] over canonical towers, returned as a sorted item tuple (cache-safe).
+def tower_action() -> list:
+    """act[i][j]: canonical tower i acting on canonical tower j, over the canonical towers.
 
-    Total by induction on deg(T1): a generator head goes through tower_reduce
-    (degree <= 4), otherwise T1 = [head, rest] and Jacobi gives
-    [T1, T2] = [head, [rest, T2]] - [rest, [head, T2]] with strictly smaller first
-    arguments throughout.
+    rho(x_g) sends the tower T to tower_reduce((g,) + T), which is where the
+    relations enter; a longer tower T = [x_{T[0]}, T[1:]] acts by the commutator
+    of its head's and its rest's operators.
     """
-    if len(t1) == 1:
-        return tuple(sorted(tower_reduce(t1 + t2).items()))
-    head, rest = (t1[0],), t1[1:]
-    acc: dict = {}
-    for m, c in _bracket_towers(rest, t2):
-        _acc(acc, dict(_bracket_towers(head, m)), c)
-    for m, c in _bracket_towers(head, t2):
-        _acc(acc, dict(_bracket_towers(rest, m)), -c)
-    return tuple(sorted(acc.items()))
+    index = {t: i for i, t in enumerate(CANONICAL_TOWERS)}
+    rho = {(g,): [{index[u]: c for u, c in tower_reduce((g,) + t).items()} for t in CANONICAL_TOWERS]
+           for g in (1, 2, 3)}
+    return generator_action(rho, lambda t: ((t[0],), t[1:]), CANONICAL_TOWERS)
 
 
-def reduce_bracket(p: dict, q: dict) -> dict:
-    """Bracket of two canonical-tower vectors, reduced to canonical towers."""
-    acc: dict = {}
-    for t1, c1 in p.items():
-        for t2, c2 in q.items():
-            _acc(acc, dict(_bracket_towers(t1, t2)), c1 * c2)
-    return acc
+def tower_model() -> StructureTable:
+    """The rewriter's table over the canonical towers, named T1, T2, ..., T323."""
+    return action_table(("T" + "".join(map(str, t)) for t in CANONICAL_TOWERS), tower_action())
 
 
-# --- named basis --------------------------------------------------------------
-
-def _word_towers(w: tuple) -> dict:
-    """A Lyndon monomial over the canonical towers, through its standard factorization."""
-    if len(w) == 1:
-        return {(w[0] + 1,): Fraction(1)}
-    u, v = freelie.standard_factorization(w)
-    return reduce_bracket(_word_towers(u), _word_towers(v))
-
-
-@lru_cache(maxsize=None)
-def named_basis_towers() -> dict:
-    """The 14 named elements of named_basis_free() as canonical-tower vectors."""
-    named = {}
-    for name, p in named_basis_free().items():
-        acc: dict = {}
-        for w, c in p.terms.items():
-            _acc(acc, _word_towers(w), c)
-        named[name] = acc
-    return named
-
-
-@lru_cache(maxsize=None)
-def _named_solver() -> RatMatrix:
-    named = named_basis_towers()
-    idx = {t: i for i, t in enumerate(CANONICAL_TOWERS)}
-    cols = []
-    for name in G2_NAMES:
-        v = [Fraction(0)] * len(CANONICAL_TOWERS)
-        for t, c in named[name].items():
-            v[idx[t]] = c
-        cols.append(v)
-    m = RatMatrix.from_rows([[cols[j][i] for j in range(len(G2_NAMES))] for i in range(len(CANONICAL_TOWERS))])
-    inv = invert(m)
-    if inv is None:
-        raise RuntimeError("named elements do not span the canonical towers")
-    return inv
-
-
-def to_named_coordinates(v: dict) -> dict:
-    """Coordinates of a canonical-tower vector over the named basis."""
-    idx = {t: i for i, t in enumerate(CANONICAL_TOWERS)}
-    dense = [Fraction(0)] * len(CANONICAL_TOWERS)
-    for t, c in v.items():
-        if t not in idx:
-            raise ValueError(f"not a canonical tower: {t}")
-        dense[idx[t]] = c
-    coords = _named_solver().apply(dense)
-    return {name: c for name, c in zip(G2_NAMES, coords) if c}
-
-
-def bracket_named(n1: str, n2: str) -> dict:
-    """[n1, n2] in named coordinates."""
-    named = named_basis_towers()
-    return to_named_coordinates(reduce_bracket(named[n1], named[n2]))
+def tower_map(towers: StructureTable):
+    """phi into the tower model: the generator x_g goes to the tower (g,)."""
+    return lie_map(towers, [{g: Fraction(1)} for g in range(3)])
 
 
 def rewriter_structure_table() -> StructureTable:
-    """Full bracket table of the 14 named elements from the rewriter path alone."""
-    name_index = {n: i for i, n in enumerate(G2_NAMES)}
+    """Full bracket table of the 14 named elements from the rewriter path alone.
 
-    def fn(i, j):
-        vec = [Fraction(0)] * len(G2_NAMES)
-        for name, c in bracket_named(G2_NAMES[i], G2_NAMES[j]).items():
-            vec[name_index[name]] = c
-        return vec
-
-    return StructureTable.from_bracket_fn(G2_NAMES, fn)
+    The tower model renamed to named_basis_free(), whose coordinates are their
+    images under phi.
+    """
+    towers = tower_model()
+    phi = tower_map(towers)
+    return towers.rebased(G2_NAMES, (phi(p) for p in named_basis_free().values()))
 
 
 @lru_cache(maxsize=None)

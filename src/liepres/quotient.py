@@ -13,13 +13,9 @@ from . import freelie
 from .analysis import check_jacobi
 from .freelie import LiePoly, bracket_string
 from .g2 import g2_relations
-from .linalg import Echelon, RatMatrix, integer_scaled, invert
+from .linalg import Echelon, integer_scaled
 from .presentation import Presentation
-from .table import StructureTable
-
-
-class NamesNotBasisError(ValueError):
-    """The provided named elements do not form a basis of the computed quotient."""
+from .table import NamesNotBasisError, StructureTable, action_table, generator_action, lie_map  # noqa: F401
 
 
 @dataclass
@@ -233,60 +229,18 @@ def _sparse(vec) -> dict:
     return {k: c for k, c in enumerate(vec) if c}
 
 
-def _compose(a: list, b: list) -> list:
-    """The product a.b of two operators given as lists of sparse columns."""
-    out = []
-    for col in b:
-        acc: dict = {}
-        for k, x in col.items():
-            for m, y in a[k].items():
-                acc[m] = acc.get(m, 0) + x * y
-        out.append({m: v for m, v in acc.items() if v})
-    return out
+def _model(qb: QuotientBasis) -> tuple:
+    """(act, table): the representatives' action and the model table it gives.
 
-
-def _commutator(a: list, b: list) -> list:
-    return [{m: v for m in x.keys() | y.keys() if (v := x.get(m, 0) - y.get(m, 0))}
-            for x, y in zip(_compose(a, b), _compose(b, a))]
-
-
-def _representative_action(qb: QuotientBasis) -> list:
-    """act[i][j]: rep_i acting on rep_j in the model, as sparse coordinates.
-
-    rho(x_g) has the columns qb.reduce([x_g, rep_j]), which needs every
-    representative below the degree bound.  A Lyndon word w with standard
-    factorization (u, v) acts by the commutator [rho(u), rho(v)], so rho extends the
-    generators' action to the free Lie algebra.  Only the words that the
-    representatives factor through are computed.
+    act[i][j] is rep_i acting on rep_j, as sparse coordinates.  rho(x_g) has the
+    columns qb.reduce([x_g, rep_j]), which needs every representative below the
+    degree bound; a Lyndon word acts through its standard factorization, by the
+    commutator of its factors' operators.
     """
-    rho: dict = {}
-    for g in range(qb.alphabet):
-        rho[(g,)] = [_sparse(qb.reduce(LiePoly(freelie._bracket_words((g,), w))))
-                     for w in qb.representatives]
-
-    def action(w):
-        if w not in rho:
-            u, v = freelie.standard_factorization(w)
-            rho[w] = _commutator(action(u), action(v))
-        return rho[w]
-
-    return [action(w) for w in qb.representatives]
-
-
-def _model_table(qb: QuotientBasis, act: list) -> StructureTable:
-    """The table [e_i, e_j] = rho(rep_i) e_j over the representatives' names, i < j."""
-    c = {(i, j, k): v for i, row in enumerate(act) for j in range(i + 1, qb.dim) for k, v in row[j].items()}
-    return StructureTable((qb.representative_name(i) for i in range(qb.dim)), c)
-
-
-def _table_bracket(table: StructureTable, a: dict, b: dict) -> dict:
-    """[a, b] for sparse coordinate vectors, through the table's bracket."""
-    acc: dict = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            for k, v in table.bracket_map(i, j).items():
-                acc[k] = acc.get(k, 0) + x * y * v
-    return {k: v for k, v in acc.items() if v}
+    rho = {(g,): [_sparse(qb.reduce(LiePoly(freelie._bracket_words((g,), w)))) for w in qb.representatives]
+           for g in range(qb.alphabet)}
+    act = generator_action(rho, freelie.standard_factorization, qb.representatives)
+    return act, action_table((qb.representative_name(i) for i in range(qb.dim)), act)
 
 
 @dataclass(frozen=True)
@@ -321,8 +275,7 @@ def certify(pres: Presentation, qb: QuotientBasis) -> Certificate:
         if len(w) >= b:
             return Certificate(None, f"representative {qb.representative_name(i)} has degree "
                                      f"{len(w)}, not below the degree bound {b}")
-    act = _representative_action(qb)
-    table = _model_table(qb, act)
+    act, table = _model(qb)
     names = table.names
     for i in range(qb.dim):
         for j in range(i, qb.dim):
@@ -333,23 +286,12 @@ def certify(pres: Presentation, qb: QuotientBasis) -> Certificate:
         i, j, k, _ = violations[0]
         return Certificate(None, f"model fails Jacobi at ({names[i]},{names[j]},{names[k]})")
 
-    phi: dict = {(g,): _sparse(qb.reduce(LiePoly.generator(g))) for g in range(qb.alphabet)}
-
-    def image(w):
-        if w not in phi:
-            u, v = freelie.standard_factorization(w)
-            phi[w] = _table_bracket(table, image(u), image(v))
-        return phi[w]
-
+    phi = lie_map(table, [_sparse(qb.reduce(LiePoly.generator(g))) for g in range(qb.alphabet)])
     for r, rel in enumerate(pres.relations, start=1):
-        acc: dict = {}
-        for w, c in rel.terms.items():
-            for k, v in image(w).items():
-                acc[k] = acc.get(k, 0) + c * v
-        if any(acc.values()):
+        if phi(rel):
             return Certificate(None, f"relation {r} does not vanish in the model")
     for i, w in enumerate(qb.representatives):
-        if image(w) != {i: 1}:
+        if phi(LiePoly.monomial(w)) != {i: 1}:
             return Certificate(None, f"representative {names[i]} does not map to its own basis vector")
     triples = qb.dim * (qb.dim - 1) * (qb.dim - 2) // 6
     return Certificate(table, f"every representative below degree {b}; model of dim {qb.dim} "
@@ -368,29 +310,10 @@ def structure_table(pres: Presentation, names: dict | None = None,
     """
     if qb is None:
         qb = quotient_closure(pres, degree_bound)
-    model = _model_table(qb, _representative_action(qb))
+    _, model = _model(qb)
     if names is None:
         return model
-    name_list = tuple(names)
-    if len(name_list) != qb.dim:
-        raise NamesNotBasisError(
-            f"{len(name_list)} names for a quotient of dimension {qb.dim}")
-    cols = [qb.reduce(names[n]) for n in name_list]
-    m = RatMatrix.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(qb.dim)])
-    minv = invert(m)
-    if minv is None:
-        raise NamesNotBasisError("the names do not form a basis of the quotient")
-    coords = [_sparse(col) for col in cols]
-    inverse = [_sparse(col) for col in minv.transpose().row_list()]   # name coordinates of rep_k
-
-    def fn(i, j):
-        out = [0] * qb.dim
-        for k, x in _table_bracket(model, coords[i], coords[j]).items():
-            for t, y in inverse[k].items():
-                out[t] += x * y
-        return out
-
-    return StructureTable.from_bracket_fn(name_list, fn)
+    return model.rebased(names, (_sparse(qb.reduce(p)) for p in names.values()))
 
 
 def _relation_span(relations) -> Echelon | None:

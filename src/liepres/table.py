@@ -1,10 +1,20 @@
-"""Structure constant tables for finite-dimensional Lie algebras over Q."""
+"""Structure constant tables for finite-dimensional Lie algebras over Q.
+
+Also the one way both engines build a table: from the generators' action
+(`generator_action`, `action_table`), mapped into by the free Lie algebra
+(`lie_map`) and renamed to a chosen basis (`StructureTable.rebased`).
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import RatMatrix
+from .freelie import standard_factorization
+from .linalg import Echelon, RatMatrix, integer_scaled
+
+
+class NamesNotBasisError(ValueError):
+    """The provided named elements do not form a basis of the computed quotient."""
 
 
 class StructureTable:
@@ -40,19 +50,6 @@ class StructureTable:
     def dim(self) -> int:
         return len(self.names)
 
-    @classmethod
-    def from_bracket_fn(cls, names, fn) -> "StructureTable":
-        """Build from fn(i, j) -> coefficient vector of [b_i, b_j], called for i < j."""
-        names = tuple(names)
-        c = {}
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                vec = fn(i, j)
-                for k, val in enumerate(vec):
-                    if val:
-                        c[(i, j, k)] = Fraction(val)
-        return cls(names, c)
-
     def bracket_vector(self, i: int, j: int) -> list:
         """[b_i, b_j] as a dense coefficient vector (antisymmetry applied for i >= j)."""
         out = [Fraction(0)] * self.dim
@@ -68,6 +65,52 @@ class StructureTable:
         if i > j:
             i, j, sign = j, i, -1
         return {k: sign * v for k, v in self._pairs.get((i, j), {}).items()}
+
+    def bracket(self, a: dict, b: dict) -> dict:
+        """[a, b] for sparse coordinate vectors {index: coefficient}."""
+        acc: dict = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                for k, v in self.bracket_map(i, j).items():
+                    acc[k] = acc.get(k, 0) + x * y * v
+        return {k: v for k, v in acc.items() if v}
+
+    def rebased(self, names, coords) -> "StructureTable":
+        """The table over new basis elements Y_i = sum_k coords[i][k] b_k, named names[i].
+
+        One sparse elimination: the rows sum_k c_ik X_k - Y_i, with the old basis X
+        on the higher indices, go into an Echelon.  The Y_i form a basis exactly
+        when every X_k becomes a pivot; then reducing an old-coordinate vector
+        leaves its new coordinates on the Y indices.  Raises NamesNotBasisError for
+        a wrong number of elements or a dependent set.
+        """
+        names = tuple(names)
+        n = self.dim
+        if len(names) != n:
+            raise NamesNotBasisError(f"{len(names)} names for a quotient of dimension {n}")
+        coords = list(coords)
+        if len(coords) != n:
+            raise NamesNotBasisError(f"{len(coords)} coordinate vectors for {n} names")
+        ech = Echelon()
+        for i, vec in enumerate(coords):
+            D, ints = integer_scaled(vec.values())
+            row = {n + k: x for k, x in zip(vec, ints)}
+            row[i] = -D
+            ech.add(row)
+        if any(p < n for p in ech.rows):
+            raise NamesNotBasisError("the names do not form a basis of the quotient")
+
+        def new_coordinates(vec: dict) -> dict:
+            D, ints = integer_scaled(vec.values())
+            rem, s = ech.reduce({n + k: x for k, x in zip(vec, ints)})
+            return {i: Fraction(x, D * s) for i, x in rem.items()}
+
+        c = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k, v in new_coordinates(self.bracket(coords[i], coords[j])).items():
+                    c[(i, j, k)] = v
+        return StructureTable(names, c)
 
     def ad_matrix(self, i: int) -> RatMatrix:
         """Matrix of ad(b_i) acting on column vectors in the table basis."""
@@ -101,3 +144,71 @@ class StructureTable:
 
     def __repr__(self) -> str:
         return f"StructureTable(dim={self.dim}, nonzero_pairs={len(self._pairs)})"
+
+
+def _compose(a: list, b: list) -> list:
+    """The product a.b of two operators given as lists of sparse columns."""
+    out = []
+    for col in b:
+        acc: dict = {}
+        for k, x in col.items():
+            for m, y in a[k].items():
+                acc[m] = acc.get(m, 0) + x * y
+        out.append({m: v for m, v in acc.items() if v})
+    return out
+
+
+def _commutator(a: list, b: list) -> list:
+    return [{m: v for m in x.keys() | y.keys() if (v := x.get(m, 0) - y.get(m, 0))}
+            for x, y in zip(_compose(a, b), _compose(b, a))]
+
+
+def generator_action(rho: dict, split, keys) -> list:
+    """act[i][j]: basis element keys[i] acting on basis vector j, as sparse coordinates.
+
+    rho maps each generator's key to its operator, a list of sparse columns over
+    the basis.  Any other key k is a bracket [u, v] with (u, v) = split(k), and acts
+    by the commutator [rho(u), rho(v)]: ad[u, v] = [ad u, ad v] is the Jacobi
+    identity.  Only the keys the basis splits through are computed.
+    """
+    ops = dict(rho)
+
+    def op(k):
+        if k not in ops:
+            u, v = split(k)
+            ops[k] = _commutator(op(u), op(v))
+        return ops[k]
+
+    return [op(k) for k in keys]
+
+
+def action_table(names, act: list) -> StructureTable:
+    """The table [e_i, e_j] = act[i] e_j over the named basis, read for i < j."""
+    c = {(i, j, k): v for i, row in enumerate(act) for j in range(i + 1, len(act)) for k, v in row[j].items()}
+    return StructureTable(names, c)
+
+
+def lie_map(table: StructureTable, generator_images: list):
+    """phi: free Lie polynomial -> sparse coordinates in the table.
+
+    phi sends generator g to generator_images[g] and a Lyndon word w with
+    standard factorization (u, v) to table.bracket(phi(u), phi(v)), so it is
+    extended through the table's bracket alone.  Word images are memoized in the
+    returned function, not across calls of lie_map.
+    """
+    words: dict = {(g,): v for g, v in enumerate(generator_images)}
+
+    def image(w):
+        if w not in words:
+            u, v = standard_factorization(w)
+            words[w] = table.bracket(image(u), image(v))
+        return words[w]
+
+    def phi(p) -> dict:
+        acc: dict = {}
+        for w, c in p.terms.items():
+            for k, v in image(w).items():
+                acc[k] = acc.get(k, 0) + c * v
+        return {k: v for k, v in acc.items() if v}
+
+    return phi

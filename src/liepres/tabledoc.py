@@ -23,6 +23,8 @@ def format_rational(x: Fraction) -> str:
 def parse_rational(s: str) -> Fraction:
     if isinstance(s, float):
         raise SchemaError("floats are not exact; coefficients must be rational strings")
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise SchemaError(f"bad rational {s!r}: coefficients must be rational strings")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
@@ -49,6 +51,10 @@ def table_to_document(t: StructureTable) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def document_to_table(doc) -> StructureTable:
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
@@ -60,17 +66,20 @@ def document_to_table(doc) -> StructureTable:
     names = doc["names"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise SchemaError("names must be a list of strings")
-    if doc["dim"] != len(names):
+    if not _is_int(doc["dim"]) or doc["dim"] != len(names):
         raise SchemaError(f"dim {doc['dim']} does not match {len(names)} names")
     index = {n: k for k, n in enumerate(names)}
     if len(index) != len(names):
         raise SchemaError("duplicate names")
+    if not isinstance(doc["brackets"], list):
+        raise SchemaError("brackets must be a list")
     c = {}
     for rec in doc["brackets"]:
-        if not isinstance(rec, dict) or not {"i", "j", "coefficients"} <= set(rec):
+        if (not isinstance(rec, dict) or not {"i", "j", "coefficients"} <= set(rec)
+                or not isinstance(rec["coefficients"], dict)):
             raise SchemaError(f"bad bracket record: {rec!r}")
         i, j = rec["i"], rec["j"]
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < len(names)):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < j < len(names)):
             raise SchemaError(f"bracket indices must satisfy 0 <= i < j < dim: {(i, j)}")
         for name, val in rec["coefficients"].items():
             if name not in index:
@@ -89,6 +98,8 @@ def from_json_text(text: str) -> StructureTable:
         doc = json.loads(text, parse_float=lambda s: (_ for _ in ()).throw(SchemaError("floats are not exact")))
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply") from None
     return document_to_table(doc)
 
 

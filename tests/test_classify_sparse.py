@@ -18,7 +18,7 @@ from liepres.cli import main
 from liepres.linalg import RatMatrix, invert, rank
 from liepres.presentation import parse_presentation
 from liepres.quotient import structure_table
-from liepres.table import StructureTable
+from liepres.table import NamesNotBasisError, StructureTable
 from liepres.tabledoc import load_table, save_table
 
 FIXTURES = Path(liepres.__file__).parent / "fixtures"
@@ -43,11 +43,12 @@ def permuted_rescaled(t, perm, scales):
     return StructureTable([t.names[p] for p in perm], c)
 
 
-def rebased(t, name, plus, c=1):
-    """The table over the basis with b_name replaced by b_name + c * b_plus."""
+def dense_rebased(t, basis):
+    """The table over the new basis vectors basis[m], given in old coordinates.
+
+    The reference for StructureTable.rebased: a dense inverse.
+    """
     n = t.dim
-    basis = [[Fraction(int(r == m)) for r in range(n)] for m in range(n)]
-    basis[t.index_of(name)][t.index_of(plus)] += c
     # new coordinates of an old-coordinate vector: apply the inverse of the matrix
     # whose columns are the new basis vectors
     to_new = invert(RatMatrix.from_rows([[basis[m][r] for m in range(n)] for r in range(n)]))
@@ -61,8 +62,21 @@ def rebased(t, name, plus, c=1):
                         out[k] += u[i] * v[j] * x
         return out
 
-    return StructureTable.from_bracket_fn(
-        t.names, lambda i, j: to_new.apply(bracket(basis[i], basis[j])))
+    c = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k, x in enumerate(to_new.apply(bracket(basis[i], basis[j]))):
+                if x:
+                    c[(i, j, k)] = x
+    return StructureTable(t.names, c)
+
+
+def rebased(t, name, plus, c=1):
+    """The table over the basis with b_name replaced by b_name + c * b_plus."""
+    n = t.dim
+    basis = [[Fraction(int(r == m)) for r in range(n)] for m in range(n)]
+    basis[t.index_of(name)][t.index_of(plus)] += c
+    return dense_rebased(t, basis)
 
 
 def jacobi_broken():
@@ -214,3 +228,42 @@ def test_non_diagonal_cartan_passes_the_check():
     assert h1 in cartan
     assert any(k != m for m in range(t.dim) for k in t.bracket_map(h1, m))
     assert diagonalizable_over_q(t.ad_matrix(h1))
+
+
+def invertible_bases(n):
+    """Rows of L.U: L unit lower triangular, U upper triangular with a nonzero diagonal."""
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)])
+    pivot = st.sampled_from([1, -1, 3, Fraction(1, 2), Fraction(-4, 5)])
+
+    def product(lower, upper, diagonal):
+        L = [[1 if r == m else (lower[r * n + m] if m < r else 0) for m in range(n)] for r in range(n)]
+        U = [[diagonal[r] if r == m else (upper[r * n + m] if m > r else 0) for m in range(n)] for r in range(n)]
+        return [[Fraction(sum(L[r][k] * U[k][m] for k in range(n))) for m in range(n)] for r in range(n)]
+
+    return st.builds(product, st.lists(entry, min_size=n * n, max_size=n * n),
+                     st.lists(entry, min_size=n * n, max_size=n * n),
+                     st.lists(pivot, min_size=n, max_size=n))
+
+
+@pytest.mark.parametrize("table", [GOLDEN, SL2, HEIS], ids=["g2", "sl2", "heisenberg"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_sparse_rebased_equals_the_dense_reference(table, data):
+    basis = data.draw(invertible_bases(table.dim))
+    coords = [{k: x for k, x in enumerate(row) if x} for row in basis]
+    assert table.rebased(table.names, coords) == dense_rebased(table, basis)
+
+
+@pytest.mark.parametrize("table", [GOLDEN, SL2, HEIS], ids=["g2", "sl2", "heisenberg"])
+def test_rebased_refuses_what_is_not_a_basis(table):
+    n = table.dim
+    unit = [{k: Fraction(1)} for k in range(n)]
+    assert table.rebased(table.names, unit) == table
+    with pytest.raises(NamesNotBasisError):
+        table.rebased(table.names[:-1], unit[:-1])
+    with pytest.raises(NamesNotBasisError):
+        table.rebased(table.names, unit[:-1])
+    with pytest.raises(NamesNotBasisError):
+        table.rebased(table.names, unit[:-1] + [{}])
+    with pytest.raises(NamesNotBasisError):
+        table.rebased(table.names, unit[:-1] + [{0: Fraction(2), n - 2: Fraction(-1, 3)}])

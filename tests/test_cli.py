@@ -258,6 +258,35 @@ def test_verify_schema_error(run, tmp_path):
     assert "schema_version" in stderr
 
 
+MALFORMED_TABLES = {
+    "brackets-int": '{"schema_version": "1", "dim": 2, "names": ["a", "b"], "brackets": 5}',
+    "coefficients-list": '{"schema_version": "1", "dim": 2, "names": ["a", "b"], '
+                         '"brackets": [{"i": 0, "j": 1, "coefficients": [1]}]}',
+    "value-true": '{"schema_version": "1", "dim": 2, "names": ["a", "b"], '
+                  '"brackets": [{"i": 0, "j": 1, "coefficients": {"a": true}}]}',
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    ("verify", "brackets-int"), ("classify", "coefficients-list"), ("export", "value-true")])
+def test_malformed_table_exits_2(run, tmp_path, command, case):
+    p = tmp_path / "bad.json"
+    p.write_text(MALFORMED_TABLES[case])
+    argv = {"verify": ("--golden", GOLDEN), "classify": (), "export": ("--format", "csv")}[command]
+    code, stdout, stderr = run(command, "--table", str(p), *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_verify_malformed_golden_exits_2(run, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(MALFORMED_TABLES["coefficients-list"])
+    code, _, stderr = run("verify", "--table", GOLDEN, "--golden", str(p))
+    assert code == 2
+    assert stderr == "error: bad bracket record: {'i': 0, 'j': 1, 'coefficients': [1]}\n"
+
+
 def test_classify_g2(run):
     code, stdout, _ = run("classify", "--table", GOLDEN)
     assert code == 0

@@ -3,19 +3,23 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
+from liepres import g2
+from liepres.analysis import check_jacobi
 from liepres.freelie import LiePoly, tower_to_poly
 from liepres.g2 import (
     CANONICAL_TOWERS,
     G2_NAMES,
-    bracket_named,
     epsilon,
     g2_presentation,
     g2_relations,
     named_basis_free,
-    named_basis_towers,
-    reduce_bracket,
     reduce_quadruple,
     rewriter_structure_table,
+    tower_action,
+    tower_map,
+    tower_model,
     tower_reduce,
 )
 
@@ -123,6 +127,12 @@ def test_non_canonical_triple_rewrites():
     assert got == {(1, 2, 3): Fraction(-1), (2, 1, 3): Fraction(1)}
 
 
+def named_basis_towers():
+    """The 14 named elements as canonical-tower vectors: their images in the tower model."""
+    phi = tower_map(tower_model())
+    return {name: {CANONICAL_TOWERS[k]: c for k, c in phi(p).items()} for name, p in named_basis_free().items()}
+
+
 def test_named_basis_towers_cover_all_names():
     named = named_basis_towers()
     assert set(named) == set(G2_NAMES)
@@ -132,14 +142,18 @@ def test_named_basis_towers_cover_all_names():
 
 def hand_written_named_towers():
     """The named basis written out on canonical towers: y = [x, x]/2, a = [x, y]/3,
-    h = ([x, y] - [x', y'])/3.  The reference for named_basis_towers()."""
+    h = ([x, y] - [x', y'])/3, bracketed in the tower model.  The reference for
+    the images of named_basis_free()."""
     half, third = Fraction(1, 2), Fraction(1, 3)
+    towers = tower_model()
+    index = {t: i for i, t in enumerate(CANONICAL_TOWERS)}
 
     def combo(*terms):
         acc = {}
         for c, p, q in terms:
-            for t, v in reduce_bracket(p, q).items():
-                acc[t] = acc.get(t, 0) + c * v
+            pq = towers.bracket({index[t]: v for t, v in p.items()}, {index[t]: v for t, v in q.items()})
+            for k, v in pq.items():
+                acc[CANONICAL_TOWERS[k]] = acc.get(CANONICAL_TOWERS[k], 0) + c * v
         return {t: v for t, v in acc.items() if v}
 
     x = {i: {(i,): Fraction(1)} for i in (1, 2, 3)}
@@ -164,22 +178,40 @@ def test_named_basis_towers_equal_hand_written_values():
 
 
 def test_named_bracket_worked_identities():
-    assert bracket_named("y1", "a23") == {}
-    assert bracket_named("a12", "a23") == {"a13": Fraction(1)}
-    assert bracket_named("x1", "x2") == {"y3": Fraction(2)}
-    assert bracket_named("x1", "y1") == {"h1": Fraction(2), "h2": Fraction(1)}
-    assert bracket_named("a13", "a31") == {"h1": Fraction(1), "h2": Fraction(1)}
-    assert bracket_named("h1", "h2") == {}
-    assert bracket_named("h1", "a12") == {"a12": Fraction(2)}
-    assert bracket_named("a12", "a21") == {"h1": Fraction(1)}
+    t = rewriter_structure_table()
+
+    def bracket(n1, n2):
+        return {t.names[k]: v for k, v in t.bracket_map(t.index_of(n1), t.index_of(n2)).items()}
+
+    assert bracket("y1", "a23") == {}
+    assert bracket("a12", "a23") == {"a13": Fraction(1)}
+    assert bracket("x1", "x2") == {"y3": Fraction(2)}
+    assert bracket("x1", "y1") == {"h1": Fraction(2), "h2": Fraction(1)}
+    assert bracket("a13", "a31") == {"h1": Fraction(1), "h2": Fraction(1)}
+    assert bracket("h1", "h2") == {}
+    assert bracket("h1", "a12") == {"a12": Fraction(2)}
+    assert bracket("a12", "a21") == {"h1": Fraction(1)}
 
 
-def test_reduce_bracket_antisymmetry_on_canonical_towers():
-    for t1 in CANONICAL_TOWERS[:7]:
-        for t2 in CANONICAL_TOWERS[:7]:
-            lhs = reduce_bracket({t1: Fraction(1)}, {t2: Fraction(1)})
-            rhs = reduce_bracket({t2: Fraction(1)}, {t1: Fraction(1)})
-            assert lhs == {t: -v for t, v in rhs.items()}
+def test_tower_model_is_a_lie_algebra_where_the_relations_vanish():
+    act = tower_action()
+    for i in range(14):
+        for j in range(14):
+            assert act[i][j] == {k: -v for k, v in act[j][i].items()}, (CANONICAL_TOWERS[i], CANONICAL_TOWERS[j])
+    towers = tower_model()
+    assert check_jacobi(towers) == []
+    phi = tower_map(towers)
+    relations = g2_relations()
+    assert len(relations) == 54
+    assert all(phi(r) == {} for r in relations)
+
+
+def test_tower_model_refuses_rules_that_disagree(monkeypatch):
+    # An epsilon that does not vanish on repeated indices makes two relation
+    # families rewrite the same tower differently; the model must not be built.
+    monkeypatch.setattr(g2, "epsilon", lambda i, j, k: 1)
+    with pytest.raises(RuntimeError, match="not confluent"):
+        tower_model()
 
 
 def test_rewriter_table_shape():

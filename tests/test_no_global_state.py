@@ -1,4 +1,5 @@
-"""No module of the package rebinds a module-level name from inside a function."""
+"""No module of the package rebinds a module-level name from inside a function,
+and no function keeps a process-wide cache except the named basis."""
 
 import ast
 from pathlib import Path
@@ -16,3 +17,23 @@ def test_no_global_statement_in_the_package():
             if isinstance(node, ast.Global):
                 found.append(f"{path.name}:{node.lineno}: global {', '.join(node.names)}")
     assert found == []
+
+
+def _decorator_name(node) -> str | None:
+    target = node.func if isinstance(node, ast.Call) else node
+    if isinstance(target, ast.Attribute):
+        return target.attr
+    if isinstance(target, ast.Name):
+        return target.id
+    return None
+
+
+def test_the_only_process_wide_cache_is_the_named_basis():
+    # A functools cache outlives every call; a new one needs a deliberate edit here.
+    cached = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list):
+                    cached.append(f"{path.stem}.{node.name}")
+    assert cached == ["g2.named_basis_free"]

@@ -115,6 +115,34 @@ def test_schema_rejections():
         document_to_table(make_doc(brackets=[{"i": 0}]))
 
 
+@pytest.mark.parametrize("overrides, match", [
+    ({"brackets": 5}, "brackets must be a list"),
+    ({"brackets": {"i": 0}}, "brackets must be a list"),
+    ({"brackets": [{"i": 0, "j": 1, "coefficients": [1]}]}, "bad bracket record"),
+    ({"brackets": [{"i": 0, "j": 1, "coefficients": "a"}]}, "bad bracket record"),
+    ({"brackets": [{"i": 0, "j": 1, "coefficients": {"a": [1]}}]}, "bad rational"),
+    ({"brackets": [{"i": 0, "j": 1, "coefficients": {"a": {"n": 1}}}]}, "bad rational"),
+    ({"brackets": [{"i": 0, "j": 1, "coefficients": {"a": None}}]}, "bad rational"),
+    ({"brackets": [{"i": 0, "j": 1, "coefficients": {"a": True}}]}, "bad rational"),
+    ({"brackets": [{"i": False, "j": True, "coefficients": {"a": "1"}}]}, "0 <= i < j"),
+    ({"dim": True, "names": ["a"], "brackets": []}, "does not match"),
+], ids=["brackets-int", "brackets-object", "coefficients-list", "coefficients-string",
+        "value-list", "value-object", "value-null", "value-true", "indices-bool", "dim-true"])
+def test_malformed_documents_are_schema_errors(overrides, match):
+    with pytest.raises(SchemaError, match=match):
+        from_json_text(json.dumps(make_doc(**overrides)))
+
+
+def test_integer_coefficients_still_load():
+    t = document_to_table(make_doc(brackets=[{"i": 0, "j": 1, "coefficients": {"a": 3, "b": "-1/2"}}]))
+    assert t.bracket_map(0, 1) == {0: Fraction(3), 1: Fraction(-1, 2)}
+
+
+def test_deeply_nested_json_is_a_schema_error():
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        from_json_text("[" * 100_000 + "]" * 100_000)
+
+
 def test_floats_rejected_at_json_layer():
     doc = make_doc()
     doc["brackets"][0]["coefficients"]["a"] = 0.5
