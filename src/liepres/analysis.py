@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import RatMatrix, integer_char_poly, integer_scaled, invert, kernel_basis, rank, rref
+from .linalg import Echelon, RatMatrix, integer_char_poly, integer_scaled, invert, kernel_basis
 from .table import StructureTable
 
 
@@ -52,24 +52,24 @@ def check_jacobi(t: StructureTable) -> list:
 class DerivedCenter:
     derived_dim: int
     center_dim: int
-    derived_basis: tuple
+    derived_basis: tuple  # sparse vectors {index: coefficient}, as are the center's
     center_basis: tuple
 
 
 def derived_subalgebra_and_center(t: StructureTable) -> DerivedCenter:
+    """[g, g] as the span of the brackets, the center as the common kernel of the ad(b_i).
+
+    v is central when the coefficient of b_k in [b_i, v] vanishes for every i and
+    k: one sparse row {m: c_im^k} per (i, k), read off the constants.
+    """
     n = t.dim
-    brackets = [t.bracket_vector(i, j) for i in range(n) for j in range(i + 1, n)]
-    if brackets:
-        red, pivots = rref(RatMatrix.from_rows(brackets))
-        derived = tuple(tuple(red.row(r)) for r in range(len(pivots)))
-    else:
-        derived = ()
-    stacked = [row for i in range(n) for row in t.ad_matrix(i).row_list()]
-    if stacked:
-        center = tuple(tuple(v) for v in kernel_basis(RatMatrix.from_rows(stacked)))
-    else:
-        center = tuple(tuple(v) for v in RatMatrix.identity(n).row_list())
-    return DerivedCenter(len(derived), len(center), derived, center)
+    derived = Echelon.of(t.bracket_map(i, j) for i in range(n) for j in range(i + 1, n)).rows
+    rows: dict = {}
+    for (i, j, k), v in t.c.items():
+        rows.setdefault((i, k), {})[j] = v
+        rows.setdefault((j, k), {})[i] = -v
+    center = kernel_basis(rows.values(), n)
+    return DerivedCenter(len(derived), len(center), tuple(derived[p] for p in sorted(derived)), tuple(center))
 
 
 def _killing_entry(adi: dict, adj: dict) -> Fraction:
@@ -118,34 +118,27 @@ class CartanCheck:
     abelian: bool
     self_normalizing: bool
     normalizer_dim: int
-    witness: tuple | None  # offending pair or normalizer vector outside the span
+    witness: tuple | dict | None  # offending pair, or sparse normalizer vector outside the span
 
 
 def cartan_check(t: StructureTable, indices) -> CartanCheck:
     """Verify a set of basis indices spans an abelian self-normalizing subalgebra."""
     indices = list(indices)
     n = t.dim
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            if any(x != 0 for x in t.bracket_vector(indices[a], indices[b])):
-                return CartanCheck(False, False, False, 0, (indices[a], indices[b]))
+    for a, b in itertools.combinations(indices, 2):
+        if t.bracket_map(a, b):
+            return CartanCheck(False, False, False, 0, (a, b))
     inside = set(indices)
-    cond_rows = []
+    rows: dict = {}  # (h, k) -> the coefficient of b_k in [b_h, v], for b_k outside the span
     for h in indices:
-        adh = t.ad_matrix(h)
-        for k in range(n):
-            if k not in inside:
-                cond_rows.append([-adh[k, j] for j in range(n)])  # row k of ad(b_h) applied to v
-    if cond_rows:
-        normalizer = kernel_basis(RatMatrix.from_rows(cond_rows))
-    else:
-        normalizer = RatMatrix.identity(n).row_list()
+        for m, col in _ad_map(t, h).items():
+            for k, v in col.items():
+                if k not in inside:
+                    rows.setdefault((h, k), {})[m] = v
+    normalizer = kernel_basis(rows.values(), n)
     ndim = len(normalizer)
     if ndim != len(indices):
-        witness = next(
-            (tuple(v) for v in normalizer if any(v[k] != 0 for k in range(n) if k not in inside)),
-            None,
-        )
+        witness = next((v for v in normalizer if any(k not in inside for k in v)), None)
         return CartanCheck(False, True, False, ndim, witness)
     return CartanCheck(True, True, True, ndim, None)
 
@@ -355,20 +348,20 @@ def find_cartan_candidate(t: StructureTable) -> list:
     If ad(b_i) is diagonal in the table basis it is rationally diagonalizable, its
     eigenvalues being the diagonal entries, and b_i needs no characteristic
     polynomial. Any other element qualifies when the geometric multiplicities of
-    its rational eigenvalues add up to the dimension.
+    its rational eigenvalues add up to the dimension; the rank of ad(b_i) - lambda
+    is that of its sparse columns.
     """
     n = t.dim
     chosen = []
     for i in range(n):
         if any(t.bracket_map(i, j) for j in chosen):
             continue
-        if not _is_diagonal(_ad_map(t, i)):
-            adi = t.ad_matrix(i)
+        ad = _ad_map(t, i)
+        if not _is_diagonal(ad):
             total = 0
-            for lam in rational_eigenvalues(adi):
-                shifted = RatMatrix(n, n, [adi.entries[idx] - (lam if idx % (n + 1) == 0 else 0)
-                                           for idx in range(n * n)])
-                total += n - rank(shifted)
+            for lam in rational_eigenvalues(t.ad_matrix(i)):
+                shifted = ({**ad.get(m, {}), m: ad.get(m, {}).get(m, 0) - lam} for m in range(n))
+                total += n - len(Echelon.of(shifted).rows)
             if total != n:
                 continue
         chosen.append(i)
@@ -378,22 +371,14 @@ def find_cartan_candidate(t: StructureTable) -> list:
 def lower_central_dims(t: StructureTable) -> list:
     """Dimensions of the lower central series g, [g,g], [g,[g,g]], ... until stable."""
     n = t.dim
-    current = [list(r) for r in RatMatrix.identity(n).row_list()]
+    current = [{k: 1} for k in range(n)]
     dims = [n]
     while True:
-        images = []
-        for i in range(n):
-            for v in current:
-                images.append(t.ad_matrix(i).apply(v))
-        if not images or all(all(x == 0 for x in v) for v in images):
-            dims.append(0)
+        span = Echelon.of(t.bracket({i: 1}, v) for i in range(n) for v in current).rows
+        dims.append(len(span))
+        if not span or dims[-1] == dims[-2]:
             return dims
-        red, pivots = rref(RatMatrix.from_rows(images))
-        nxt = [red.row(r) for r in range(len(pivots))]
-        dims.append(len(nxt))
-        if len(nxt) == dims[-2]:
-            return dims
-        current = nxt
+        current = list(span.values())
 
 
 @dataclass

@@ -9,14 +9,14 @@ from . import analysis
 from .freelie import DegreeCapExceeded, lyndon_words
 from .g2 import named_basis_free, rewriter_structure_table
 from .linalg import det
-from .presentation import ParseError, parse_presentation
+from .presentation import ParseError, combination_text, parse_presentation
 from .quotient import (
     NamesNotBasisError,
     certify,
     check_degree_bound,
     quotient_closure,
+    renamed,
     rewriter_applicable,
-    structure_table,
 )
 from .tabledoc import format_rational, load_table, save_table, to_csv, to_json_text, to_latex
 
@@ -35,18 +35,7 @@ def _positive_int(text: str) -> int:
 
 def _vec_str(coeffs: dict, names) -> str:
     """Human form of a sparse coefficient map, e.g. 2*y3 - h1."""
-    if not coeffs:
-        return "0"
-    parts = []
-    for k in sorted(coeffs):
-        c = coeffs[k]
-        mag = format_rational(abs(c))
-        body = names[k] if mag == "1" else f"{mag}*{names[k]}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(parts)
+    return combination_text((names[k], coeffs[k]) for k in sorted(coeffs))
 
 
 def _load_presentation(path: str):
@@ -127,7 +116,7 @@ def cmd_derive(args) -> int:
 
     applicable = rewriter_applicable(pres)
     try:
-        table = structure_table(pres, named_basis_free() if applicable else None, qb=qb)
+        table = renamed(qb, cert.table, named_basis_free() if applicable else None)
     except NamesNotBasisError:
         print("engines disagree: the closure quotient does not admit the rewriter basis",
               file=sys.stderr)

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 `Echelon` is the package's one elimination kernel: a sparse reduced echelon form
-over the integers.  The closure engine, `QuotientBasis.reduce` and the dense
-`RatMatrix` wrappers (`rref`, and on top of it `rank`, `kernel_basis`, `invert`)
-all run on it.  The integer characteristic polynomial (Faddeev-LeVerrier, no
+over the integers.  Every span, rank and kernel runs on it over sparse rows: the
+closure engine, `QuotientBasis.reduce`, `kernel_basis`, the subalgebras and
+multiplicities in `analysis`, and `basis_change`, which renames tables
+(`StructureTable.rebased`) and gives `invert`.  The dense `RatMatrix` holds the
+Killing form; its integer characteristic polynomial (Faddeev-LeVerrier, no
 elimination) gives `char_poly`, the eigenvalues in `analysis` and `det`.
 """
 
@@ -137,6 +139,15 @@ class Echelon:
         self.rows: dict = {}            # pivot index -> {index: int}
         self.containing: dict = {}      # index -> set of pivots whose row touches it
 
+    @classmethod
+    def of(cls, rows) -> "Echelon":
+        """The Echelon of sparse rational rows {index: int or Fraction}, each scaled to integers."""
+        ech = cls()
+        for row in rows:
+            _, ints = integer_scaled(row.values())
+            ech.add({k: x for k, x in zip(row, ints) if x})
+        return ech
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Echelon) and self.rows == other.rows
 
@@ -209,58 +220,57 @@ class Echelon:
         return p
 
 
-def rref(m: RatMatrix) -> tuple:
-    """Reduced row echelon form; returns (matrix, pivot column indices).
+def kernel_basis(rows, n: int) -> list:
+    """Basis of {x in Q^n : row . x = 0 for every row}, rows sparse {index: rational}.
 
-    The rows go into an Echelon with their columns reversed, so that its
-    maximum-index pivot is the leftmost column; each row is then divided by its
-    pivot.  Zero rows fill the matrix up to m.rows.
+    One vector per free column f, read off the Echelon of the rows: each row's
+    pivot p is its largest index and its tail holds no pivot, so x_f = 1, the
+    other free coordinates 0 and x_p = -row_p[f] / row_p[p] solve every row.
     """
-    last = m.cols - 1
+    pivots = Echelon.of(rows).rows
+    return [{f: Fraction(1), **{p: Fraction(-row[f], row[p]) for p, row in pivots.items() if f in row}}
+            for f in range(n) if f not in pivots]
+
+
+def basis_change(coords, n: int):
+    """The map from coordinates over X to those over Y_i = sum_k coords[i][k] X_k, i < n.
+
+    One sparse elimination: the n rows sum_k c_ik X_k - Y_i, with X on the
+    indices n + k, go into an Echelon.  The Y_i form a basis exactly when every
+    X_k becomes a pivot; then reducing an X-coordinate vector leaves its Y
+    coordinates on the indices below n.  Returns None when they are not a basis.
+    """
     ech = Echelon()
-    for i in range(m.rows):
-        _, ints = integer_scaled(m.row(i))
-        ech.add({last - j: x for j, x in enumerate(ints) if x})
-    pivots = sorted(last - p for p in ech.rows)
-    entries = []
-    for j in pivots:
-        row = ech.rows[last - j]
-        lead = row[last - j]
-        entries += [Fraction(row.get(last - k, 0), lead) for k in range(m.cols)]
-    entries += [Fraction(0)] * ((m.rows - len(pivots)) * m.cols)
-    return RatMatrix(m.rows, m.cols, entries), tuple(pivots)
+    for i, vec in enumerate(coords):
+        D, ints = integer_scaled(vec.values())
+        row = {n + k: x for k, x in zip(vec, ints) if x}
+        row[i] = -D
+        ech.add(row)
+    if sorted(ech.rows) != list(range(n, 2 * n)):
+        return None
 
+    def new_coordinates(vec: dict) -> dict:
+        D, ints = integer_scaled(vec.values())
+        rem, s = ech.reduce({n + k: x for k, x in zip(vec, ints) if x})
+        return {i: Fraction(x, D * s) for i, x in rem.items()}
 
-def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
-
-
-def kernel_basis(m: RatMatrix) -> list:
-    """Basis of the right kernel; one vector per free column, exact."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        # pivot row i: x_{pivots[i]} + sum over free j of red[i,j] x_j = 0
-        for i, pj in enumerate(pivots):
-            v[pj] = -red[i, f]
-        basis.append(v)
-    return basis
+    return new_coordinates
 
 
 def invert(m: RatMatrix) -> RatMatrix | None:
-    """Exact inverse, or None if the matrix is singular."""
+    """Exact inverse, or None if the matrix is singular.
+
+    Row i of m gives Y_i over the unit vectors X, and row k of the inverse is
+    the coordinate vector of X_k over the Y.
+    """
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
     n = m.rows
-    aug = RatMatrix.from_rows([m.row(i) + RatMatrix.identity(n).row(i) for i in range(n)])
-    red, pivots = rref(aug)
-    if pivots != tuple(range(n)):
+    new_coordinates = basis_change([dict(enumerate(m.row(i))) for i in range(n)], n)
+    if new_coordinates is None:
         return None
-    return RatMatrix.from_rows([red.row(i)[n:] for i in range(n)])
+    xs = [new_coordinates({k: 1}) for k in range(n)]
+    return RatMatrix.from_rows([[x.get(i, 0) for i in range(n)] for x in xs])
 
 
 def integer_char_poly(m: RatMatrix) -> tuple:

@@ -54,11 +54,15 @@ def _tokenize(text: str):
             if ch in _PUNCT:
                 tokens.append((_PUNCT[ch], ch, ln, start))
                 col += 1
-            elif ch.isdigit():
+            elif ch.isdecimal():
                 j = col
-                while j < n and line[j].isdigit():
+                while j < n and line[j].isdecimal():
                     j += 1
-                tokens.append(("INT", int(line[col:j]), ln, start))
+                try:
+                    value = int(line[col:j])
+                except ValueError:  # past the interpreter's limit on digits
+                    raise ParseError(f"number of {j - col} digits is too long", ln, start) from None
+                tokens.append(("INT", value, ln, start))
                 col = j
             elif ch.isalpha() or ch == "_":
                 j = col
@@ -187,21 +191,23 @@ def parse_presentation(text: str) -> Presentation:
     return _Parser(text).parse()
 
 
-def poly_text(p: LiePoly, names) -> str:
-    """Render a Lie polynomial as a sum of bracketed Lyndon monomials."""
-    if p.is_zero():
-        return "0"
+def combination_text(terms) -> str:
+    """A linear combination from ordered (label, coefficient) pairs, e.g. 2*y3 - h1; "0" if empty."""
     bits = []
-    for w in sorted(p.terms, key=lambda w: (len(w), w)):
-        c = p.terms[w]
-        mono = bracket_string(w, names)
+    for label, c in terms:
         mag = abs(c)
-        body = mono if mag == 1 else f"{mag}*{mono}"
+        body = label if mag == 1 else f"{mag}*{label}"
         if not bits:
             bits.append(body if c > 0 else f"-{body}")
         else:
             bits.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(bits)
+    return " ".join(bits) or "0"
+
+
+def poly_text(p: LiePoly, names) -> str:
+    """Render a Lie polynomial as a sum of bracketed Lyndon monomials."""
+    words = sorted(p.terms, key=lambda w: (len(w), w))
+    return combination_text((bracket_string(w, names), p.terms[w]) for w in words)
 
 
 def format_presentation(pres: Presentation) -> str:

@@ -303,14 +303,19 @@ def structure_table(pres: Presentation, names: dict | None = None,
     """Bracket table of the quotient over named elements (default: the representatives).
 
     The table is the model that `certify` checks, built from the generators'
-    action on the representatives; every representative must lie below the
-    degree bound.  names maps name -> LiePoly in the free algebra, in the desired
-    basis order; the model is renamed by the names' coordinates.  Raises
-    NamesNotBasisError if they do not form a basis of the quotient.
+    action on the representatives (every representative must lie below the
+    degree bound) and then `renamed`.
     """
     if qb is None:
         qb = quotient_closure(pres, degree_bound)
-    _, model = _model(qb)
+    return renamed(qb, _model(qb)[1], names)
+
+
+def renamed(qb: QuotientBasis, model: StructureTable, names: dict | None) -> StructureTable:
+    """model, the table over qb's representatives, renamed to names (name -> LiePoly, in basis order).
+
+    None keeps the representatives; raises NamesNotBasisError if the names are not a basis.
+    """
     if names is None:
         return model
     return model.rebased(names, (_sparse(qb.reduce(p)) for p in names.values()))
@@ -323,13 +328,9 @@ def _relation_span(relations) -> Echelon | None:
     """
     words = [w for group in freelie.lyndon_words(3, 4)[1:] for w in group]
     index = {w: i for i, w in enumerate(words)}
-    span = Echelon()
-    for rel in relations:
-        if any(w not in index for w in rel.terms):
-            return None
-        _, ints = integer_scaled(rel.terms.values())
-        span.add({index[w]: c for w, c in zip(rel.terms, ints)})
-    return span
+    if any(w not in index for rel in relations for w in rel.terms):
+        return None
+    return Echelon.of({index[w]: c for w, c in rel.terms.items()} for rel in relations)
 
 
 def rewriter_applicable(pres: Presentation) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .freelie import standard_factorization
-from .linalg import Echelon, RatMatrix, integer_scaled
+from .linalg import RatMatrix, basis_change
 
 
 class NamesNotBasisError(ValueError):
@@ -78,11 +78,8 @@ class StructureTable:
     def rebased(self, names, coords) -> "StructureTable":
         """The table over new basis elements Y_i = sum_k coords[i][k] b_k, named names[i].
 
-        One sparse elimination: the rows sum_k c_ik X_k - Y_i, with the old basis X
-        on the higher indices, go into an Echelon.  The Y_i form a basis exactly
-        when every X_k becomes a pivot; then reducing an old-coordinate vector
-        leaves its new coordinates on the Y indices.  Raises NamesNotBasisError for
-        a wrong number of elements or a dependent set.
+        Each bracket [Y_i, Y_j] is renamed to Y coordinates by linalg.basis_change.
+        Raises NamesNotBasisError for a wrong number of elements or a dependent set.
         """
         names = tuple(names)
         n = self.dim
@@ -91,20 +88,9 @@ class StructureTable:
         coords = list(coords)
         if len(coords) != n:
             raise NamesNotBasisError(f"{len(coords)} coordinate vectors for {n} names")
-        ech = Echelon()
-        for i, vec in enumerate(coords):
-            D, ints = integer_scaled(vec.values())
-            row = {n + k: x for k, x in zip(vec, ints)}
-            row[i] = -D
-            ech.add(row)
-        if any(p < n for p in ech.rows):
+        new_coordinates = basis_change(coords, n)
+        if new_coordinates is None:
             raise NamesNotBasisError("the names do not form a basis of the quotient")
-
-        def new_coordinates(vec: dict) -> dict:
-            D, ints = integer_scaled(vec.values())
-            rem, s = ech.reduce({n + k: x for k, x in zip(vec, ints)})
-            return {i: Fraction(x, D * s) for i, x in rem.items()}
-
         c = {}
         for i in range(n):
             for j in range(i + 1, n):

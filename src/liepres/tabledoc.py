@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .table import StructureTable
@@ -20,15 +21,26 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    if isinstance(s, float):
-        raise SchemaError("floats are not exact; coefficients must be rational strings")
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise SchemaError(f"bad rational {s!r}: coefficients must be rational strings")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _excerpt(x) -> str:
+    text = repr(x)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def parse_rational(s) -> Fraction:
+    """A coefficient as format_rational writes it, "p" or "p/q" in ASCII digits, or a JSON integer."""
+    if _is_int(s):
+        return Fraction(s)
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise SchemaError(f"bad rational {_excerpt(s)}: coefficients must be strings \"p\" or \"p/q\"")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise SchemaError(f"bad rational {s!r}: {e}") from None
+    except ZeroDivisionError:
+        raise SchemaError(f"bad rational {_excerpt(s)}: zero denominator") from None
+    except ValueError:  # past the interpreter's limit on digits
+        raise SchemaError(f"bad rational {_excerpt(s)}: too many digits") from None
 
 
 def table_to_document(t: StructureTable) -> dict:
@@ -93,9 +105,17 @@ def to_json_text(t: StructureTable) -> str:
     return json.dumps(table_to_document(t), indent=2, sort_keys=False) + "\n"
 
 
+def _json_int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError:  # past the interpreter's limit on digits
+        raise SchemaError(f"integer of {len(s.lstrip('-'))} digits is too long") from None
+
+
 def from_json_text(text: str) -> StructureTable:
     try:
-        doc = json.loads(text, parse_float=lambda s: (_ for _ in ()).throw(SchemaError("floats are not exact")))
+        doc = json.loads(text, parse_int=_json_int,
+                         parse_float=lambda s: (_ for _ in ()).throw(SchemaError("floats are not exact")))
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}") from None
     except RecursionError:

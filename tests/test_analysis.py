@@ -118,6 +118,21 @@ def test_cartan_check_positive_and_negative(golden):
     assert too_small.normalizer_dim == 4
 
 
+def test_normalizer_is_not_the_centralizer(sl2_table):
+    # [e, h] = -2e lies in span{e}: h normalizes span{e} without centralizing it
+    e, h = sl2_table.index_of("e"), sl2_table.index_of("h")
+    check = analysis.cartan_check(sl2_table, [e])
+    assert (check.ok, check.normalizer_dim) == (False, 2)
+    assert check.witness.get(h)
+
+
+def test_cartan_candidate_with_an_asymmetric_spectrum():
+    # basis (a, c = a + b) of [a, b] = b: ad(a) is not diagonal, has eigenvalues 0
+    # and 1, and each multiplicity is that of its own eigenvalue, not of -lambda
+    t = StructureTable(["a", "c"], {(0, 1, 1): Fraction(1), (0, 1, 0): Fraction(-1)})
+    assert analysis.find_cartan_candidate(t) == [0]
+
+
 def test_char_poly_known_cases():
     m = RatMatrix.from_rows([[2, 1], [0, 3]])
     assert char_poly(m) == [Fraction(1), Fraction(-5), Fraction(6)]

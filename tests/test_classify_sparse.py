@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import liepres
 from liepres import analysis
 from liepres.cli import main
-from liepres.linalg import RatMatrix, invert, rank
+from liepres.linalg import RatMatrix, invert
 from liepres.presentation import parse_presentation
 from liepres.quotient import structure_table
 from liepres.table import NamesNotBasisError, StructureTable
@@ -188,6 +188,22 @@ def test_classify_refuses_basis_not_aligned_with_roots(name, plus):
     assert lines[-1] == "type: unrecognized (root spaces are not aligned with the table basis)"
 
 
+def rank(m):
+    """Dense Gaussian elimination over Fraction, the reference for the sparse multiplicities."""
+    rows, r = m.row_list(), 0
+    for j in range(m.cols):
+        p = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][j]:
+                f = rows[i][j] / rows[r][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 def diagonalizable_over_q(m):
     """The geometric multiplicities of the rational eigenvalues add up to the size."""
     n = m.rows
@@ -252,6 +268,19 @@ def test_sparse_rebased_equals_the_dense_reference(table, data):
     basis = data.draw(invertible_bases(table.dim))
     coords = [{k: x for k, x in enumerate(row) if x} for row in basis]
     assert table.rebased(table.names, coords) == dense_rebased(table, basis)
+
+
+@pytest.mark.parametrize("table", [SL2, HEIS], ids=["sl2", "heisenberg"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_derived_and_center_survive_a_change_of_basis(table, data):
+    # in a mixed basis the center's rows {m: c_im^k} take entries from brackets
+    # on both sides of i, so a sign slip there leaves non-central vectors
+    t = dense_rebased(table, data.draw(invertible_bases(table.dim)))
+    dc, ref = analysis.derived_subalgebra_and_center(t), analysis.derived_subalgebra_and_center(table)
+    assert (dc.derived_dim, dc.center_dim) == (ref.derived_dim, ref.center_dim)
+    for v in dc.center_basis:
+        assert all(not t.bracket({i: 1}, v) for i in range(t.dim))
 
 
 @pytest.mark.parametrize("table", [GOLDEN, SL2, HEIS], ids=["g2", "sl2", "heisenberg"])

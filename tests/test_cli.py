@@ -160,6 +160,17 @@ def test_derive_deep_nesting_is_a_parse_error(run, tmp_path):
     assert stderr == f"error: {path}: line 2, column 411: brackets nested deeper than 100\n"
 
 
+@pytest.mark.parametrize("relation, col", [("{huge}*[a,b] = 0", 11), ("[a,b] = 1/{huge}*a", 21)],
+                         ids=["numerator", "denominator"])
+def test_derive_number_past_the_digit_limit_is_a_parse_error(run, tmp_path, relation, col):
+    path = tmp_path / "huge.lp"
+    path.write_text("generators: a b\nrelation: " + relation.format(huge="1" * 5000) + "\n")
+    code, stdout, stderr = run("derive", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {path}: line 2, column {col}: number of 5000 digits is too long\n"
+
+
 def test_derive_missing_file(run, tmp_path):
     code, _, stderr = run("derive", str(tmp_path / "nope.lp"))
     assert code == 2
@@ -277,6 +288,16 @@ def test_malformed_table_exits_2(run, tmp_path, command, case):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_classify_long_coefficient_is_cut_in_the_message(run, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text('{"schema_version": "1", "dim": 2, "names": ["a", "b"], '
+                 '"brackets": [{"i": 0, "j": 1, "coefficients": {"a": "' + "7" * 5000 + '"}}]}')
+    code, stdout, stderr = run("classify", "--table", str(p))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: bad rational '" + "7" * 36 + "...: too many digits\n"
 
 
 def test_verify_malformed_golden_exits_2(run, tmp_path):

@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liepres.linalg import RatMatrix, det, invert, kernel_basis, rank, rref
+from liepres.linalg import Echelon, RatMatrix, basis_change, det, invert, kernel_basis
+from liepres.table import NamesNotBasisError, StructureTable
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -34,26 +37,32 @@ def eliminate_right_to_left(rows):
     return basis
 
 
-def in_span(basis, vec):
-    return rank(RatMatrix.from_rows(list(basis) + [list(vec)])) == rank(RatMatrix.from_rows(basis))
+def sparse_rows(m):
+    return [{j: x for j, x in enumerate(r) if x} for r in m.row_list()]
 
 
-def test_rref_row_space_matches_independent_elimination():
+def dense(vec, n):
+    return [vec.get(k, Fraction(0)) for k in range(n)]
+
+
+def annihilates(m, vec):
+    return all(x == 0 for x in m.apply(dense(vec, m.cols)))
+
+
+def test_kernel_annihilates_independent_elimination():
     rng = random.Random(20240811)
     for trial in range(25):
         m = rand_matrix(rng, 5, 7)
-        red, pivots = rref(m)
-        mine = [red.row(i) for i in range(len(pivots))]
-        other = eliminate_right_to_left(m.row_list())
-        assert len(mine) == len(other)
-        for v in mine:
-            assert in_span(other, v)
-        for v in other:
-            assert in_span(mine, v)
+        ker = kernel_basis(sparse_rows(m), 7)
+        other = RatMatrix.from_rows(eliminate_right_to_left(m.row_list()) or [[0] * 7])
+        assert len(ker) == 7 - rank(other)
+        for v in ker:
+            assert annihilates(other, v)
+        assert rank(RatMatrix.from_rows([dense(v, 7) for v in ker] or [[0] * 7])) == len(ker)
 
 
 def gauss_jordan(m):
-    """Dense Gauss-Jordan over Fraction, leftmost pivot first: the reference for rref."""
+    """Dense Gauss-Jordan over Fraction, leftmost pivot first: the reference elimination."""
     rows = m.row_list()
     pivots = []
     r = 0
@@ -75,7 +84,27 @@ def gauss_jordan(m):
     return RatMatrix.from_rows(rows) if rows else m, tuple(pivots)
 
 
-def test_rref_equals_dense_gauss_jordan():
+def rank(m):
+    return len(gauss_jordan(m)[1])
+
+
+def reference_kernel(m):
+    """(pivots, kernel) from gauss_jordan on the reversed columns, rightmost pivot first as in Echelon.
+
+    With the pivot columns fixed, the kernel vector with x_f = 1 and every other
+    free coordinate 0 is unique, so the kernel must match vector for vector.
+    """
+    last = m.cols - 1
+    red, pivots = gauss_jordan(RatMatrix(m.rows, m.cols, [x for r in m.row_list() for x in reversed(r)]))
+    row_of = {last - j: r for r, j in enumerate(pivots)}
+    kernel = []
+    for f in range(m.cols):
+        if f not in row_of:
+            kernel.append({f: Fraction(1), **{p: -red[r, last - f] for p, r in row_of.items() if red[r, last - f]}})
+    return sorted(row_of), kernel
+
+
+def test_kernel_basis_equals_reversed_gauss_jordan():
     rng = random.Random(4242)
     shapes = [(0, 0), (0, 4), (3, 0), (1, 1), (5, 9), (9, 5), (6, 6), (12, 4), (3, 14)]
     for trial in range(40):
@@ -96,36 +125,40 @@ def test_rref_equals_dense_gauss_jordan():
                 r[zero_col] = Fraction(0)
             grid[(zero_row + 1) % rows] = list(grid[(zero_row + 2) % rows])
             m = RatMatrix.from_rows(grid)
-        assert rref(m) == gauss_jordan(m), m
+        pivots, kernel = reference_kernel(m)
+        assert sorted(Echelon.of(sparse_rows(m)).rows) == pivots, m
+        assert kernel_basis(sparse_rows(m), m.cols) == kernel, m
 
 
-def test_rref_shape_and_pivots():
+def test_echelon_pivots_and_free_columns():
     rng = random.Random(7)
     for trial in range(25):
         m = rand_matrix(rng, 4, 6)
-        red, pivots = rref(m)
-        assert sorted(pivots) == list(pivots)
-        for r, c in enumerate(pivots):
-            assert red[r, c] == 1
-            for r2 in range(4):
-                if r2 != r:
-                    assert red[r2, c] == 0
-        assert rank(m) == len(pivots)
+        rows = Echelon.of(sparse_rows(m)).rows
+        assert len(rows) == rank(m)
+        for p, row in rows.items():
+            assert max(row) == p and row[p] > 0
+            assert not any(q in row for q in rows if q != p)
+        ker = kernel_basis(sparse_rows(m), 6)
+        free = [f for f in range(6) if f not in rows]
+        assert len(ker) == len(free)
+        for f, v in zip(free, ker):
+            assert [v.get(g, 0) for g in free] == [int(g == f) for g in free]
 
 
 def test_kernel_annihilates_and_has_right_dimension():
     rng = random.Random(99)
     for trial in range(25):
         m = rand_matrix(rng, 4, 6)
-        ker = kernel_basis(m)
+        ker = kernel_basis(sparse_rows(m), 6)
         assert len(ker) == 6 - rank(m)
         for v in ker:
-            assert all(x == 0 for x in m.apply(v))
+            assert annihilates(m, v)
         if ker:
-            combo = [sum(Fraction(i + 1) * v[j] for i, v in enumerate(ker)) for j in range(6)]
-            assert all(x == 0 for x in m.apply(combo))
-        if len(ker) > 1:
-            assert rank(RatMatrix.from_rows(ker)) == len(ker)
+            combo = {j: sum(Fraction(i + 1) * v.get(j, 0) for i, v in enumerate(ker)) for j in range(6)}
+            assert annihilates(m, combo)
+            assert rank(RatMatrix.from_rows([dense(v, 6) for v in ker])) == len(ker)
+    assert kernel_basis([], 3) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_invert_round_trip_and_singular():
@@ -142,6 +175,34 @@ def test_invert_round_trip_and_singular():
         assert mi.matmul(m) == RatMatrix.identity(4)
     singular = RatMatrix.from_rows([[1, 2], [2, 4]])
     assert invert(singular) is None
+
+
+SL2 = StructureTable(["e", "f", "h"], {(0, 1, 2): 1, (0, 2, 0): -2, (1, 2, 1): 2})
+ENTRIES = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ENTRIES, min_size=9, max_size=9), st.lists(ENTRIES, min_size=3, max_size=3))
+def test_invert_and_rebased_agree_through_basis_change(entries, vec):
+    # Y_i = sum_k m[i, k] X_k over sl2's basis: the inverse renames old
+    # coordinates x to x . m^-1, and rebased must give that table
+    m = RatMatrix(3, 3, entries)
+    coords = sparse_rows(m)
+    new_coordinates, inv = basis_change(coords, 3), invert(m)
+    assert (new_coordinates is None) == (inv is None) == (det(m) == 0)
+    if inv is None:
+        with pytest.raises(NamesNotBasisError):
+            SL2.rebased(SL2.names, coords)
+        return
+    assert dense(new_coordinates(dict(enumerate(vec))), 3) == RatMatrix.from_rows([vec]).matmul(inv).row(0)
+    c = {}
+    for i in range(3):
+        for j in range(i + 1, 3):
+            old = dense(SL2.bracket(coords[i], coords[j]), 3)
+            for k, x in enumerate(RatMatrix.from_rows([old]).matmul(inv).row(0)):
+                if x:
+                    c[(i, j, k)] = x
+    assert SL2.rebased(SL2.names, coords) == StructureTable(SL2.names, c)
 
 
 def permutation_expansion(m):

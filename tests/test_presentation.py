@@ -7,6 +7,7 @@ from liepres.presentation import (
     MAX_NESTING,
     ParseError,
     Presentation,
+    combination_text,
     format_presentation,
     parse_presentation,
     poly_text,
@@ -95,6 +96,24 @@ def test_zero_denominator_rejected():
     assert "denominator" in str(exc) or "zero" in str(exc).lower()
 
 
+def test_numbers_past_the_digit_limit_are_parse_errors():
+    # int() refuses more than 4300 digits; that must not escape as a bare ValueError
+    huge = "1" * 5000
+    exc = parse_error(f"generators: a b\nrelation: {huge}*[a,b] = 0")
+    assert (exc.line, exc.col) == (2, 11)
+    assert exc.message == "number of 5000 digits is too long"
+    exc = parse_error(f"generators: a b\nrelation: 3/{huge}*[a,b] = a")
+    assert (exc.line, exc.col) == (2, 13)
+    assert exc.message == "number of 5000 digits is too long"
+
+
+def test_non_decimal_digits_are_parse_errors():
+    # superscripts are digits to str.isdigit but not numbers to int()
+    exc = parse_error("generators: a b\nrelation: 2\u00b2*[a,b] = 0")
+    assert (exc.line, exc.col) == (2, 12)
+    assert "unexpected character" in exc.message
+
+
 def test_rational_coefficients():
     pres = parse_presentation("generators: a b\nrelation: [a,b] = 3/4*a - 2*b + b")
     a, b = LiePoly.generator(0), LiePoly.generator(1)
@@ -149,6 +168,13 @@ def test_poly_text_inverse_of_parsing():
     for p in samples:
         text = f"generators: a b c\nrelation: {poly_text(p, names)} = 0"
         assert parse_presentation(text).relations[0] == p
+
+
+def test_combination_text():
+    assert combination_text([]) == "0"
+    terms = [("a", Fraction(-1)), ("b", Fraction(1)), ("c", Fraction(-3, 2)), ("d", Fraction(4))]
+    assert combination_text(terms) == "-a + b - 3/2*c + 4*d"
+    assert combination_text([("[x,y]", Fraction(2, 3))]) == "2/3*[x,y]"
 
 
 def test_max_relation_degree():

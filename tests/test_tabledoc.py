@@ -44,6 +44,8 @@ def test_parse_rational_round_trip():
     vals = [Fraction(0), Fraction(17), Fraction(-4), Fraction(5, 6), Fraction(-11, 13)]
     for v in vals:
         assert parse_rational(format_rational(v)) == v
+    # spellings that format_rational does not write but the pattern admits
+    assert [parse_rational(s) for s in ("-0", "007", "4/6")] == [0, 7, Fraction(2, 3)]
 
 
 def test_parse_rational_rejects_garbage():
@@ -131,6 +133,27 @@ def test_schema_rejections():
 def test_malformed_documents_are_schema_errors(overrides, match):
     with pytest.raises(SchemaError, match=match):
         from_json_text(json.dumps(make_doc(**overrides)))
+
+
+@pytest.mark.parametrize("value", ["1e300000", "1.5", " 3/4 ", "3/4\n", "1_000", "+1", "3/-4", "\u0663", "0x10", ""])
+def test_coefficients_only_in_the_written_form(value):
+    # Fraction() alone would take all of these, "1e300000" at a cost superlinear in the exponent
+    doc = make_doc(brackets=[{"i": 0, "j": 1, "coefficients": {"a": value}}])
+    with pytest.raises(SchemaError, match="bad rational"):
+        from_json_text(json.dumps(doc))
+
+
+def test_long_values_are_cut_in_the_message():
+    with pytest.raises(SchemaError) as exc:
+        parse_rational("9" * 5000)
+    assert str(exc.value) == "bad rational '" + "9" * 36 + "...: too many digits"
+    with pytest.raises(SchemaError) as exc:
+        parse_rational("x" * 5000)
+    assert len(str(exc.value)) < 100
+    with pytest.raises(SchemaError, match="zero denominator"):
+        parse_rational("1/0")
+    with pytest.raises(SchemaError, match="integer of 5000 digits is too long"):
+        from_json_text(json.dumps(make_doc()).replace('"dim": 2', '"dim": ' + "9" * 5000))
 
 
 def test_integer_coefficients_still_load():
