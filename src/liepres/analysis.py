@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import Echelon, RatMatrix, integer_char_poly, integer_scaled, invert, kernel_basis
+from .linalg import Echelon, basis_change, integer_char_poly, integer_scaled, kernel_basis
 from .table import StructureTable
 
 
@@ -30,7 +30,7 @@ def _add_bracket(acc: dict, ad: dict, vec: dict, sign: int) -> None:
 def check_jacobi(t: StructureTable) -> list:
     """All triples i < j < k where [[bi,bj],bk] cycling fails; empty means it holds.
 
-    Each violation is (i, j, k, total) with total the dense coefficient tuple of
+    Each violation is (i, j, k, total) with total the sparse map {m: c} of
     [b_i,[b_j,b_k]] + [b_k,[b_i,b_j]] - [b_j,[b_i,b_k]], summed over bracket maps.
     """
     n = t.dim
@@ -43,8 +43,9 @@ def check_jacobi(t: StructureTable) -> list:
                 _add_bracket(acc, ads[i], ads[j].get(k, {}), 1)
                 _add_bracket(acc, ads[k], ads[i].get(j, {}), 1)
                 _add_bracket(acc, ads[j], ads[i].get(k, {}), -1)  # [b_j,[b_k,b_i]] = -[b_j,[b_i,b_k]]
-                if any(acc.values()):
-                    violations.append((i, j, k, tuple(Fraction(acc.get(m, 0)) for m in range(n))))
+                total = {m: v for m, v in acc.items() if v}
+                if total:
+                    violations.append((i, j, k, total))
     return violations
 
 
@@ -83,30 +84,29 @@ def _killing_entry(adi: dict, adj: dict) -> Fraction:
     return total
 
 
-def killing_form(t: StructureTable) -> RatMatrix:
-    """K_ij = trace(ad b_i . ad b_j), contracted over the bracket maps.
+def killing_form(t: StructureTable) -> list:
+    """The sparse rows K[i] = {j: trace(ad b_i . ad b_j)}, zeros omitted, contracted over the bracket maps.
 
     Symmetric by construction, verified anyway.
     """
     n = t.dim
     ads = [_ad_map(t, i) for i in range(n)]
-    K = RatMatrix(n, n, [_killing_entry(ads[i], ads[j]) for i in range(n) for j in range(n)])
-    if K != K.transpose():
+    K = [{j: v for j in range(n) if (v := _killing_entry(ads[i], ads[j]))} for i in range(n)]
+    if any(K[j].get(i) != v for i, row in enumerate(K) for j, v in row.items()):
         raise RuntimeError("Killing form came out asymmetric; table is inconsistent")
     return K
 
 
-def killing_invariance_violations(t: StructureTable, K: RatMatrix) -> list:
-    """Triples where K([bi,bj],bk) + K(bj,[bi,bk]) != 0."""
+def killing_invariance_violations(t: StructureTable, K: list) -> list:
+    """Triples where K([bi,bj],bk) + K(bj,[bi,bk]) != 0, K given as sparse rows."""
     n = t.dim
     out = []
     for i in range(n):
         for j in range(n):
-            vij = t.bracket_vector(i, j)
+            vij = t.bracket_map(i, j)
             for k in range(n):
-                vik = t.bracket_vector(i, k)
-                lhs = sum((vij[m] * K[m, k] for m in range(n)), Fraction(0))
-                rhs = sum((K[j, m] * vik[m] for m in range(n)), Fraction(0))
+                lhs = sum(x * K[m].get(k, 0) for m, x in vij.items())
+                rhs = sum(K[j].get(m, 0) * x for m, x in t.bracket_map(i, k).items())
                 if lhs + rhs != 0:
                     out.append((i, j, k))
     return out
@@ -226,25 +226,29 @@ def _integer_roots(p: list) -> list:
     return sorted(roots)
 
 
-def rational_eigenvalues(m: RatMatrix) -> list:
-    """All rational eigenvalues, exactly.
+def rational_eigenvalues(rows) -> list:
+    """All rational eigenvalues, exactly, of a square matrix given as its n sparse rows {j: x}.
 
     Scaling by the common denominator D makes the matrix integral, whose monic integer
     characteristic polynomial confines rational roots to integers; those are
-    isolated exactly and divided by D.
+    isolated exactly and divided by D.  The transpose has the same eigenvalues, so
+    sparse columns serve as well as rows.
     """
-    if m.rows == 0:
-        return []
-    D, a = integer_char_poly(m)
+    D, a = integer_char_poly(rows)
     return [Fraction(r, D) for r in _integer_roots(a)]
 
 
 @dataclass
 class RootDatum:
+    """Roots and root spaces of a table under a Cartan set of basis indices.
+
+    cartan_killing is the Killing form on the Cartan set as sparse rows: row a
+    maps each position b in cartan_indices to K(h_a, h_b), zeros omitted.
+    """
     cartan_indices: tuple
     roots: tuple                 # sorted tuples of Fractions, zero excluded
     root_spaces: dict            # root -> tuple of basis indices
-    cartan_killing: RatMatrix    # Killing form restricted to the Cartan indices
+    cartan_killing: list         # Killing form on the Cartan indices, sparse rows by position
 
 
 def root_decomposition(t: StructureTable, cartan_indices) -> RootDatum:
@@ -274,8 +278,8 @@ def root_decomposition(t: StructureTable, cartan_indices) -> RootDatum:
     zero_members = root_spaces.get(zero, ())
     if not set(cartan_indices) <= set(zero_members):
         raise ValueError("Cartan elements do not lie in the zero weight space")
-    ck = RatMatrix.from_rows([[_killing_entry(ads[a], ads[b]) for b in cartan_indices]
-                              for a in cartan_indices])
+    ck = [{p: v for p, b in enumerate(cartan_indices) if (v := _killing_entry(ads[a], ads[b]))}
+          for a in cartan_indices]
     roots = tuple(sorted(w for w in root_spaces if w != zero))
     return RootDatum(cartan_indices, roots, root_spaces, ck)
 
@@ -293,16 +297,17 @@ _CATALOG_ROOT_COUNT = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12}
 def cartan_matrix_and_type(rd: RootDatum) -> tuple:
     """Cartan matrix from simple roots plus the catalog type, or "unrecognized".
 
-    Inner products use the inverse of the Killing form restricted to the Cartan;
+    Inner products use the inverse of the Killing form restricted to the Cartan,
+    applied as the change of basis to its rows;
     positivity is lexicographic on the root's coordinate tuple; simple roots are the
     indecomposable positive roots, ordered by squared length then lexicographically.
     """
-    kinv = invert(rd.cartan_killing)
+    kinv = basis_change(rd.cartan_killing, len(rd.cartan_indices))
     if kinv is None:
         raise ValueError("Killing form is degenerate on the Cartan subalgebra")
 
     def inner(a, b):
-        return sum((a[i] * kinv[i, j] * b[j] for i in range(len(a)) for j in range(len(b))), Fraction(0))
+        return sum((a[i] * x for i, x in kinv(dict(enumerate(b))).items()), Fraction(0))
 
     def positive(a):
         for x in a:
@@ -359,7 +364,7 @@ def find_cartan_candidate(t: StructureTable) -> list:
         ad = _ad_map(t, i)
         if not _is_diagonal(ad):
             total = 0
-            for lam in rational_eigenvalues(t.ad_matrix(i)):
+            for lam in rational_eigenvalues(ad.get(m, {}) for m in range(n)):
                 shifted = ({**ad.get(m, {}), m: ad.get(m, {}).get(m, 0) - lam} for m in range(n))
                 total += n - len(Echelon.of(shifted).rows)
             if total != n:
@@ -393,9 +398,21 @@ _SL3_NAMES = ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32")
 
 
 def _e(i, j):
-    m = [[Fraction(0)] * 3 for _ in range(3)]
-    m[i - 1][j - 1] = Fraction(1)
-    return RatMatrix.from_rows(m)
+    return {(i - 1, j - 1): 1}
+
+
+def _combine(terms) -> dict:
+    """sum of c * m over (c, m) in terms, for 3x3 matrices as sparse maps {(r, c): x}."""
+    acc: dict = {}
+    for c, m in terms:
+        for rc, x in m.items():
+            acc[rc] = acc.get(rc, 0) + c * x
+    return {rc: x for rc, x in acc.items() if x}
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """The product ab of 3x3 matrices as sparse maps {(r, c): x}."""
+    return _combine((x * y, {(r, c): 1}) for (r, l), x in a.items() for (m, c), y in b.items() if l == m)
 
 
 def verify_sl3_subalgebra(t: StructureTable) -> Sl3Verdict:
@@ -404,12 +421,9 @@ def verify_sl3_subalgebra(t: StructureTable) -> Sl3Verdict:
     a_ij maps to the elementary matrix E_ij, h1 to E11 - E22, h2 to E22 - E33.
     """
     idx = {name: t.index_of(name) for name in _SL3_NAMES}
-
-    def msub(a, b):
-        return RatMatrix(3, 3, [x - y for x, y in zip(a.entries, b.entries)])
     model = {
-        "h1": msub(_e(1, 1), _e(2, 2)),
-        "h2": msub(_e(2, 2), _e(3, 3)),
+        "h1": _combine([(1, _e(1, 1)), (-1, _e(2, 2))]),
+        "h2": _combine([(1, _e(2, 2)), (-1, _e(3, 3))]),
         "a12": _e(1, 2), "a13": _e(1, 3), "a23": _e(2, 3),
         "a21": _e(2, 1), "a31": _e(3, 1), "a32": _e(3, 2),
     }
@@ -426,11 +440,8 @@ def verify_sl3_subalgebra(t: StructureTable) -> Sl3Verdict:
             if any(k not in sub_idx for k in bmap):
                 closure_failures.append((na, nb))
                 continue
-            commutator = msub(model[na].matmul(model[nb]), model[nb].matmul(model[na]))
-            recon = RatMatrix.zeros(3, 3)
-            for k, c in bmap.items():
-                recon = RatMatrix(3, 3, [x + c * y for x, y in zip(recon.entries, model[sub_idx[k]].entries)])
-            if recon != commutator:
+            commutator = _combine([(1, _mul(model[na], model[nb])), (-1, _mul(model[nb], model[na]))])
+            if _combine((c, model[sub_idx[k]]) for k, c in bmap.items()) != commutator:
                 model_failures.append((na, nb))
 
     invariance_failures = []

@@ -203,25 +203,24 @@ def _bracket_words(u: Word, v: Word, depth: int = 1) -> dict:
     return out
 
 
-def bracket(p: LiePoly, q: LiePoly, cap: int | None = None) -> LiePoly:
-    """Lie bracket [p, q] in the Lyndon basis."""
-    limit = DEFAULT_DEGREE_CAP if cap is None else cap
+def bracket(p: LiePoly, q: LiePoly) -> LiePoly:
+    """Lie bracket [p, q] in the Lyndon basis, refused past DEFAULT_DEGREE_CAP."""
     acc: dict = {}
     for u, cu in p.terms.items():
         for v, cv in q.terms.items():
-            if len(u) + len(v) > limit:
-                raise DegreeCapExceeded(f"bracket degree {len(u) + len(v)} exceeds cap {limit}")
+            if len(u) + len(v) > DEFAULT_DEGREE_CAP:
+                raise DegreeCapExceeded(f"bracket degree {len(u) + len(v)} exceeds cap {DEFAULT_DEGREE_CAP}")
             _add_scaled(acc, _bracket_words(u, v), cu * cv)
     return LiePoly(acc)
 
 
-def tower_to_poly(t: Tower, cap: int | None = None) -> LiePoly:
+def tower_to_poly(t: Tower) -> LiePoly:
     """Left-normed tower [x_{t0}, [x_{t1}, [... x_{tk}]]] as a LiePoly (0-based indices)."""
     if len(t) == 0:
         raise ValueError("empty tower")
     p = LiePoly.generator(t[-1])
     for a in reversed(t[:-1]):
-        p = bracket(LiePoly.generator(a), p, cap)
+        p = bracket(LiePoly.generator(a), p)
     return p
 
 

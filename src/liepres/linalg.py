@@ -1,108 +1,19 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
 
+A vector is a sparse map {index: x} and a matrix is a list of such rows.
 `Echelon` is the package's one elimination kernel: a sparse reduced echelon form
-over the integers.  Every span, rank and kernel runs on it over sparse rows: the
-closure engine, `QuotientBasis.reduce`, `kernel_basis`, the subalgebras and
-multiplicities in `analysis`, and `basis_change`, which renames tables
-(`StructureTable.rebased`) and gives `invert`.  The dense `RatMatrix` holds the
-Killing form; its integer characteristic polynomial (Faddeev-LeVerrier, no
-elimination) gives `char_poly`, the eigenvalues in `analysis` and `det`.
+over the integers.  Every span, rank and kernel runs on it: the closure engine,
+`QuotientBasis.reduce`, `kernel_basis`, the subalgebras and multiplicities in
+`analysis`, and `basis_change`, which renames tables (`StructureTable.rebased`)
+and solves against the Killing form on a Cartan subalgebra.  The integer
+characteristic polynomial of a square matrix (Faddeev-LeVerrier, no
+elimination) gives the eigenvalues in `analysis` and `det`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def _q(x) -> Fraction:
-    # Fraction(float) would silently absorb rounding error; insist on exact inputs.
-    if isinstance(x, float):
-        raise TypeError("floats are not exact; pass int, Fraction, or a 'p/q' string")
-    return Fraction(x)
-
-
-class RatMatrix:
-    """Immutable-by-convention dense matrix with Fraction entries, row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = [_q(x) for x in entries]
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows) -> "RatMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), ncols, [x for r in rows for x in r])
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(ij)
-        return self.entries[i * self.cols + j]
-
-    def row(self, i) -> list:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_list(self) -> list:
-        return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)), Fraction(0)))
-        return RatMatrix(self.rows, other.cols, out)
-
-    def apply(self, vec) -> list:
-        vec = [_q(x) for x in vec]
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch")
-        support = [(k, x) for k, x in enumerate(vec) if x]
-        return [sum((row[k] * x for k, x in support), Fraction(0)) for row in self.row_list()]
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace needs a square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-        return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
 def integer_scaled(values) -> tuple:
@@ -257,35 +168,22 @@ def basis_change(coords, n: int):
     return new_coordinates
 
 
-def invert(m: RatMatrix) -> RatMatrix | None:
-    """Exact inverse, or None if the matrix is singular.
 
-    Row i of m gives Y_i over the unit vectors X, and row k of the inverse is
-    the coordinate vector of X_k over the Y.
+
+def integer_char_poly(rows) -> tuple:
+    """(D, a): D the common denominator of the square matrix m, a = det(xI - D*m) over Z, highest power first.
+
+    m is given as its n sparse rows {j: x}, 0 <= j < n.  Faddeev-LeVerrier on
+    the integer rows of A = D*m: M_1 = A, c_k = -trace(M_k)/k,
+    M_{k+1} = A (M_k + c_k I).  Every M_k is an integer matrix and every c_k an
+    integer coefficient of det(xI - A), so each trace divides exactly.
     """
-    if m.rows != m.cols:
-        raise ValueError("inverse needs a square matrix")
-    n = m.rows
-    new_coordinates = basis_change([dict(enumerate(m.row(i))) for i in range(n)], n)
-    if new_coordinates is None:
-        return None
-    xs = [new_coordinates({k: 1}) for k in range(n)]
-    return RatMatrix.from_rows([[x.get(i, 0) for i in range(n)] for x in xs])
-
-
-def integer_char_poly(m: RatMatrix) -> tuple:
-    """(D, a): D the common denominator of m, a = det(xI - D*m) over Z, highest power first.
-
-    Faddeev-LeVerrier on the sparse integer rows of A = D*m: M_1 = A,
-    c_k = -trace(M_k)/k, M_{k+1} = A (M_k + c_k I).  Every M_k is an integer matrix
-    and every c_k an integer coefficient of det(xI - A), so each trace divides
-    exactly.
-    """
-    if m.rows != m.cols:
+    rows = list(rows)
+    n = len(rows)
+    if any(not 0 <= j < n for row in rows for j in row):
         raise ValueError("characteristic polynomial and determinant need a square matrix")
-    n = m.rows
-    D, flat = integer_scaled(m.entries)
-    rows = [{j: x for j, x in enumerate(flat[i * n:(i + 1) * n]) if x} for i in range(n)]
+    D = lcm(1, *(x.denominator for row in rows for x in row.values()))
+    rows = [{j: x.numerator * (D // x.denominator) for j, x in row.items() if x} for row in rows]
     coeffs = [1]
     mk = rows
     for k in range(1, n + 1):
@@ -305,19 +203,11 @@ def integer_char_poly(m: RatMatrix) -> tuple:
     return D, coeffs
 
 
-def char_poly(m: RatMatrix) -> list:
-    """Coefficients of det(xI - M), highest power first.
-
-    det(xI - M) = D^-n det(Dx I - D M) turns integer coefficient k into a_k / D^k.
-    """
-    D, a = integer_char_poly(m)
-    return [Fraction(c, D ** k) for k, c in enumerate(a)]
-
-
-def det(m: RatMatrix) -> Fraction:
-    """Exact determinant: (-1)^n times the constant term of det(xI - M).
+def det(rows) -> Fraction:
+    """Exact determinant of a square matrix given as sparse rows: (-1)^n times the constant term of det(xI - M).
 
     No elimination: the integer characteristic polynomial already carries it.
     """
-    D, a = integer_char_poly(m)
-    return Fraction((-1) ** m.rows * a[-1], D ** m.rows)
+    D, a = integer_char_poly(rows)
+    n = len(a) - 1
+    return Fraction((-1) ** n * a[-1], D ** n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .freelie import standard_factorization
-from .linalg import RatMatrix, basis_change
+from .linalg import basis_change
 
 
 class NamesNotBasisError(ValueError):
@@ -97,11 +97,6 @@ class StructureTable:
                 for k, v in new_coordinates(self.bracket(coords[i], coords[j])).items():
                     c[(i, j, k)] = v
         return StructureTable(names, c)
-
-    def ad_matrix(self, i: int) -> RatMatrix:
-        """Matrix of ad(b_i) acting on column vectors in the table basis."""
-        cols = [self.bracket_vector(i, j) for j in range(self.dim)]
-        return RatMatrix.from_rows([[cols[j][k] for j in range(self.dim)] for k in range(self.dim)])
 
     def index_of(self, name: str) -> int:
         try:

@@ -15,10 +15,30 @@ class SchemaError(ValueError):
     """The document does not match the table schema."""
 
 
+# Decimal digits per chunk: below the least limit on integer string conversion
+# that the interpreter accepts (640), so any integer can be written.
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_str(n: int) -> str:
+    """The decimal digits of any integer, converted one chunk of _CHUNK_DIGITS at a time."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    chunks = []
+    rest = abs(n)
+    while rest:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(low)
+    sign = "-" if n < 0 else ""
+    return sign + str(chunks[-1]) + "".join(str(c).zfill(_CHUNK_DIGITS) for c in reversed(chunks[:-1]))
+
+
 def format_rational(x: Fraction) -> str:
-    """Lowest-terms string: "p" for integers, "p/q" otherwise."""
+    """Lowest-terms string: "p" for integers, "p/q" otherwise, exact at any number of digits."""
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = _int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

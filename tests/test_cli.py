@@ -331,6 +331,27 @@ def test_classify_sl2(run, tmp_path):
     assert "type: A1" in stdout
 
 
+def test_classify_sl2_with_coefficients_of_1500_digits(run, tmp_path):
+    # [e,f] = h, [e,h] = -N e, [f,h] = N f: K is 2N on e, f and 2N^2 on h, so
+    # det K = -8 N^4, about 6000 digits, past the interpreter's str() limit
+    N = 0
+    for _ in range(1500):
+        N = 10 * N + 7
+    t = StructureTable(["e", "f", "h"], {(0, 1, 2): 1, (0, 2, 0): -N, (1, 2, 1): N})
+    p = tmp_path / "big.json"
+    save_table(t, p)
+    assert load_table(p) == t
+    det, digits = 8 * N ** 4, []
+    while det:
+        det, d = divmod(det, 10)
+        digits.append(str(d))
+    code, stdout, stderr = run("classify", "--table", str(p))
+    assert (code, stderr) == (0, "")
+    assert f"killing determinant: -{''.join(reversed(digits))} (nonzero)" in stdout.splitlines()
+    assert "cartan matrix: [[2]]" in stdout
+    assert stdout.splitlines()[-1] == "type: A1"
+
+
 def test_classify_nilpotent(run, tmp_path):
     p = tmp_path / "heis.json"
     assert run("derive", HEIS, "--max-degree", "5", "--out", str(p))[0] == 0

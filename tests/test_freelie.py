@@ -218,7 +218,7 @@ def test_bracket_string_round_names():
     assert bracket_string((0, 0, 1), ("x1", "x2", "x3")) == "[x1,[x1,x2]]"
 
 
-def test_degree_cap_enforced():
+def test_degree_cap_enforced(monkeypatch):
     p = LiePoly.monomial((0, 0, 0, 0, 0, 0, 1))
     q = LiePoly.monomial((0, 0, 0, 0, 0, 1))
     try:
@@ -227,7 +227,8 @@ def test_degree_cap_enforced():
     except DegreeCapExceeded:
         raised = True
     assert raised
-    assert bracket(p, q, cap=13).max_degree() == 13
+    monkeypatch.setattr(freelie, "DEFAULT_DEGREE_CAP", 13)
+    assert bracket(p, q).max_degree() == 13
 
 
 def test_depth_guard_unwinds_counter(monkeypatch):

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import liepres
 from liepres import freelie
-from liepres.analysis import check_jacobi
+from liepres.analysis import check_jacobi, derived_subalgebra_and_center, lower_central_dims
 from liepres.cli import main
 from liepres.freelie import Generator, LiePoly, bracket, lyndon_words, tower_to_poly
 from liepres.g2 import named_basis_free, rewriter_structure_table
-from liepres.presentation import Presentation, parse_presentation
+from liepres.presentation import Presentation, format_presentation, parse_presentation
 from liepres.quotient import (
     NamesNotBasisError,
     certify,
@@ -508,3 +508,31 @@ def test_certificate_fixes_the_quotient_above_its_bound(case):
         assert above.dim == qb.dim, higher
         assert above.representatives == qb.representatives, higher
         assert certify(pres, above).table == cert.table, higher
+
+
+def with_generators_reordered(pres: Presentation, names) -> Presentation:
+    """pres with its generators line listing names: the same relations over renumbered generators."""
+    text = format_presentation(pres).split("\n", 1)[1]
+    return parse_presentation("generators: " + " ".join(names) + "\n" + text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=presentations_and_bounds(), data=st.data())
+def test_quotient_is_invariant_under_permuting_the_generators(case, data):
+    pres, top = case
+    other = with_generators_reordered(pres, data.draw(st.permutations(pres.names)))
+    for bound in range(max(pres.max_relation_degree(), 1), top + 1):
+        qb, qb_other = quotient_closure(pres, bound), quotient_closure(other, bound)
+        assert qb.dims_by_degree() == qb_other.dims_by_degree(), bound
+        cert, cert_other = certify(pres, qb), certify(other, qb_other)
+        assert cert.ok == cert_other.ok, bound
+        if cert.ok:
+            a, b = derived_subalgebra_and_center(cert.table), derived_subalgebra_and_center(cert_other.table)
+            assert (a.derived_dim, a.center_dim) == (b.derived_dim, b.center_dim), bound
+            assert lower_central_dims(cert.table) == lower_central_dims(cert_other.table), bound
+
+
+def test_g2_with_x1_and_x3_swapped_certifies_dim_14_at_bound_4(g2_pres):
+    swapped = with_generators_reordered(g2_pres, ("x3", "x2", "x1"))
+    assert swapped.names == ("x3", "x2", "x1")
+    assert _certified_dim(swapped, 4) == 14

@@ -1,6 +1,7 @@
 """Serialization tests: JSON schema, CSV, LaTeX, rational formatting."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +39,41 @@ def test_format_rational():
     assert format_rational(Fraction(0)) == "0"
     assert format_rational(Fraction(2, 4)) == "1/2"
     assert format_rational(Fraction(-7, 3)) == "-7/3"
+
+
+def decimal_digits(n: int) -> str:
+    """The decimal string of n one digit at a time, without str() of the whole integer."""
+    digits = []
+    rest = abs(n)
+    while True:
+        rest, d = divmod(rest, 10)
+        digits.append("0123456789"[d])
+        if not rest:
+            break
+    return ("-" if n < 0 else "") + "".join(reversed(digits))
+
+
+def from_digits(text: str) -> int:
+    n = 0
+    for ch in text.lstrip("-"):
+        n = n * 10 + "0123456789".index(ch)
+    return -n if text.startswith("-") else n
+
+
+def test_format_rational_past_the_integer_string_limit():
+    # past CPython's 4300-digit limit str() of an int raises; every digit must
+    # come out, zeros inside and at the edges of the conversion chunks included
+    rng = random.Random(10)
+    texts = ["1" + "0" * 5000, "9" * 4301, "-" + "7" * 6000, "5" + "0" * 599 + "3" + "0" * 600]
+    texts += [str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(k))
+              for k in (598, 599, 600, 1199, 1200, 9000)]
+    for text in texts:
+        n = from_digits(text)
+        assert decimal_digits(n) == text
+        assert format_rational(Fraction(n)) == text
+    num, den = from_digits(texts[-1]), from_digits("3" * 5000)
+    assert format_rational(Fraction(-num, den)) == f"-{decimal_digits(num)}/{decimal_digits(den)}"
+    assert format_rational(Fraction(1, 10 ** 4400)) == "1/1" + "0" * 4400
 
 
 def test_parse_rational_round_trip():
