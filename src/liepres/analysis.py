@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .linalg import Echelon, basis_change, integer_char_poly, integer_scaled, kernel_basis
+from .record import Record
 from .table import StructureTable
 
 
@@ -49,12 +49,13 @@ def check_jacobi(t: StructureTable) -> list:
     return violations
 
 
-@dataclass
-class DerivedCenter:
-    derived_dim: int
-    center_dim: int
-    derived_basis: tuple  # sparse vectors {index: coefficient}, as are the center's
-    center_basis: tuple
+class DerivedCenter(Record):
+    __slots__ = (
+        "derived_dim",
+        "center_dim",
+        "derived_basis",  # sparse vectors {index: coefficient}, as are the center's
+        "center_basis",
+    )
 
 
 def derived_subalgebra_and_center(t: StructureTable) -> DerivedCenter:
@@ -112,13 +113,14 @@ def killing_invariance_violations(t: StructureTable, K: list) -> list:
     return out
 
 
-@dataclass
-class CartanCheck:
-    ok: bool
-    abelian: bool
-    self_normalizing: bool
-    normalizer_dim: int
-    witness: tuple | dict | None  # offending pair, or sparse normalizer vector outside the span
+class CartanCheck(Record):
+    __slots__ = (
+        "ok",
+        "abelian",
+        "self_normalizing",
+        "normalizer_dim",
+        "witness",  # offending pair, or sparse normalizer vector outside the span, or None
+    )
 
 
 def cartan_check(t: StructureTable, indices) -> CartanCheck:
@@ -238,17 +240,18 @@ def rational_eigenvalues(rows) -> list:
     return [Fraction(r, D) for r in _integer_roots(a)]
 
 
-@dataclass
-class RootDatum:
+class RootDatum(Record):
     """Roots and root spaces of a table under a Cartan set of basis indices.
 
     cartan_killing is the Killing form on the Cartan set as sparse rows: row a
     maps each position b in cartan_indices to K(h_a, h_b), zeros omitted.
     """
-    cartan_indices: tuple
-    roots: tuple                 # sorted tuples of Fractions, zero excluded
-    root_spaces: dict            # root -> tuple of basis indices
-    cartan_killing: list         # Killing form on the Cartan indices, sparse rows by position
+    __slots__ = (
+        "cartan_indices",
+        "roots",           # sorted tuples of Fractions, zero excluded
+        "root_spaces",     # root -> tuple of basis indices
+        "cartan_killing",  # Killing form on the Cartan indices, sparse rows by position
+    )
 
 
 def root_decomposition(t: StructureTable, cartan_indices) -> RootDatum:
@@ -386,12 +389,13 @@ def lower_central_dims(t: StructureTable) -> list:
         current = list(span.values())
 
 
-@dataclass
-class Sl3Verdict:
-    ok: bool
-    closure_failures: tuple   # pairs whose bracket leaves the subalgebra span
-    model_failures: tuple     # pairs where the 3x3 matrix model disagrees
-    invariance_failures: tuple  # (subalgebra name, module name) pairs
+class Sl3Verdict(Record):
+    __slots__ = (
+        "ok",
+        "closure_failures",     # pairs whose bracket leaves the subalgebra span
+        "model_failures",       # pairs where the 3x3 matrix model disagrees
+        "invariance_failures",  # (subalgebra name, module name) pairs
+    )
 
 
 _SL3_NAMES = ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32")

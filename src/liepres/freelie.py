@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .record import FrozenRecord
+
 Word = tuple  # tuple of 0-based generator indices
-
-
-@dataclass(frozen=True)
-class Generator:
-    index: int
-    name: str
 Tower = tuple  # left-normed nesting [x_{t0}, [x_{t1}, [... x_{tk}]]]
+
+
+class Generator(FrozenRecord):
+    __slots__ = ("index", "name")
+
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -128,20 +128,27 @@ class LiePoly:
 
     def __add__(self, other: "LiePoly") -> "LiePoly":
         acc = dict(self.terms)
-        _add_scaled(acc, other.terms, Fraction(1))
-        return LiePoly(acc)
+        for w, c in other.terms.items():
+            v = acc.get(w, 0) + c
+            if v:
+                acc[w] = v
+            else:
+                del acc[w]
+        return _clean_poly(acc)
 
     def __sub__(self, other: "LiePoly") -> "LiePoly":
-        acc = dict(self.terms)
-        _add_scaled(acc, other.terms, Fraction(-1))
-        return LiePoly(acc)
+        return self + -other
 
     def __neg__(self) -> "LiePoly":
-        return LiePoly({w: -c for w, c in self.terms.items()})
+        return _clean_poly({w: -c for w, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "LiePoly":
         scalar = Fraction(scalar)
-        return LiePoly({w: scalar * c for w, c in self.terms.items()})
+        if scalar == 1:
+            return _clean_poly(dict(self.terms))
+        if not scalar:
+            return LiePoly()
+        return _clean_poly({w: scalar * c for w, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LiePoly) and self.terms == other.terms
@@ -160,6 +167,13 @@ class LiePoly:
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
             bits.append(f"{self.terms[w]}*b{list(w)}")
         return " + ".join(bits)
+
+
+def _clean_poly(terms: dict) -> LiePoly:
+    """A LiePoly over terms that are already clean: tuple words, nonzero Fractions."""
+    p = LiePoly.__new__(LiePoly)
+    p.terms = terms
+    return p
 
 
 _bracket_cache: dict = {}
@@ -211,7 +225,7 @@ def bracket(p: LiePoly, q: LiePoly) -> LiePoly:
             if len(u) + len(v) > DEFAULT_DEGREE_CAP:
                 raise DegreeCapExceeded(f"bracket degree {len(u) + len(v)} exceeds cap {DEFAULT_DEGREE_CAP}")
             _add_scaled(acc, _bracket_words(u, v), cu * cv)
-    return LiePoly(acc)
+    return _clean_poly(acc)
 
 
 def tower_to_poly(t: Tower) -> LiePoly:

@@ -17,9 +17,9 @@ their images in the tower model.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib.resources import files
 
 from .freelie import LiePoly, bracket
 from .presentation import Presentation, parse_presentation
@@ -57,7 +57,9 @@ def g2_presentation_text() -> str:
       3:  [xi,[xj,[xj,xk]]] = 6 eps(i,j,k) xj   (skip j == k)
     eps = 0 instantiations stay as homogeneous degree-4 relations.
     """
-    return (files(__package__) / "fixtures" / "g2.lp").read_text(encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "g2.lp")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def g2_presentation() -> Presentation:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .freelie import Generator, LiePoly, bracket, bracket_string
+from .record import FrozenRecord
 
 
 class ParseError(ValueError):
@@ -16,10 +16,8 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple
-    relations: tuple
+class Presentation(FrozenRecord):
+    __slots__ = ("generators", "relations")
 
     @property
     def names(self) -> tuple:
@@ -131,11 +129,10 @@ class _Parser:
 
     # expr := ['+'|'-'] term (('+'|'-') term)*
     def parse_expr(self) -> LiePoly:
-        sign = Fraction(1)
-        if self.peek()[0] in ("PLUS", "MINUS"):
-            if self.next()[0] == "MINUS":
-                sign = -sign
-        acc = sign * self.parse_term()
+        negate = self.peek()[0] in ("PLUS", "MINUS") and self.next()[0] == "MINUS"
+        acc = self.parse_term()
+        if negate:
+            acc = -acc
         while self.peek()[0] in ("PLUS", "MINUS"):
             op = self.next()[0]
             term = self.parse_term()

@@ -5,7 +5,6 @@ Also the one test of whether the G2 rewriter applies to a presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -15,18 +14,19 @@ from .freelie import LiePoly, bracket_string
 from .g2 import g2_relations
 from .linalg import Echelon, integer_scaled
 from .presentation import Presentation
+from .record import FrozenRecord, Record
 from .table import NamesNotBasisError, StructureTable, action_table, generator_action, lie_map  # noqa: F401
 
 
-@dataclass
-class TruncationEvent:
+class TruncationEvent(Record):
     """A consequence all of whose children exceeded the bound and were dropped."""
-    relation_index: int
-    kept_degrees: tuple  # within-bound component degrees the dropped children had
+    __slots__ = (
+        "relation_index",
+        "kept_degrees",  # within-bound component degrees the dropped children had
+    )
 
 
-@dataclass
-class QuotientBasis:
+class QuotientBasis(Record):
     """Reduced model of the truncated quotient F_b / N computed by quotient_closure.
 
     F_b is the span of the Lyndon words of degree at most b = degree_bound, and N is
@@ -42,16 +42,19 @@ class QuotientBasis:
     The closure's own integer `Echelon` is kept: `reduce` eliminates against its
     rows, whose pivots are exactly the non-representative words.
     """
-    degree_bound: int
-    alphabet: int
-    generator_names: tuple
-    representatives: tuple           # Lyndon words, increasing (degree, lex)
-    stabilized: bool
-    truncation_events: tuple
-    dim_at_lower: int | None         # quotient dimension at degree_bound - 1, if computable
-    _rep_index: dict = field(repr=False, default_factory=dict)
-    _echelon: Echelon = field(repr=False, default_factory=Echelon)
-    _word_index: dict = field(repr=False, default_factory=dict)
+    __slots__ = (
+        "degree_bound",
+        "alphabet",
+        "generator_names",
+        "representatives",    # Lyndon words, increasing (degree, lex)
+        "stabilized",
+        "truncation_events",
+        "dim_at_lower",       # quotient dimension at degree_bound - 1, if computable
+        "_rep_index",
+        "_echelon",
+        "_word_index",
+    )
+    _hidden = ("_rep_index", "_echelon", "_word_index")
 
     @property
     def dim(self) -> int:
@@ -243,11 +246,12 @@ def _model(qb: QuotientBasis) -> tuple:
     return act, action_table((qb.representative_name(i) for i in range(qb.dim)), act)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(FrozenRecord):
     """Outcome of certify: the model table with its evidence, or the first failed check."""
-    table: StructureTable | None     # the quotient over the representatives, when certified
-    detail: str                      # the evidence, or the check that failed
+    __slots__ = (
+        "table",   # the quotient over the representatives when certified, else None
+        "detail",  # the evidence, or the check that failed
+    )
 
     @property
     def ok(self) -> bool:

@@ -114,6 +114,21 @@ def test_bracket_bilinear_and_antisymmetric():
         assert bracket(c * p, q) == c * bracket(p, q)
 
 
+def _clean_terms(p: LiePoly) -> bool:
+    return all(type(w) is tuple and type(c) is Fraction and c != 0 for w, c in p.terms.items())
+
+
+def test_public_constructor_coerces_and_arithmetic_stays_clean():
+    p = LiePoly({(0,): 2, (1,): 0, (0, 1): Fraction(0), (0, 2): Fraction(1, 3)})
+    assert p.terms == {(0,): Fraction(2), (0, 2): Fraction(1, 3)} and _clean_terms(p)
+    q = LiePoly({(0,): -2, (1,): 5})
+    for r in (p + q, p - q, q - q, -p, 1 * p, 0 * p, Fraction(3, 7) * p, 2 * q, bracket(p, q)):
+        assert _clean_terms(r)
+    assert (p + q).terms == {(0, 2): Fraction(1, 3), (1,): 5}
+    assert (q - q).is_zero() and (0 * p).is_zero()
+    assert (1 * p) == p and (1 * p).terms is not p.terms
+
+
 def test_bracket_lands_in_lyndon_basis():
     grouped = lyndon_words(3, 6)
     lyndon = {w for n in range(1, 7) for w in grouped[n]}

@@ -2,7 +2,18 @@
 
 from fractions import Fraction
 
-from liepres.freelie import LiePoly, bracket, tower_to_poly
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liepres.freelie import (
+    DegreeCapExceeded,
+    Generator,
+    LiePoly,
+    NCPoly,
+    bracket,
+    expand_to_associative,
+    tower_to_poly,
+)
 from liepres.presentation import (
     MAX_NESTING,
     ParseError,
@@ -181,3 +192,106 @@ def test_max_relation_degree():
     pres = parse_presentation("generators: a b\nrelation: [a,[a,[a,b]]] = 0\nrelation: [a,b] = 0")
     assert pres.max_relation_degree() == 4
     assert Presentation(pres.generators, ()).max_relation_degree() == 0
+
+
+# --- fuzzing the grammar ------------------------------------------------------
+
+NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True).filter(
+    lambda s: s not in ("generators", "relation"))
+
+
+@st.composite
+def presentations(draw):
+    names = draw(st.lists(NAME, min_size=1, max_size=4, unique=True))
+    n = len(names)
+    towers = st.lists(st.integers(0, n - 1), min_size=1, max_size=4).map(tuple)
+    terms = st.tuples(st.integers(-9, 9), st.integers(1, 4), towers)
+    relations = []
+    for rel in draw(st.lists(st.lists(terms, max_size=4), max_size=4)):
+        p = LiePoly.zero()
+        for num, den, tower in rel:
+            p = p + Fraction(num, den) * tower_to_poly(tower)
+        relations.append(p)
+    return Presentation(tuple(Generator(i, name) for i, name in enumerate(names)), tuple(relations))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pres=presentations())
+def test_format_then_parse_round_trips(pres):
+    text = format_presentation(pres)
+    again = parse_presentation(text)
+    assert again == pres
+    assert format_presentation(again) == text
+
+
+# An expression is a list of (sign, coefficient or None, atom); an atom is a
+# generator index or a pair of expressions in brackets.  Both are rendered as
+# text for the parser and evaluated independently in the free associative algebra.
+COEFF = st.one_of(st.none(), st.tuples(st.integers(0, 9), st.integers(1, 4)))
+
+
+def expressions(atoms):
+    return st.lists(st.tuples(st.sampled_from("+-"), COEFF, atoms), min_size=1, max_size=3)
+
+
+EXPRESSIONS = expressions(st.recursive(
+    st.integers(0, 2), lambda inner: st.tuples(expressions(inner), expressions(inner)), max_leaves=6))
+
+
+def render(expr) -> str:
+    out = []
+    for k, (sign, coeff, atom) in enumerate(expr):
+        body = f"[{render(atom[0])},{render(atom[1])}]" if isinstance(atom, tuple) else "abc"[atom]
+        if coeff is not None:
+            num, den = coeff
+            body = f"{num}*{body}" if den == 1 else f"{num}/{den}*{body}"
+        if k > 0:
+            out.append(f" {sign} {body}")
+        else:
+            out.append("-" + body if sign == "-" else body)
+    return "".join(out)
+
+
+def relation_text(lhs, rhs) -> str:
+    return f"generators: a b c\nrelation: {render(lhs)} = {render(rhs)}\n"
+
+
+def associative(expr) -> NCPoly:
+    acc = NCPoly()
+    for sign, coeff, atom in expr:
+        if isinstance(atom, tuple):
+            value = associative(atom[0]).commutator(associative(atom[1]))
+        else:
+            value = NCPoly.letter(atom)
+        scale = Fraction(*coeff) if coeff is not None else Fraction(1)
+        acc = acc + (scale if sign == "+" else -scale) * value
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(lhs=EXPRESSIONS, rhs=EXPRESSIONS)
+def test_parsed_relation_expands_like_the_expression(lhs, rhs):
+    (relation,) = parse_presentation(relation_text(lhs, rhs)).relations
+    assert expand_to_associative(relation) == associative(lhs) - associative(rhs)
+
+
+# The grammar's punctuation, digits, keywords and names, and a few characters
+# outside it.
+SOUP = st.sampled_from(["[", "]", ",", "=", "*", "+", "-", "/", ":", "\n", " ", "#", "0", "1", "12", "3/4",
+                        "generators", "relation", "a", "b", "x1", "_", "%", "\u00b2", "\u00e9"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_token_soup_parses_or_raises_a_typed_error(data):
+    # Pure soup, or a valid relation with a few tokens inserted or overwritten.
+    text = data.draw(st.one_of(st.lists(SOUP, max_size=40).map("".join),
+                               st.builds(relation_text, EXPRESSIONS, EXPRESSIONS)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        text = text[:i] + data.draw(SOUP) + text[i + data.draw(st.integers(0, 2)):]
+    try:
+        pres = parse_presentation(text)
+    except (ParseError, DegreeCapExceeded):
+        return
+    assert parse_presentation(format_presentation(pres)) == pres

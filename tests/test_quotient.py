@@ -536,3 +536,41 @@ def test_g2_with_x1_and_x3_swapped_certifies_dim_14_at_bound_4(g2_pres):
     swapped = with_generators_reordered(g2_pres, ("x3", "x2", "x1"))
     assert swapped.names == ("x3", "x2", "x1")
     assert _certified_dim(swapped, 4) == 14
+
+
+def with_generators_renamed(pres: Presentation, names) -> Presentation:
+    """pres written by format_presentation with its generators renamed, in order, and parsed back."""
+    renamed = Presentation(tuple(Generator(g.index, name) for g, name in zip(pres.generators, names)),
+                           pres.relations)
+    return parse_presentation(format_presentation(renamed))
+
+
+GENERATOR_NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=presentations_and_bounds(), data=st.data())
+def test_quotient_is_invariant_under_renaming_the_generators(case, data):
+    pres, top = case
+    n = len(pres.generators)
+    names = data.draw(st.lists(GENERATOR_NAME, min_size=n, max_size=n, unique=True))
+    other = with_generators_renamed(pres, names)
+    assert other.names == tuple(names)
+    assert other.relations == pres.relations
+    for bound in range(max(pres.max_relation_degree(), 1), top + 1):
+        qb, qb_other = quotient_closure(pres, bound), quotient_closure(other, bound)
+        assert qb.dims_by_degree() == qb_other.dims_by_degree(), bound
+        assert qb.representatives == qb_other.representatives, bound
+        cert, cert_other = certify(pres, qb), certify(other, qb_other)
+        assert cert.ok == cert_other.ok, bound
+        if cert.ok:
+            assert cert.table.c == cert_other.table.c, bound
+
+
+def test_g2_renamed_to_p_q_r_derives_the_golden_bytes(g2_pres, tmp_path):
+    lp, out = tmp_path / "pqr.lp", tmp_path / "t.json"
+    lp.write_text(format_presentation(with_generators_renamed(g2_pres, ("p", "q", "r"))), encoding="utf-8")
+    text = lp.read_text(encoding="utf-8")
+    assert text.startswith("generators: p q r\n") and "x" not in text
+    assert main(["derive", str(lp), "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / "g2_table.json").read_bytes()
