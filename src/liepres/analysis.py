@@ -1,4 +1,4 @@
-"""Certification of structure tables: Jacobi, Killing form, root systems, subalgebras."""
+"""Certification of structure tables: Jacobi, Killing form, root systems, Cartan type."""
 
 from __future__ import annotations
 
@@ -388,77 +388,3 @@ def lower_central_dims(t: StructureTable) -> list:
             return dims
         current = list(span.values())
 
-
-class Sl3Verdict(Record):
-    __slots__ = (
-        "ok",
-        "closure_failures",     # pairs whose bracket leaves the subalgebra span
-        "model_failures",       # pairs where the 3x3 matrix model disagrees
-        "invariance_failures",  # (subalgebra name, module name) pairs
-    )
-
-
-_SL3_NAMES = ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32")
-
-
-def _e(i, j):
-    return {(i - 1, j - 1): 1}
-
-
-def _combine(terms) -> dict:
-    """sum of c * m over (c, m) in terms, for 3x3 matrices as sparse maps {(r, c): x}."""
-    acc: dict = {}
-    for c, m in terms:
-        for rc, x in m.items():
-            acc[rc] = acc.get(rc, 0) + c * x
-    return {rc: x for rc, x in acc.items() if x}
-
-
-def _mul(a: dict, b: dict) -> dict:
-    """The product ab of 3x3 matrices as sparse maps {(r, c): x}."""
-    return _combine((x * y, {(r, c): 1}) for (r, l), x in a.items() for (m, c), y in b.items() if l == m)
-
-
-def verify_sl3_subalgebra(t: StructureTable) -> Sl3Verdict:
-    """Check h and a elements realize 3x3 traceless matrices and x, y spans are modules.
-
-    a_ij maps to the elementary matrix E_ij, h1 to E11 - E22, h2 to E22 - E33.
-    """
-    idx = {name: t.index_of(name) for name in _SL3_NAMES}
-    model = {
-        "h1": _combine([(1, _e(1, 1)), (-1, _e(2, 2))]),
-        "h2": _combine([(1, _e(2, 2)), (-1, _e(3, 3))]),
-        "a12": _e(1, 2), "a13": _e(1, 3), "a23": _e(2, 3),
-        "a21": _e(2, 1), "a31": _e(3, 1), "a32": _e(3, 2),
-    }
-    x_idx = {t.index_of(n) for n in ("x1", "x2", "x3")}
-    y_idx = {t.index_of(n) for n in ("y1", "y2", "y3")}
-    sub_idx = {idx[n]: n for n in _SL3_NAMES}
-
-    closure_failures, model_failures = [], []
-    names = list(_SL3_NAMES)
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            na, nb = names[a], names[b]
-            bmap = t.bracket_map(idx[na], idx[nb])
-            if any(k not in sub_idx for k in bmap):
-                closure_failures.append((na, nb))
-                continue
-            commutator = _combine([(1, _mul(model[na], model[nb])), (-1, _mul(model[nb], model[na]))])
-            if _combine((c, model[sub_idx[k]]) for k, c in bmap.items()) != commutator:
-                model_failures.append((na, nb))
-
-    invariance_failures = []
-    for na in names:
-        for vset, vnames, label in ((x_idx, ("x1", "x2", "x3"), "x"), (y_idx, ("y1", "y2", "y3"), "y")):
-            for vn in vnames:
-                bmap = t.bracket_map(idx[na], t.index_of(vn))
-                if any(k not in vset for k in bmap):
-                    invariance_failures.append((na, vn))
-
-    return Sl3Verdict(
-        ok=not (closure_failures or model_failures or invariance_failures),
-        closure_failures=tuple(closure_failures),
-        model_failures=tuple(model_failures),
-        invariance_failures=tuple(invariance_failures),
-    )

@@ -7,7 +7,7 @@ import sys
 
 from . import analysis
 from .freelie import DegreeCapExceeded, lyndon_words
-from .g2 import named_basis_free, rewriter_structure_table
+from .g2 import named_basis_free, rewriter_applicable, rewriter_structure_table
 from .linalg import det
 from .presentation import ParseError, combination_text, parse_presentation
 from .quotient import (
@@ -16,7 +16,6 @@ from .quotient import (
     check_degree_bound,
     quotient_closure,
     renamed,
-    rewriter_applicable,
 )
 from .tabledoc import format_rational, load_table, save_table, to_csv, to_json_text, to_latex
 

@@ -1,28 +1,33 @@
-"""Quadruple-relation rewriter deriving the 14-dimensional algebra on three generators.
+"""G2, the one module that knows it: relations, named basis, quadruple rewriter.
 
-Towers here use 1-based generator indices, matching the naming convention x1, x2, x3.
-Every element of the quotient is a Q-combination of 14 canonical towers: the three
+The relations are read from the shipped `fixtures/g2.lp` and typed out nowhere
+else.  `g2_span` is their echelon form; `rewriter_applicable` compares a
+presentation's span with it, and the rewriter reduces degree-4 towers against
+it.  The named basis is defined once, as free Lie polynomials in
+`named_basis_free`, and `verify_sl3_subalgebra` reads its parts off `G2_NAMES`.
+
+Towers use 1-based generator indices, matching the names x1, x2, x3.  Every
+element of the quotient is a Q-combination of 14 canonical towers: the three
 generators, three degree-2 towers T(j,k) with j < k, and eight degree-3 towers
-T(i,j,k) with j < k, T(3,1,2) excluded (it rewrites through Jacobi).  Degree-4 towers
-collapse to degree <= 1 through the quadruple relations, which is what makes the
-rewriter total.
-
-The rules give the generators' action on the canonical towers, and `table.py`
-builds the table from it, the way the closure engine builds its own from the
-generators' action on its representatives.  The relations are read from the
-shipped `fixtures/g2.lp`, and the named basis is defined once, as free Lie
-polynomials in `named_basis_free`; the rewriter's table is renamed to it through
-their images in the tower model.
+T(i,j,k) with j < k, T(3,1,2) excluded (it rewrites through Jacobi).  Every
+degree-4 Lyndon word is a pivot of `g2_span`, so degree-4 towers reduce to
+degree <= 1, which is what makes the rewriter total.  `table.py` builds the
+table from the generators' action on the canonical towers, as the closure engine
+builds its own from their action on its representatives, and the table is
+renamed to the named basis through their images in the tower model.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .freelie import LiePoly, bracket
+from .freelie import LiePoly, bracket, tower_to_poly
+from .linalg import Echelon, integer_scaled
 from .presentation import Presentation, parse_presentation
+from .record import Record
 from .table import StructureTable, action_table, generator_action, lie_map
 
 G2_NAMES = ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32",
@@ -34,28 +39,14 @@ CANONICAL_TOWERS = (
     (1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 1, 2), (2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 2, 3),
 )
 
-_EVEN = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
-
-
-def epsilon(i: int, j: int, k: int) -> int:
-    """Levi-Civita symbol on indices 1..3."""
-    if sorted((i, j, k)) != [1, 2, 3]:
-        return 0
-    return 1 if (i, j, k) in _EVEN else -1
-
 
 # --- relations ----------------------------------------------------------------
 
 def g2_presentation_text() -> str:
     """The shipped presentation file `fixtures/g2.lp`, the one copy of the relations.
 
-    It lists the 54 quadruple relations (LHS - RHS), three families instantiated
-    over i,j,k in {1,2,3} with eps evaluated, skipping instantiations whose tower
-    already vanishes in the free algebra:
-      1:  [xi,[xj,[xi,xk]]] = 2 eps(i,j,k) xi   (skip i == k)
-      2:  [xi,[xi,[xj,xk]]] = 4 eps(i,j,k) xi   (skip j == k)
-      3:  [xi,[xj,[xj,xk]]] = 6 eps(i,j,k) xj   (skip j == k)
-    eps = 0 instantiations stay as homogeneous degree-4 relations.
+    Its 54 relations are the paper's three families, each headed by its formula,
+    over i,j,k in {1,2,3}, skipping instances whose tower vanishes in the free algebra.
     """
     path = os.path.join(os.path.dirname(__file__), "fixtures", "g2.lp")
     with open(path, encoding="utf-8") as f:
@@ -72,42 +63,63 @@ def g2_relations() -> list:
     return list(g2_presentation().relations)
 
 
+def relation_span(relations) -> Echelon | None:
+    """Echelon form of the relations over the Lyndon words of degree <= 4 on 3 letters.
+
+    A word w is the coordinate (len(w), w), so coordinates are ordered by degree,
+    then lexicographically, and a row's pivot is its highest word.  None when a
+    relation has a monomial outside that range.
+    """
+    if any(len(w) > 4 or max(w) > 2 for rel in relations for w in rel.terms):
+        return None
+    return Echelon.of({(len(w), w): c for w, c in rel.terms.items()} for rel in relations)
+
+
+@lru_cache(maxsize=None)
+def g2_span() -> Echelon:
+    """relation_span(g2_relations()), built once per process; callers only read it."""
+    return relation_span(g2_relations())
+
+
+def rewriter_applicable(pres: Presentation) -> bool:
+    """Whether the G2 rewriter applies: 3 generators and relations spanning g2_relations().
+
+    Equal spans generate the same ideal, so rescaled, reordered or recombined
+    relations still present G2 with its named basis.  Echelon rows are the unique
+    primitive reduced echelon form of the span, so equal Echelons mean equal spans.
+    """
+    if len(pres.generators) != 3:
+        return False
+    span = relation_span(pres.relations)
+    return span is not None and span == g2_span()
+
+
 # --- tower reduction ----------------------------------------------------------
 
 def reduce_quadruple(a: int, b: int, c: int, d: int) -> dict:
     """Rewrite the degree-4 tower [xa,[xb,[xc,xd]]] to degree <= 1 via the relations.
 
-    All applicable relation patterns are evaluated and must agree (confluence is an
-    internal invariant, checked on every call).  Some pattern always applies: four
-    indices over a 3-letter alphabet force a coincidence.
+    The remainder against g2_span(), the unique reduced echelon form of the
+    relations, is the one lower combination the tower equals modulo them.  A
+    remainder word above degree 1 means the relations leave the tower unreduced.
     """
-    if c == d:
-        return {}
-    sign = 1
-    if c > d:
-        c, d, sign = d, c, -1
-    results = []
-    if a == b:
-        results.append(("family 2", 4 * epsilon(a, c, d), a))
-    if a == c:
-        results.append(("family 1", 2 * epsilon(a, b, d), a))
-    if a == d:
-        results.append(("family 1 (flipped)", -2 * epsilon(a, b, c), a))
-    if b == c:
-        results.append(("family 3", 6 * epsilon(a, b, d), b))
-    if b == d:
-        results.append(("family 3 (flipped)", -6 * epsilon(a, b, c), b))
-    if not results:
-        raise RuntimeError(f"no quadruple relation applies to {(a, b, c, d)}")
-    vecs = [{(t,): Fraction(sign * coeff)} if coeff else {} for _, coeff, t in results]
-    if any(v != vecs[0] for v in vecs[1:]):
-        detail = ", ".join(f"{name}: {v}" for (name, _, _), v in zip(results, vecs))
-        raise RuntimeError(f"quadruple reduction is not confluent at {(a, b, c, d)}: {detail}")
-    return vecs[0]
+    tower = tower_to_poly((a - 1, b - 1, c - 1, d - 1))
+    D, ints = integer_scaled(tower.terms.values())
+    rem, s = g2_span().reduce({(4, w): x for w, x in zip(tower.terms, ints)})
+    out = {}
+    for (degree, w), x in rem.items():
+        if degree > 1:
+            raise RuntimeError(f"the relations do not reduce the tower {(a, b, c, d)} to degree 1")
+        out[(w[0] + 1,)] = Fraction(x, D * s)
+    return out
 
 
 def tower_reduce(t: tuple) -> dict:
-    """Express a tower of degree <= 4 over the canonical towers."""
+    """Express a tower of degree <= 4 over the canonical towers.
+
+    Degrees 1 to 3 by antisymmetry and the one Jacobi rewrite of T(3,1,2);
+    degree 4 by reduce_quadruple, against the relations of g2.lp.
+    """
     if not 1 <= len(t) <= 4:
         raise ValueError(f"tower degree {len(t)} outside 1..4")
     if len(t) == 1:
@@ -187,3 +199,73 @@ def named_basis_free() -> dict:
         "x1": x[1], "x2": x[2], "x3": x[3],
         "y1": y[1], "y2": y[2], "y3": y[3],
     }
+
+
+# --- the sl3 subalgebra -------------------------------------------------------
+
+class Sl3Verdict(Record):
+    __slots__ = (
+        "ok",
+        "closure_failures",     # pairs whose bracket leaves the subalgebra span
+        "model_failures",       # pairs where the 3x3 matrix model disagrees
+        "invariance_failures",  # (subalgebra name, module name) pairs
+    )
+
+
+def _e(i, j):
+    return {(i - 1, j - 1): 1}
+
+
+def _combine(terms) -> dict:
+    """sum of c * m over (c, m) in terms, for 3x3 matrices as sparse maps {(r, c): x}."""
+    acc: dict = {}
+    for c, m in terms:
+        for rc, x in m.items():
+            acc[rc] = acc.get(rc, 0) + c * x
+    return {rc: x for rc, x in acc.items() if x}
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """The product ab of 3x3 matrices as sparse maps {(r, c): x}."""
+    return _combine((x * y, {(r, c): 1}) for (r, l), x in a.items() for (m, c), y in b.items() if l == m)
+
+
+def verify_sl3_subalgebra(t: StructureTable) -> Sl3Verdict:
+    """Check h and a elements realize 3x3 traceless matrices and x, y spans are modules.
+
+    a_ij maps to the elementary matrix E_ij, h1 to E11 - E22, h2 to E22 - E33.
+    """
+    names, modules = G2_NAMES[:8], (G2_NAMES[8:11], G2_NAMES[11:])
+    idx = {name: t.index_of(name) for name in names}
+    model = dict(zip(names, (
+        _combine([(1, _e(1, 1)), (-1, _e(2, 2))]),
+        _combine([(1, _e(2, 2)), (-1, _e(3, 3))]),
+        _e(1, 2), _e(1, 3), _e(2, 3), _e(2, 1), _e(3, 1), _e(3, 2),
+    )))
+    sub_idx = {idx[n]: n for n in names}
+
+    closure_failures, model_failures = [], []
+    for na, nb in itertools.combinations(names, 2):
+        bmap = t.bracket_map(idx[na], idx[nb])
+        if any(k not in sub_idx for k in bmap):
+            closure_failures.append((na, nb))
+            continue
+        commutator = _combine([(1, _mul(model[na], model[nb])), (-1, _mul(model[nb], model[na]))])
+        if _combine((c, model[sub_idx[k]]) for k, c in bmap.items()) != commutator:
+            model_failures.append((na, nb))
+
+    invariance_failures = []
+    for na in names:
+        for vnames in modules:
+            vset = {t.index_of(n) for n in vnames}
+            for vn in vnames:
+                bmap = t.bracket_map(idx[na], t.index_of(vn))
+                if any(k not in vset for k in bmap):
+                    invariance_failures.append((na, vn))
+
+    return Sl3Verdict(
+        ok=not (closure_failures or model_failures or invariance_failures),
+        closure_failures=tuple(closure_failures),
+        model_failures=tuple(model_failures),
+        invariance_failures=tuple(invariance_failures),
+    )

@@ -168,8 +168,6 @@ def basis_change(coords, n: int):
     return new_coordinates
 
 
-
-
 def integer_char_poly(rows) -> tuple:
     """(D, a): D the common denominator of the square matrix m, a = det(xI - D*m) over Z, highest power first.
 

@@ -1,7 +1,4 @@
-"""Degree-truncated quotient of a free Lie algebra by the ideal of a presentation.
-
-Also the one test of whether the G2 rewriter applies to a presentation.
-"""
+"""Degree-truncated quotient of a free Lie algebra by the ideal of a presentation."""
 
 from __future__ import annotations
 
@@ -11,7 +8,7 @@ from heapq import heappop, heappush
 from . import freelie
 from .analysis import check_jacobi
 from .freelie import LiePoly, bracket_string
-from .g2 import g2_relations
+from .g2 import rewriter_applicable  # noqa: F401  perfbench/replay.py imports it from here
 from .linalg import Echelon, integer_scaled
 from .presentation import Presentation
 from .record import FrozenRecord, Record
@@ -323,28 +320,3 @@ def renamed(qb: QuotientBasis, model: StructureTable, names: dict | None) -> Str
     if names is None:
         return model
     return model.rebased(names, (_sparse(qb.reduce(p)) for p in names.values()))
-
-
-def _relation_span(relations) -> Echelon | None:
-    """Echelon form of the relations over the Lyndon words of degree <= 4 on 3 letters.
-
-    None when a relation has a monomial outside that range.
-    """
-    words = [w for group in freelie.lyndon_words(3, 4)[1:] for w in group]
-    index = {w: i for i, w in enumerate(words)}
-    if any(w not in index for rel in relations for w in rel.terms):
-        return None
-    return Echelon.of({index[w]: c for w, c in rel.terms.items()} for rel in relations)
-
-
-def rewriter_applicable(pres: Presentation) -> bool:
-    """Whether the G2 rewriter applies: 3 generators and relations spanning g2_relations().
-
-    Equal spans generate the same ideal, so rescaled, reordered or recombined
-    relations still present G2 with its named basis.  Echelon rows are the unique
-    primitive reduced echelon form of the span, so equal Echelons mean equal spans.
-    """
-    if len(pres.generators) != 3:
-        return False
-    span = _relation_span(pres.relations)
-    return span is not None and span == _relation_span(g2_relations())

@@ -106,6 +106,7 @@ def document_to_table(doc) -> StructureTable:
     if not isinstance(doc["brackets"], list):
         raise SchemaError("brackets must be a list")
     c = {}
+    pairs = set()
     for rec in doc["brackets"]:
         if (not isinstance(rec, dict) or not {"i", "j", "coefficients"} <= set(rec)
                 or not isinstance(rec["coefficients"], dict)):
@@ -113,6 +114,9 @@ def document_to_table(doc) -> StructureTable:
         i, j = rec["i"], rec["j"]
         if not (_is_int(i) and _is_int(j) and 0 <= i < j < len(names)):
             raise SchemaError(f"bracket indices must satisfy 0 <= i < j < dim: {(i, j)}")
+        if (i, j) in pairs:
+            raise SchemaError(f"bracket {(i, j)} is stated twice")
+        pairs.add((i, j))
         for name, val in rec["coefficients"].items():
             if name not in index:
                 raise SchemaError(f"unknown coefficient name {name!r}")
@@ -132,9 +136,19 @@ def _json_int(s: str) -> int:
         raise SchemaError(f"integer of {len(s.lstrip('-'))} digits is too long") from None
 
 
+def _json_object(pairs) -> dict:
+    """A JSON object, refused when it states a key twice (json.loads alone keeps the last value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"key {_excerpt(key)} is stated twice in one object")
+        obj[key] = value
+    return obj
+
+
 def from_json_text(text: str) -> StructureTable:
     try:
-        doc = json.loads(text, parse_int=_json_int,
+        doc = json.loads(text, parse_int=_json_int, object_pairs_hook=_json_object,
                          parse_float=lambda s: (_ for _ in ()).throw(SchemaError("floats are not exact")))
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}") from None

@@ -275,11 +275,16 @@ MALFORMED_TABLES = {
                          '"brackets": [{"i": 0, "j": 1, "coefficients": [1]}]}',
     "value-true": '{"schema_version": "1", "dim": 2, "names": ["a", "b"], '
                   '"brackets": [{"i": 0, "j": 1, "coefficients": {"a": true}}]}',
+    # sl2 with [e,f] stated twice: if the last value won, classify would print A1 and exit 0
+    "bracket-twice": '{"schema_version": "1", "dim": 3, "names": ["h", "e", "f"], "brackets": ['
+                     '{"i": 0, "j": 1, "coefficients": {"e": "2"}}, {"i": 0, "j": 2, "coefficients": {"f": "-2"}}, '
+                     '{"i": 1, "j": 2, "coefficients": {"h": "1"}}, {"i": 1, "j": 2, "coefficients": {"h": "5"}}]}',
 }
 
 
 @pytest.mark.parametrize("command, case", [
-    ("verify", "brackets-int"), ("classify", "coefficients-list"), ("export", "value-true")])
+    ("verify", "brackets-int"), ("classify", "coefficients-list"), ("export", "value-true"),
+    ("classify", "bracket-twice")])
 def test_malformed_table_exits_2(run, tmp_path, command, case):
     p = tmp_path / "bad.json"
     p.write_text(MALFORMED_TABLES[case])

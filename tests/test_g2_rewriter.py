@@ -1,4 +1,8 @@
-"""Quadruple rewriter: epsilon, relation families, tower reduction, named table."""
+"""Quadruple rewriter: relation families, tower reduction, named table.
+
+The paper's formulas, through `epsilon` below, are the oracle for the rule the
+rewriter reads off g2.lp.
+"""
 
 import itertools
 from fractions import Fraction
@@ -11,17 +15,26 @@ from liepres.freelie import LiePoly, tower_to_poly
 from liepres.g2 import (
     CANONICAL_TOWERS,
     G2_NAMES,
-    epsilon,
     g2_presentation,
     g2_relations,
     named_basis_free,
     reduce_quadruple,
+    rewriter_applicable,
     rewriter_structure_table,
     tower_action,
     tower_map,
     tower_model,
     tower_reduce,
 )
+
+_EVEN = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
+
+
+def epsilon(i: int, j: int, k: int) -> int:
+    """Levi-Civita symbol on indices 1..3."""
+    if sorted((i, j, k)) != [1, 2, 3]:
+        return 0
+    return 1 if (i, j, k) in _EVEN else -1
 
 
 def test_epsilon_total_antisymmetry():
@@ -206,12 +219,29 @@ def test_tower_model_is_a_lie_algebra_where_the_relations_vanish():
     assert all(phi(r) == {} for r in relations)
 
 
-def test_tower_model_refuses_rules_that_disagree(monkeypatch):
-    # An epsilon that does not vanish on repeated indices makes two relation
-    # families rewrite the same tower differently; the model must not be built.
-    monkeypatch.setattr(g2, "epsilon", lambda i, j, k: 1)
-    with pytest.raises(RuntimeError, match="not confluent"):
-        tower_model()
+def test_tower_model_refuses_relations_that_leave_a_tower_unreduced(monkeypatch):
+    # The first 43 relations of g2.lp do not span the last 11, so some degree-4
+    # tower keeps a degree-4 remainder; the model must not be built.
+    first_43 = g2_relations()[:43]
+    g2.g2_span.cache_clear()
+    monkeypatch.setattr(g2, "g2_relations", lambda: first_43)
+    try:
+        with pytest.raises(RuntimeError, match=r"do not reduce the tower \(2, 1, 1, 3\)"):
+            tower_model()
+    finally:
+        g2.g2_span.cache_clear()
+
+
+def test_g2_lp_is_parsed_once_per_process(monkeypatch):
+    pres = g2_presentation()
+    parse = g2.parse_presentation
+    calls = []
+    monkeypatch.setattr(g2, "parse_presentation", lambda text: calls.append(text) or parse(text))
+    g2.g2_span.cache_clear()
+    assert rewriter_applicable(pres)
+    assert rewriter_applicable(pres)
+    rewriter_structure_table()
+    assert len(calls) == 1
 
 
 def test_rewriter_table_shape():

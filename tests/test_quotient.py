@@ -14,13 +14,12 @@ from liepres import freelie
 from liepres.analysis import check_jacobi, derived_subalgebra_and_center, lower_central_dims
 from liepres.cli import main
 from liepres.freelie import Generator, LiePoly, bracket, lyndon_words, tower_to_poly
-from liepres.g2 import named_basis_free, rewriter_structure_table
+from liepres.g2 import named_basis_free, rewriter_applicable, rewriter_structure_table
 from liepres.presentation import Presentation, format_presentation, parse_presentation
 from liepres.quotient import (
     NamesNotBasisError,
     certify,
     quotient_closure,
-    rewriter_applicable,
     structure_table,
 )
 from liepres.tabledoc import load_table

@@ -164,8 +164,10 @@ def test_schema_rejections():
     ({"brackets": [{"i": 0, "j": 1, "coefficients": {"a": True}}]}, "bad rational"),
     ({"brackets": [{"i": False, "j": True, "coefficients": {"a": "1"}}]}, "0 <= i < j"),
     ({"dim": True, "names": ["a"], "brackets": []}, "does not match"),
+    ({"brackets": [{"i": 0, "j": 1, "coefficients": {"a": "1"}}, {"i": 0, "j": 1, "coefficients": {"a": "5"}}]},
+     r"bracket \(0, 1\) is stated twice"),
 ], ids=["brackets-int", "brackets-object", "coefficients-list", "coefficients-string",
-        "value-list", "value-object", "value-null", "value-true", "indices-bool", "dim-true"])
+        "value-list", "value-object", "value-null", "value-true", "indices-bool", "dim-true", "bracket-twice"])
 def test_malformed_documents_are_schema_errors(overrides, match):
     with pytest.raises(SchemaError, match=match):
         from_json_text(json.dumps(make_doc(**overrides)))
@@ -200,6 +202,18 @@ def test_integer_coefficients_still_load():
 def test_deeply_nested_json_is_a_schema_error():
     with pytest.raises(SchemaError, match="nested too deeply"):
         from_json_text("[" * 100_000 + "]" * 100_000)
+
+
+@pytest.mark.parametrize("text", [
+    '{"schema_version": "1", "dim": 2, "names": ["a", "b"], '
+    '"brackets": [{"i": 0, "j": 1, "coefficients": {"a": "1", "a": "7"}}]}',
+    '{"schema_version": "1", "dim": 2, "dim": 2, "names": ["a", "b"], "brackets": []}',
+    '{"schema_version": "1", "dim": 2, "names": ["a", "b"], '
+    '"brackets": [{"i": 0, "j": 1, "j": 1, "coefficients": {}}]}',
+], ids=["coefficient", "top-level", "record"])
+def test_a_key_stated_twice_in_one_object_is_refused(text):
+    with pytest.raises(SchemaError, match="is stated twice in one object"):
+        from_json_text(text)
 
 
 def test_floats_rejected_at_json_layer():
