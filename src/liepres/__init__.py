@@ -1,31 +1,8 @@
-"""Exact-arithmetic engine for finitely presented Lie algebras over the rationals."""
+"""Exact-arithmetic engine for finitely presented Lie algebras over the rationals.
 
-from .freelie import LiePoly, bracket, is_lyndon, lyndon_words, standard_factorization
-from .presentation import ParseError, Presentation, parse_presentation
-from .quotient import (
-    NamesNotBasisError,
-    QuotientBasis,
-    certify,
-    quotient_closure,
-    structure_table,
-)
-from .table import StructureTable
+The package exports only its version; import the modules themselves, e.g.
+`from liepres.quotient import quotient_closure`.  Each `liepres` command
+imports only the modules it runs.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "LiePoly",
-    "bracket",
-    "is_lyndon",
-    "lyndon_words",
-    "standard_factorization",
-    "ParseError",
-    "Presentation",
-    "parse_presentation",
-    "NamesNotBasisError",
-    "QuotientBasis",
-    "certify",
-    "quotient_closure",
-    "structure_table",
-    "StructureTable",
-]

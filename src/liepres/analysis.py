@@ -8,7 +8,7 @@ from math import gcd
 
 from .linalg import Echelon, basis_change, integer_char_poly, integer_scaled, kernel_basis
 from .record import Record
-from .table import StructureTable
+from .table import StructureTable, check_jacobi, integer_ad_maps  # noqa: F401  classify calls analysis.check_jacobi
 
 
 def _ad_map(t: StructureTable, i: int) -> dict:
@@ -18,35 +18,6 @@ def _ad_map(t: StructureTable, i: int) -> dict:
 
 def _is_diagonal(ad: dict) -> bool:
     return all(len(col) == 1 and m in col for m, col in ad.items())
-
-
-def _add_bracket(acc: dict, ad: dict, vec: dict, sign: int) -> None:
-    """acc += sign * [b, v] for ad = ad(b) and v given as a sparse map."""
-    for m, x in vec.items():
-        for k, y in ad.get(m, {}).items():
-            acc[k] = acc.get(k, 0) + sign * x * y
-
-
-def check_jacobi(t: StructureTable) -> list:
-    """All triples i < j < k where [[bi,bj],bk] cycling fails; empty means it holds.
-
-    Each violation is (i, j, k, total) with total the sparse map {m: c} of
-    [b_i,[b_j,b_k]] + [b_k,[b_i,b_j]] - [b_j,[b_i,b_k]], summed over bracket maps.
-    """
-    n = t.dim
-    ads = [_ad_map(t, i) for i in range(n)]
-    violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc: dict = {}
-                _add_bracket(acc, ads[i], ads[j].get(k, {}), 1)
-                _add_bracket(acc, ads[k], ads[i].get(j, {}), 1)
-                _add_bracket(acc, ads[j], ads[i].get(k, {}), -1)  # [b_j,[b_k,b_i]] = -[b_j,[b_i,b_k]]
-                total = {m: v for m, v in acc.items() if v}
-                if total:
-                    violations.append((i, j, k, total))
-    return violations
 
 
 class DerivedCenter(Record):
@@ -74,9 +45,9 @@ def derived_subalgebra_and_center(t: StructureTable) -> DerivedCenter:
     return DerivedCenter(len(derived), len(center), tuple(derived[p] for p in sorted(derived)), tuple(center))
 
 
-def _killing_entry(adi: dict, adj: dict) -> Fraction:
-    """trace(ad b_i . ad b_j) = sum over m, k of c_{i m}^k c_{j k}^m."""
-    total = Fraction(0)
+def _killing_entry(adi: dict, adj: dict):
+    """trace(ad b_i . ad b_j) = sum over m, k of c_{i m}^k c_{j k}^m, for int or Fraction columns."""
+    total = 0
     for m, col in adi.items():
         for k, x in col.items():
             y = adj.get(k, {}).get(m)
@@ -88,11 +59,12 @@ def _killing_entry(adi: dict, adj: dict) -> Fraction:
 def killing_form(t: StructureTable) -> list:
     """The sparse rows K[i] = {j: trace(ad b_i . ad b_j)}, zeros omitted, contracted over the bracket maps.
 
+    The traces are summed in ints over integer_ad_maps and each divided by D**2.
     Symmetric by construction, verified anyway.
     """
     n = t.dim
-    ads = [_ad_map(t, i) for i in range(n)]
-    K = [{j: v for j in range(n) if (v := _killing_entry(ads[i], ads[j]))} for i in range(n)]
+    D, ads = integer_ad_maps(t)
+    K = [{j: Fraction(v, D * D) for j in range(n) if (v := _killing_entry(ads[i], ads[j]))} for i in range(n)]
     if any(K[j].get(i) != v for i, row in enumerate(K) for j, v in row.items()):
         raise RuntimeError("Killing form came out asymmetric; table is inconsistent")
     return K

@@ -1,23 +1,14 @@
-"""Command line front end: derive, verify, classify, export, free."""
+"""Command line front end: derive, verify, classify, export, free.
+
+Every command runs in a fresh interpreter, so each imports the engine modules it
+runs inside its own function: `import liepres.cli` loads no engine module, and
+`classify`, for one, never loads the free Lie algebra or the closure.
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-from . import analysis
-from .freelie import DegreeCapExceeded, lyndon_words
-from .g2 import named_basis_free, rewriter_applicable, rewriter_structure_table
-from .linalg import det
-from .presentation import ParseError, combination_text, parse_presentation
-from .quotient import (
-    NamesNotBasisError,
-    certify,
-    check_degree_bound,
-    quotient_closure,
-    renamed,
-)
-from .tabledoc import format_rational, load_table, save_table, to_csv, to_json_text, to_latex
 
 _NOT_G2 = "the rewriter engine needs 3 generators and relations spanning the standard quadruple relations"
 
@@ -34,10 +25,13 @@ def _positive_int(text: str) -> int:
 
 def _vec_str(coeffs: dict, names) -> str:
     """Human form of a sparse coefficient map, e.g. 2*y3 - h1."""
+    from .presentation import combination_text
     return combination_text((names[k], coeffs[k]) for k in sorted(coeffs))
 
 
 def _load_presentation(path: str):
+    from .freelie import DegreeCapExceeded
+    from .presentation import ParseError, parse_presentation
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -53,6 +47,7 @@ def _load_presentation(path: str):
 
 def _load_table(path: str):
     """The table at path, or None after printing the error (a SchemaError is a ValueError)."""
+    from .tabledoc import load_table
     try:
         return load_table(path)
     except (OSError, ValueError) as exc:
@@ -61,6 +56,7 @@ def _load_table(path: str):
 
 
 def _print_closure_report(pres, qb, cert) -> None:
+    from .freelie import lyndon_words
     print(f"degree bound: {qb.degree_bound}")
     print(f"dim = {qb.dim}")
     print(f"certified: {'yes' if cert.ok else 'no'} ({cert.detail})")
@@ -74,11 +70,15 @@ def _print_closure_report(pres, qb, cert) -> None:
 
 def _write_table(table, out_path: str | None) -> None:
     if out_path:
+        from .tabledoc import save_table
         save_table(table, out_path)
         print(f"wrote {out_path}")
 
 
 def cmd_derive(args) -> int:
+    from .g2 import named_basis_free, rewriter_applicable, rewriter_structure_table
+    from .quotient import NamesNotBasisError, certify, check_degree_bound, quotient_closure, renamed
+
     pres = _load_presentation(args.presentation)
     if pres is None:
         return 2
@@ -161,6 +161,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import analysis
+    from .linalg import det
+    from .tabledoc import format_rational
+
     table = _load_table(args.table)
     if table is None:
         return 2
@@ -210,6 +214,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .tabledoc import to_csv, to_json_text, to_latex
+
     table = _load_table(args.table)
     if table is None:
         return 2
@@ -228,6 +234,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_free(args) -> int:
+    from .freelie import lyndon_words
+
     try:
         grouped = lyndon_words(args.alphabet, args.max_degree)
     except ValueError as exc:

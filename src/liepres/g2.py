@@ -4,7 +4,7 @@ The relations are read from the shipped `fixtures/g2.lp` and typed out nowhere
 else.  `g2_span` is their echelon form; `rewriter_applicable` compares a
 presentation's span with it, and the rewriter reduces degree-4 towers against
 it.  The named basis is defined once, as free Lie polynomials in
-`named_basis_free`, and `verify_sl3_subalgebra` reads its parts off `G2_NAMES`.
+`named_basis_free`.
 
 Towers use 1-based generator indices, matching the names x1, x2, x3.  Every
 element of the quotient is a Q-combination of 14 canonical towers: the three
@@ -19,15 +19,13 @@ renamed to the named basis through their images in the tower model.
 
 from __future__ import annotations
 
-import itertools
 import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .freelie import LiePoly, bracket, tower_to_poly
+from .freelie import LiePoly, bracket, standard_factorization, tower_to_poly
 from .linalg import Echelon, integer_scaled
 from .presentation import Presentation, parse_presentation
-from .record import Record
 from .table import StructureTable, action_table, generator_action, lie_map
 
 G2_NAMES = ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32",
@@ -163,7 +161,7 @@ def tower_model() -> StructureTable:
 
 def tower_map(towers: StructureTable):
     """phi into the tower model: the generator x_g goes to the tower (g,)."""
-    return lie_map(towers, [{g: Fraction(1)} for g in range(3)])
+    return lie_map(towers, [{g: Fraction(1)} for g in range(3)], standard_factorization)
 
 
 def rewriter_structure_table() -> StructureTable:
@@ -200,72 +198,3 @@ def named_basis_free() -> dict:
         "y1": y[1], "y2": y[2], "y3": y[3],
     }
 
-
-# --- the sl3 subalgebra -------------------------------------------------------
-
-class Sl3Verdict(Record):
-    __slots__ = (
-        "ok",
-        "closure_failures",     # pairs whose bracket leaves the subalgebra span
-        "model_failures",       # pairs where the 3x3 matrix model disagrees
-        "invariance_failures",  # (subalgebra name, module name) pairs
-    )
-
-
-def _e(i, j):
-    return {(i - 1, j - 1): 1}
-
-
-def _combine(terms) -> dict:
-    """sum of c * m over (c, m) in terms, for 3x3 matrices as sparse maps {(r, c): x}."""
-    acc: dict = {}
-    for c, m in terms:
-        for rc, x in m.items():
-            acc[rc] = acc.get(rc, 0) + c * x
-    return {rc: x for rc, x in acc.items() if x}
-
-
-def _mul(a: dict, b: dict) -> dict:
-    """The product ab of 3x3 matrices as sparse maps {(r, c): x}."""
-    return _combine((x * y, {(r, c): 1}) for (r, l), x in a.items() for (m, c), y in b.items() if l == m)
-
-
-def verify_sl3_subalgebra(t: StructureTable) -> Sl3Verdict:
-    """Check h and a elements realize 3x3 traceless matrices and x, y spans are modules.
-
-    a_ij maps to the elementary matrix E_ij, h1 to E11 - E22, h2 to E22 - E33.
-    """
-    names, modules = G2_NAMES[:8], (G2_NAMES[8:11], G2_NAMES[11:])
-    idx = {name: t.index_of(name) for name in names}
-    model = dict(zip(names, (
-        _combine([(1, _e(1, 1)), (-1, _e(2, 2))]),
-        _combine([(1, _e(2, 2)), (-1, _e(3, 3))]),
-        _e(1, 2), _e(1, 3), _e(2, 3), _e(2, 1), _e(3, 1), _e(3, 2),
-    )))
-    sub_idx = {idx[n]: n for n in names}
-
-    closure_failures, model_failures = [], []
-    for na, nb in itertools.combinations(names, 2):
-        bmap = t.bracket_map(idx[na], idx[nb])
-        if any(k not in sub_idx for k in bmap):
-            closure_failures.append((na, nb))
-            continue
-        commutator = _combine([(1, _mul(model[na], model[nb])), (-1, _mul(model[nb], model[na]))])
-        if _combine((c, model[sub_idx[k]]) for k, c in bmap.items()) != commutator:
-            model_failures.append((na, nb))
-
-    invariance_failures = []
-    for na in names:
-        for vnames in modules:
-            vset = {t.index_of(n) for n in vnames}
-            for vn in vnames:
-                bmap = t.bracket_map(idx[na], t.index_of(vn))
-                if any(k not in vset for k in bmap):
-                    invariance_failures.append((na, vn))
-
-    return Sl3Verdict(
-        ok=not (closure_failures or model_failures or invariance_failures),
-        closure_failures=tuple(closure_failures),
-        model_failures=tuple(model_failures),
-        invariance_failures=tuple(invariance_failures),
-    )

@@ -6,13 +6,13 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from . import freelie
-from .analysis import check_jacobi
 from .freelie import LiePoly, bracket_string
 from .g2 import rewriter_applicable  # noqa: F401  perfbench/replay.py imports it from here
 from .linalg import Echelon, integer_scaled
 from .presentation import Presentation
 from .record import FrozenRecord, Record
-from .table import NamesNotBasisError, StructureTable, action_table, generator_action, lie_map  # noqa: F401
+from .table import (NamesNotBasisError, StructureTable, action_table, check_jacobi,  # noqa: F401
+                    generator_action, lie_map)
 
 
 class TruncationEvent(Record):
@@ -287,7 +287,8 @@ def certify(pres: Presentation, qb: QuotientBasis) -> Certificate:
         i, j, k, _ = violations[0]
         return Certificate(None, f"model fails Jacobi at ({names[i]},{names[j]},{names[k]})")
 
-    phi = lie_map(table, [_sparse(qb.reduce(LiePoly.generator(g))) for g in range(qb.alphabet)])
+    phi = lie_map(table, [_sparse(qb.reduce(LiePoly.generator(g))) for g in range(qb.alphabet)],
+                  freelie.standard_factorization)
     for r, rel in enumerate(pres.relations, start=1):
         if phi(rel):
             return Certificate(None, f"relation {r} does not vanish in the model")

@@ -2,15 +2,15 @@
 
 Also the one way both engines build a table: from the generators' action
 (`generator_action`, `action_table`), mapped into by the free Lie algebra
-(`lie_map`) and renamed to a chosen basis (`StructureTable.rebased`).
+(`lie_map`) and renamed to a chosen basis (`StructureTable.rebased`); and the
+Jacobi check that `certify` and `classify` both run on a table (`check_jacobi`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .freelie import standard_factorization
-from .linalg import basis_change
+from .linalg import basis_change, integer_scaled
 
 
 class NamesNotBasisError(ValueError):
@@ -169,19 +169,19 @@ def action_table(names, act: list) -> StructureTable:
     return StructureTable(names, c)
 
 
-def lie_map(table: StructureTable, generator_images: list):
+def lie_map(table: StructureTable, generator_images: list, split):
     """phi: free Lie polynomial -> sparse coordinates in the table.
 
     phi sends generator g to generator_images[g] and a Lyndon word w with
-    standard factorization (u, v) to table.bracket(phi(u), phi(v)), so it is
-    extended through the table's bracket alone.  Word images are memoized in the
-    returned function, not across calls of lie_map.
+    standard factorization (u, v) = split(w) to table.bracket(phi(u), phi(v)), so
+    it is extended through the table's bracket alone.  Word images are memoized in
+    the returned function, not across calls of lie_map.
     """
     words: dict = {(g,): v for g, v in enumerate(generator_images)}
 
     def image(w):
         if w not in words:
-            u, v = standard_factorization(w)
+            u, v = split(w)
             words[w] = table.bracket(image(u), image(v))
         return words[w]
 
@@ -193,3 +193,48 @@ def lie_map(table: StructureTable, generator_images: list):
         return {k: v for k, v in acc.items() if v}
 
     return phi
+
+
+def integer_ad_maps(t: StructureTable) -> tuple:
+    """(D, ads): D the least common denominator of the constants, ads[i] = ad(D b_i).
+
+    ads[i] maps m -> {k: x} with D [b_i, b_m] = sum_k x b_k, x an int, zero
+    columns omitted.  A sum of products of two constants, taken over these
+    columns, is D**2 times the same sum over the table.
+    """
+    D, ints = integer_scaled(t.c.values())
+    ads: list = [{} for _ in range(t.dim)]
+    for (i, j, k), x in zip(t.c, ints):
+        ads[i].setdefault(j, {})[k] = x
+        ads[j].setdefault(i, {})[k] = -x
+    return D, ads
+
+
+def _add_bracket(acc: dict, ad: dict, vec: dict, sign: int) -> None:
+    """acc += sign * [b, v] for ad = ad(b) and v given as a sparse map."""
+    for m, x in vec.items():
+        for k, y in ad.get(m, {}).items():
+            acc[k] = acc.get(k, 0) + sign * x * y
+
+
+def check_jacobi(t: StructureTable) -> list:
+    """All triples i < j < k where [[bi,bj],bk] cycling fails; empty means it holds.
+
+    Each violation is (i, j, k, total) with total the sparse map {m: c} of
+    [b_i,[b_j,b_k]] + [b_k,[b_i,b_j]] - [b_j,[b_i,b_k]], summed over bracket maps.
+    The sums run in ints over integer_ad_maps; a nonzero total is divided by D**2.
+    """
+    n = t.dim
+    D, ads = integer_ad_maps(t)
+    violations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc: dict = {}
+                _add_bracket(acc, ads[i], ads[j].get(k, {}), 1)
+                _add_bracket(acc, ads[k], ads[i].get(j, {}), 1)
+                _add_bracket(acc, ads[j], ads[i].get(k, {}), -1)  # [b_j,[b_k,b_i]] = -[b_j,[b_i,b_k]]
+                total = {m: Fraction(v, D * D) for m, v in acc.items() if v}
+                if total:
+                    violations.append((i, j, k, total))
+    return violations

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from sl3 import verify_sl3_subalgebra
 
 import liepres
 from liepres import analysis, cli, g2
@@ -152,7 +153,7 @@ def test_criterion_06_root_system_identifies_g2(derived, capsys):
 
 
 def test_criterion_07_sl3_subalgebra_and_invariant_triples(derived):
-    v = g2.verify_sl3_subalgebra(derived)
+    v = verify_sl3_subalgebra(derived)
     assert v.ok
     assert v.closure_failures == () and v.model_failures == () and v.invariance_failures == ()
     sub = [derived.index_of(n) for n in ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32")]

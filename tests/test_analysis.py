@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 from dense import inverse, matmul, sparse_rows
+from sl3 import verify_sl3_subalgebra
 
 import liepres
-from liepres import analysis, g2
+from liepres import analysis
 from liepres.linalg import det, integer_char_poly
 from liepres.presentation import parse_presentation
 from liepres.quotient import quotient_closure, structure_table
@@ -282,7 +283,7 @@ def test_classification_direct_sum_is_a1xa1(sl2_table):
 
 
 def test_sl3_subalgebra_verdict(golden):
-    v = g2.verify_sl3_subalgebra(golden)
+    v = verify_sl3_subalgebra(golden)
     assert v.ok
     assert v.closure_failures == ()
     assert v.model_failures == ()
@@ -293,7 +294,7 @@ def test_sl3_verdict_catches_model_mutation(golden):
     i, j = golden.index_of("a12"), golden.index_of("a23")
     k = golden.index_of("a13")
     mutated = mutate_entry(golden, i, j, {k: Fraction(2)})
-    v = g2.verify_sl3_subalgebra(mutated)
+    v = verify_sl3_subalgebra(mutated)
     assert not v.ok
     assert ("a12", "a23") in v.model_failures
 
@@ -302,7 +303,7 @@ def test_sl3_verdict_catches_invariance_mutation(golden):
     i, j = golden.index_of("a12"), golden.index_of("x1")
     y1 = golden.index_of("y1")
     mutated = mutate_entry(golden, i, j, {y1: Fraction(1)})
-    v = g2.verify_sl3_subalgebra(mutated)
+    v = verify_sl3_subalgebra(mutated)
     assert not v.ok
     assert ("a12", "x1") in v.invariance_failures
 

@@ -79,10 +79,10 @@ def rebased(t, name, plus, c=1):
     return dense_rebased(t, basis)
 
 
-def jacobi_broken():
+def jacobi_broken(value):
     c = dict(GOLDEN.c)
     h1, a12 = GOLDEN.index_of("h1"), GOLDEN.index_of("a12")
-    c[(h1, a12, a12)] = Fraction(3)
+    c[(h1, a12, a12)] = value
     return StructureTable(GOLDEN.names, c)
 
 
@@ -95,8 +95,19 @@ def seeded_g2():
     return permuted_rescaled(GOLDEN, perm, scales)
 
 
+def g2_rescaled(seed, s):
+    """G2 in a seeded permuted basis, every element scaled by s or -s: constants with denominators."""
+    rng = random.Random(seed)
+    perm = list(range(GOLDEN.dim))
+    rng.shuffle(perm)
+    return permuted_rescaled(GOLDEN, perm, [s * rng.choice((1, -1)) for _ in perm])
+
+
+# jacobi-broken-thirds has Jacobi totals that are not integers, so the integer
+# contraction must divide by D**2 (D = 3) to match
 INPUTS = {"g2": GOLDEN, "sl2": SL2, "heisenberg": HEIS, "g2-seeded": seeded_g2(),
-          "jacobi-broken": jacobi_broken()}
+          "g2-half": g2_rescaled(11, Fraction(1, 2)), "g2-third": g2_rescaled(12, Fraction(1, 3)),
+          "jacobi-broken": jacobi_broken(Fraction(3)), "jacobi-broken-thirds": jacobi_broken(Fraction(1, 3))}
 
 
 def dense_jacobi(t):
@@ -129,7 +140,9 @@ def test_jacobi_violations_equal_dense_reference(name):
     for (i, j, k, total), w in zip(got, want):
         assert (i, j, k, tuple(total.get(m, 0) for m in range(t.dim))) == w
         assert all(x and type(x) is Fraction for x in total.values())
-    assert (want != []) == (name == "jacobi-broken")
+    assert (want != []) == name.startswith("jacobi-broken")
+    if name == "jacobi-broken-thirds":
+        assert any(x.denominator > 1 for *_, total in got for x in total.values())
 
 
 def classify_lines(t):

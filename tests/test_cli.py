@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import liepres
-from liepres import cli
+from liepres import g2
 from liepres.cli import main
 from liepres.g2 import g2_presentation, named_basis_free
 from liepres.presentation import Presentation, format_presentation, parse_presentation
@@ -482,7 +482,7 @@ def test_derive_non_g2_family_member_skips_rewriter(run, tmp_path, family_member
 def test_derive_named_basis_rejected_exits_3(run, tmp_path, monkeypatch, engine):
     names = dict(named_basis_free())
     names["h2"] = names["h1"]
-    monkeypatch.setattr(cli, "named_basis_free", lambda: names)
+    monkeypatch.setattr(g2, "named_basis_free", lambda: names)
     out = tmp_path / "t.json"
     code, _, stderr = run("derive", G2, "--max-degree", "6", "--engine", engine, "--out", str(out))
     assert code == 3

@@ -1,15 +1,20 @@
-"""Importing the command line loads none of the standard library's heavier modules.
+"""Each command loads only the package modules it runs, and none of the heavier
+modules of the standard library.
 
-Every cold command pays for what `liepres.cli` imports.  The package needs none
-of these: its records are plain `__slots__` classes (no `dataclasses`, which
-pulls in `inspect`), and it reads the shipped G2 fixture by path (no
-`importlib.resources`, which pulls in `typing`, `pathlib` and `tempfile`).  The
-check counts modules, so unlike a timing it does not vary between runs.  The
-child runs `python -S`, because a site hook may import some of these modules
-before the package does.
+Every command starts a fresh interpreter, which compiles each module it imports
+(no bytecode cache is assumed), so what a command imports is a fixed cost of
+every run.  `import liepres.cli` loads no engine module: each command imports
+its own, so `classify` never loads the free Lie algebra, the parser, G2 or the
+closure, and `derive`, `verify` and `export` never load the analysis.  The
+package also needs none of HEAVY: its records are plain `__slots__` classes (no
+`dataclasses`, which pulls in `inspect`), and it reads the shipped G2 fixture by
+path (no `importlib.resources`, which pulls in `typing`, `pathlib` and
+`tempfile`).
 
-Run as a script, `PYTHONPATH=src python tests/test_import_cost.py` makes the
-same check without pytest.
+The check counts modules, so unlike a timing it does not vary between runs.
+The child runs `python -S`, because a site hook may import some of these modules
+before the package does.  Run as a script, `PYTHONPATH=src python
+tests/test_import_cost.py` makes the same checks without pytest.
 """
 
 import os
@@ -20,23 +25,62 @@ import liepres
 
 HEAVY = ("dataclasses", "inspect", "typing", "importlib.resources", "pathlib", "tempfile")
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(liepres.__file__)), "fixtures")
+GOLDEN = os.path.join(FIXTURES, "g2_table.json")
 
-def heavy_modules_loaded() -> list:
-    """The HEAVY modules in sys.modules after `import liepres.cli` in a fresh `python -S`."""
+TABLE_IO = {"cli", "linalg", "table", "tabledoc"}
+
+# command -> (its arguments, the liepres.* modules it loads); a bare `import liepres.cli` loads only cli
+EXPECTED = {
+    "derive": (["derive", os.path.join(FIXTURES, "g2.lp"), "--out", os.devnull],
+               TABLE_IO | {"freelie", "g2", "presentation", "quotient", "record"}),
+    "classify": (["classify", "--table", GOLDEN], TABLE_IO | {"analysis", "record"}),
+    "verify": (["verify", "--table", GOLDEN, "--golden", GOLDEN], TABLE_IO),
+    "export": (["export", "--table", GOLDEN, "--format", "csv"], TABLE_IO),
+    "free": (["free", "--alphabet", "3", "--max-degree", "6"], {"cli", "freelie", "record"}),
+}
+
+CHILD = """
+import sys, liepres.cli
+if sys.argv[1:]:
+    liepres.cli.main(sys.argv[1:])
+print()
+print(*sorted(m for m in sys.modules if m.startswith("liepres.")), "|",
+      *(m for m in {heavy!r} if m in sys.modules))
+"""
+
+
+def modules_loaded(argv) -> tuple:
+    """(liepres modules, HEAVY modules) in sys.modules after `liepres argv` in a fresh `python -S`.
+
+    The package modules are given without their `liepres.` prefix; `liepres`
+    itself is always loaded.  An empty argv only imports liepres.cli.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(liepres.__file__)))
-    code = f"import sys, liepres.cli; print(*(m for m in {HEAVY!r} if m in sys.modules))"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    proc = subprocess.run([sys.executable, "-S", "-c", CHILD.format(heavy=HEAVY), *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     if proc.returncode != 0:
         raise RuntimeError(proc.stderr)
-    return proc.stdout.split()
+    engine, heavy = proc.stdout.splitlines()[-1].split("|")
+    return {m.removeprefix("liepres.") for m in engine.split()}, heavy.split()
 
 
 def test_cli_import_loads_no_heavy_module():
-    assert heavy_modules_loaded() == []
+    assert modules_loaded([]) == ({"cli"}, [])
+
+
+def test_each_command_loads_only_its_modules():
+    loaded = {name: modules_loaded(argv) for name, (argv, _) in EXPECTED.items()}
+    assert loaded == {name: (expected, []) for name, (_, expected) in EXPECTED.items()}
 
 
 if __name__ == "__main__":
-    loaded = heavy_modules_loaded()
-    print("heavy modules loaded by import liepres.cli:", ", ".join(loaded) or "none")
-    sys.exit(1 if loaded else 0)
+    failed = 0
+    for name, (argv, expected) in {"import liepres.cli": ([], {"cli"}), **EXPECTED}.items():
+        engine, heavy = modules_loaded(argv)
+        if engine != expected or heavy:
+            failed += 1
+            print(f"{name}: loads {' '.join(sorted(engine) + heavy)}; "
+                  f"expected {' '.join(sorted(expected))} and none of {' '.join(HEAVY)}")
+    print(f"{failed} of {len(EXPECTED) + 1} commands load modules they should not")
+    sys.exit(1 if failed else 0)
