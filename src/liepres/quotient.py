@@ -11,8 +11,7 @@ from .g2 import rewriter_applicable  # noqa: F401  perfbench/replay.py imports i
 from .linalg import Echelon, integer_scaled
 from .presentation import Presentation
 from .record import FrozenRecord, Record
-from .table import (NamesNotBasisError, StructureTable, action_table, check_jacobi,  # noqa: F401
-                    generator_action, lie_map)
+from .table import NamesNotBasisError, StructureTable, check_jacobi  # noqa: F401
 
 
 class TruncationEvent(Record):
@@ -225,6 +224,74 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
     return qb
 
 
+def _compose(a: list, b: list) -> list:
+    """The product a.b of two operators given as lists of sparse columns."""
+    out = []
+    for col in b:
+        acc: dict = {}
+        for k, x in col.items():
+            for m, y in a[k].items():
+                acc[m] = acc.get(m, 0) + x * y
+        out.append({m: v for m, v in acc.items() if v})
+    return out
+
+
+def _commutator(a: list, b: list) -> list:
+    return [{m: v for m in x.keys() | y.keys() if (v := x.get(m, 0) - y.get(m, 0))}
+            for x, y in zip(_compose(a, b), _compose(b, a))]
+
+
+def generator_action(rho: dict, words) -> list:
+    """act[i][j]: the Lyndon word words[i] acting on basis vector j, as sparse coordinates.
+
+    rho maps each generator's word (g,) to its operator, a list of sparse columns
+    over the basis.  A longer word w acts by the commutator [rho(u), rho(v)] of its
+    standard factorization (u, v): ad[u, v] = [ad u, ad v] is the Jacobi identity.
+    Only the words the basis factors through are computed.
+    """
+    ops = dict(rho)
+
+    def op(w):
+        if w not in ops:
+            u, v = freelie.standard_factorization(w)
+            ops[w] = _commutator(op(u), op(v))
+        return ops[w]
+
+    return [op(w) for w in words]
+
+
+def action_table(names, act: list) -> StructureTable:
+    """The table [e_i, e_j] = act[i] e_j over the named basis, read for i < j."""
+    c = {(i, j, k): v for i, row in enumerate(act) for j in range(i + 1, len(act)) for k, v in row[j].items()}
+    return StructureTable(names, c)
+
+
+def lie_map(table: StructureTable, generator_images: list):
+    """phi: free Lie polynomial -> sparse coordinates in the table.
+
+    phi sends generator g to generator_images[g] and a Lyndon word w with
+    standard factorization (u, v) to table.bracket(phi(u), phi(v)), so it is
+    extended through the table's bracket alone.  Word images are memoized in the
+    returned function, not across calls of lie_map.
+    """
+    words: dict = {(g,): v for g, v in enumerate(generator_images)}
+
+    def image(w):
+        if w not in words:
+            u, v = freelie.standard_factorization(w)
+            words[w] = table.bracket(image(u), image(v))
+        return words[w]
+
+    def phi(p) -> dict:
+        acc: dict = {}
+        for w, c in p.terms.items():
+            for k, v in image(w).items():
+                acc[k] = acc.get(k, 0) + c * v
+        return {k: v for k, v in acc.items() if v}
+
+    return phi
+
+
 def _sparse(vec) -> dict:
     return {k: c for k, c in enumerate(vec) if c}
 
@@ -239,7 +306,7 @@ def _model(qb: QuotientBasis) -> tuple:
     """
     rho = {(g,): [_sparse(qb.reduce(LiePoly(freelie._bracket_words((g,), w)))) for w in qb.representatives]
            for g in range(qb.alphabet)}
-    act = generator_action(rho, freelie.standard_factorization, qb.representatives)
+    act = generator_action(rho, qb.representatives)
     return act, action_table((qb.representative_name(i) for i in range(qb.dim)), act)
 
 
@@ -287,8 +354,7 @@ def certify(pres: Presentation, qb: QuotientBasis) -> Certificate:
         i, j, k, _ = violations[0]
         return Certificate(None, f"model fails Jacobi at ({names[i]},{names[j]},{names[k]})")
 
-    phi = lie_map(table, [_sparse(qb.reduce(LiePoly.generator(g))) for g in range(qb.alphabet)],
-                  freelie.standard_factorization)
+    phi = lie_map(table, [_sparse(qb.reduce(LiePoly.generator(g))) for g in range(qb.alphabet)])
     for r, rel in enumerate(pres.relations, start=1):
         if phi(rel):
             return Certificate(None, f"relation {r} does not vanish in the model")

@@ -1,9 +1,7 @@
 """Structure constant tables for finite-dimensional Lie algebras over Q.
 
-Also the one way both engines build a table: from the generators' action
-(`generator_action`, `action_table`), mapped into by the free Lie algebra
-(`lie_map`) and renamed to a chosen basis (`StructureTable.rebased`); and the
-Jacobi check that `certify` and `classify` both run on a table (`check_jacobi`).
+A table is renamed to a chosen basis by `StructureTable.rebased`; `check_jacobi`
+is the Jacobi check that `certify` and `classify` both run on a table.
 """
 
 from __future__ import annotations
@@ -125,74 +123,6 @@ class StructureTable:
 
     def __repr__(self) -> str:
         return f"StructureTable(dim={self.dim}, nonzero_pairs={len(self._pairs)})"
-
-
-def _compose(a: list, b: list) -> list:
-    """The product a.b of two operators given as lists of sparse columns."""
-    out = []
-    for col in b:
-        acc: dict = {}
-        for k, x in col.items():
-            for m, y in a[k].items():
-                acc[m] = acc.get(m, 0) + x * y
-        out.append({m: v for m, v in acc.items() if v})
-    return out
-
-
-def _commutator(a: list, b: list) -> list:
-    return [{m: v for m in x.keys() | y.keys() if (v := x.get(m, 0) - y.get(m, 0))}
-            for x, y in zip(_compose(a, b), _compose(b, a))]
-
-
-def generator_action(rho: dict, split, keys) -> list:
-    """act[i][j]: basis element keys[i] acting on basis vector j, as sparse coordinates.
-
-    rho maps each generator's key to its operator, a list of sparse columns over
-    the basis.  Any other key k is a bracket [u, v] with (u, v) = split(k), and acts
-    by the commutator [rho(u), rho(v)]: ad[u, v] = [ad u, ad v] is the Jacobi
-    identity.  Only the keys the basis splits through are computed.
-    """
-    ops = dict(rho)
-
-    def op(k):
-        if k not in ops:
-            u, v = split(k)
-            ops[k] = _commutator(op(u), op(v))
-        return ops[k]
-
-    return [op(k) for k in keys]
-
-
-def action_table(names, act: list) -> StructureTable:
-    """The table [e_i, e_j] = act[i] e_j over the named basis, read for i < j."""
-    c = {(i, j, k): v for i, row in enumerate(act) for j in range(i + 1, len(act)) for k, v in row[j].items()}
-    return StructureTable(names, c)
-
-
-def lie_map(table: StructureTable, generator_images: list, split):
-    """phi: free Lie polynomial -> sparse coordinates in the table.
-
-    phi sends generator g to generator_images[g] and a Lyndon word w with
-    standard factorization (u, v) = split(w) to table.bracket(phi(u), phi(v)), so
-    it is extended through the table's bracket alone.  Word images are memoized in
-    the returned function, not across calls of lie_map.
-    """
-    words: dict = {(g,): v for g, v in enumerate(generator_images)}
-
-    def image(w):
-        if w not in words:
-            u, v = split(w)
-            words[w] = table.bracket(image(u), image(v))
-        return words[w]
-
-    def phi(p) -> dict:
-        acc: dict = {}
-        for w, c in p.terms.items():
-            for k, v in image(w).items():
-                acc[k] = acc.get(k, 0) + c * v
-        return {k: v for k, v in acc.items() if v}
-
-    return phi
 
 
 def integer_ad_maps(t: StructureTable) -> tuple:

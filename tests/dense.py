@@ -23,10 +23,6 @@ def apply(m, vec):
     return [sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in m]
 
 
-def trace(m):
-    return sum((m[i][i] for i in range(len(m))), Fraction(0))
-
-
 def sparse_rows(m):
     return [{j: x for j, x in enumerate(row) if x} for row in m]
 
@@ -91,6 +87,7 @@ def ad(t, i):
 
 
 def killing(t):
-    """K_ij = trace(ad b_i . ad b_j) from dense matrix products."""
+    """K_ij = trace(ad b_i . ad b_j), the trace summed as a[k][m] * b[m][k] over dense ad matrices."""
     ads = [ad(t, i) for i in range(t.dim)]
-    return [[trace(matmul(a, b)) for b in ads] for a in ads]
+    n = t.dim
+    return [[sum((a[k][m] * b[m][k] for k in range(n) for m in range(n)), Fraction(0)) for b in ads] for a in ads]

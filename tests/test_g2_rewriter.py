@@ -1,7 +1,8 @@
 """Quadruple rewriter: relation families, tower reduction, named table.
 
-The paper's formulas, through `epsilon` below, are the oracle for the rule the
-rewriter reads off g2.lp.
+The rewriter's table is g2.lp closed at degree bound 4, renamed to the named
+basis.  The paper's formulas, through `epsilon` below, are the oracle for the
+values that closure gives the degree-4 towers.
 """
 
 import itertools
@@ -13,19 +14,15 @@ from liepres import g2
 from liepres.analysis import check_jacobi
 from liepres.freelie import LiePoly, tower_to_poly
 from liepres.g2 import (
-    CANONICAL_TOWERS,
     G2_NAMES,
     g2_presentation,
     g2_relations,
     named_basis_free,
-    reduce_quadruple,
     rewriter_applicable,
     rewriter_structure_table,
-    tower_action,
-    tower_map,
-    tower_model,
-    tower_reduce,
 )
+from liepres.presentation import Presentation
+from liepres.quotient import certify, lie_map, quotient_closure, renamed
 
 _EVEN = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 
@@ -95,81 +92,107 @@ def test_presentation_object_matches_relations():
     assert set(pres.relations) == set(g2_relations())
 
 
-def test_all_81_quadruples_reduce():
+@pytest.fixture(scope="module")
+def qb():
+    """g2.lp closed at degree bound 4, where the rewriter's table is read."""
+    return quotient_closure(g2_presentation(), 4)
+
+
+def reduced(qb, tower):
+    """{word: c}: the tower [x_t0,[x_t1,...]] (indices 1..3) over the representatives."""
+    coords = qb.reduce(tower_to_poly(tuple(g - 1 for g in tower)))
+    return {qb.representatives[i]: c for i, c in enumerate(coords) if c}
+
+
+def quadruple(qb, a, b, c, d):
+    """The degree-4 tower [xa,[xb,[xc,xd]]] reduced, as {(g,): c} with g in 1..3."""
+    got = reduced(qb, (a, b, c, d))
+    assert all(len(w) == 1 for w in got), (a, b, c, d)
+    return {(w[0] + 1,): x for w, x in got.items()}
+
+
+def test_all_81_quadruples_reduce(qb):
     seen = 0
     for a, b, c, d in itertools.product((1, 2, 3), repeat=4):
-        result = reduce_quadruple(a, b, c, d)
-        assert isinstance(result, dict)
-        for t in result:
-            assert len(t) == 1
+        for w in reduced(qb, (a, b, c, d)):
+            assert len(w) == 1, (a, b, c, d)
         seen += 1
     assert seen == 81
 
 
-def test_quadruple_spot_values():
-    assert reduce_quadruple(1, 2, 1, 3) == {(1,): Fraction(2)}
-    assert reduce_quadruple(2, 1, 1, 3) == {(1,): Fraction(-6)}
-    assert reduce_quadruple(1, 1, 2, 3) == {(1,): Fraction(4)}
-    assert reduce_quadruple(1, 2, 3, 3) == {}
-    assert reduce_quadruple(1, 2, 1, 2) == {}
-    assert reduce_quadruple(3, 3, 1, 2) == {(3,): Fraction(4)}
-    assert reduce_quadruple(1, 3, 1, 2) == {(1,): Fraction(-2)}
+def test_quadruple_spot_values(qb):
+    assert quadruple(qb, 1, 2, 1, 3) == {(1,): Fraction(2)}
+    assert quadruple(qb, 2, 1, 1, 3) == {(1,): Fraction(-6)}
+    assert quadruple(qb, 1, 1, 2, 3) == {(1,): Fraction(4)}
+    assert quadruple(qb, 1, 2, 3, 3) == {}
+    assert quadruple(qb, 1, 2, 1, 2) == {}
+    assert quadruple(qb, 3, 3, 1, 2) == {(3,): Fraction(4)}
+    assert quadruple(qb, 1, 3, 1, 2) == {(1,): Fraction(-2)}
 
 
-def test_quadruple_swap_of_last_two_flips_sign():
+def test_quadruple_swap_of_last_two_flips_sign(qb):
     for a, b, c, d in itertools.product((1, 2, 3), repeat=4):
-        lhs = reduce_quadruple(a, b, c, d)
-        rhs = reduce_quadruple(a, b, d, c)
+        lhs = quadruple(qb, a, b, c, d)
+        rhs = quadruple(qb, a, b, d, c)
         assert lhs == {t: -v for t, v in rhs.items()}
 
 
-def test_tower_reduce_agrees_with_quadruple_rule():
+def test_tower_reduce_agrees_with_quadruple_rule(qb):
+    # the named table brackets every degree-4 tower of generators to what the closure reduces it to
+    t = rewriter_structure_table()
+    x = {g: {t.index_of(f"x{g}"): Fraction(1)} for g in (1, 2, 3)}
     for a, b, c, d in itertools.product((1, 2, 3), repeat=4):
-        assert tower_reduce((a, b, c, d)) == reduce_quadruple(a, b, c, d)
+        got = t.bracket(x[a], t.bracket(x[b], t.bracket(x[c], x[d])))
+        assert all(t.names[k].startswith("x") for k in got)
+        assert {(int(t.names[k][1:]),): v for k, v in got.items()} == quadruple(qb, a, b, c, d)
 
 
-def test_canonical_towers_are_14_and_self_reducing():
-    assert len(CANONICAL_TOWERS) == 14
-    for t in CANONICAL_TOWERS:
-        reduced = tower_reduce(t)
-        assert reduced == {t: Fraction(1)}, t
+def test_representatives_are_14_and_self_reducing(qb):
+    assert qb.dim == 14
+    assert qb.dims_by_degree() == {1: 3, 2: 3, 3: 8}
+    for i, w in enumerate(qb.representatives):
+        assert qb.reduce(LiePoly.monomial(w)) == tuple(Fraction(int(k == i)) for k in range(14)), w
 
 
-def test_non_canonical_triple_rewrites():
-    got = tower_reduce((3, 1, 2))
-    assert got == {(1, 2, 3): Fraction(-1), (2, 1, 3): Fraction(1)}
+def test_non_canonical_triple_rewrites(qb):
+    # Jacobi: [x3,[x1,x2]] = -[x1,[x2,x3]] + [x2,[x1,x3]], and the Lyndon word
+    # (0, 2, 1) is [[x1,x3],x2] = -[x2,[x1,x3]]
+    assert reduced(qb, (3, 1, 2)) == {(0, 1, 2): Fraction(-1), (0, 2, 1): Fraction(-1)}
 
 
-def named_basis_towers():
-    """The 14 named elements as canonical-tower vectors: their images in the tower model."""
-    phi = tower_map(tower_model())
-    return {name: {CANONICAL_TOWERS[k]: c for k, c in phi(p).items()} for name, p in named_basis_free().items()}
+def named_basis_coordinates(qb):
+    """The 14 named elements over the representatives, keyed by Lyndon word."""
+    out = {}
+    for name, p in named_basis_free().items():
+        out[name] = {qb.representatives[i]: c for i, c in enumerate(qb.reduce(p)) if c}
+    return out
 
 
-def test_named_basis_towers_cover_all_names():
-    named = named_basis_towers()
+def test_named_basis_towers_cover_all_names(qb):
+    named = named_basis_coordinates(qb)
     assert set(named) == set(G2_NAMES)
     free = named_basis_free()
     assert tuple(free) == G2_NAMES
 
 
-def hand_written_named_towers():
-    """The named basis written out on canonical towers: y = [x, x]/2, a = [x, y]/3,
-    h = ([x, y] - [x', y'])/3, bracketed in the tower model.  The reference for
-    the images of named_basis_free()."""
+def hand_written_named_coordinates(qb):
+    """The named basis written out from the generators: y = [x, x]/2, a = [x, y]/3,
+    h = ([x, y] - [x', y'])/3, bracketed in the model table over the
+    representatives.  The reference for the coordinates of named_basis_free()."""
     half, third = Fraction(1, 2), Fraction(1, 3)
-    towers = tower_model()
-    index = {t: i for i, t in enumerate(CANONICAL_TOWERS)}
+    model = certify(g2_presentation(), qb).table
+    index = {w: i for i, w in enumerate(qb.representatives)}
 
     def combo(*terms):
         acc = {}
         for c, p, q in terms:
-            pq = towers.bracket({index[t]: v for t, v in p.items()}, {index[t]: v for t, v in q.items()})
+            pq = model.bracket({index[w]: v for w, v in p.items()}, {index[w]: v for w, v in q.items()})
             for k, v in pq.items():
-                acc[CANONICAL_TOWERS[k]] = acc.get(CANONICAL_TOWERS[k], 0) + c * v
-        return {t: v for t, v in acc.items() if v}
+                w = qb.representatives[k]
+                acc[w] = acc.get(w, 0) + c * v
+        return {w: v for w, v in acc.items() if v}
 
-    x = {i: {(i,): Fraction(1)} for i in (1, 2, 3)}
+    x = {i: {(i - 1,): Fraction(1)} for i in (1, 2, 3)}
     y = {1: combo((half, x[2], x[3])), 2: combo((half, x[3], x[1])), 3: combo((half, x[1], x[2]))}
     named = {
         "h1": combo((third, x[1], y[1]), (-third, x[2], y[2])),
@@ -182,12 +205,12 @@ def hand_written_named_towers():
     return named
 
 
-def test_named_basis_towers_equal_hand_written_values():
-    named = named_basis_towers()
+def test_named_basis_towers_equal_hand_written_values(qb):
+    named = named_basis_coordinates(qb)
     assert tuple(named) == G2_NAMES
-    assert named == hand_written_named_towers()
-    assert named["y1"] == {(2, 3): Fraction(1, 2)}
-    assert named["a12"] == {(2, 2, 3): Fraction(1, 6)}
+    assert named == hand_written_named_coordinates(qb)
+    assert named["y1"] == {(1, 2): Fraction(1, 2)}  # [x2,x3] / 2
+    assert named["a12"] == {(1, 1, 2): Fraction(1, 6)}  # [x2,[x2,x3]] / 6
 
 
 def test_named_bracket_worked_identities():
@@ -206,38 +229,37 @@ def test_named_bracket_worked_identities():
     assert bracket("a12", "a21") == {"h1": Fraction(1)}
 
 
-def test_tower_model_is_a_lie_algebra_where_the_relations_vanish():
-    act = tower_action()
-    for i in range(14):
-        for j in range(14):
-            assert act[i][j] == {k: -v for k, v in act[j][i].items()}, (CANONICAL_TOWERS[i], CANONICAL_TOWERS[j])
-    towers = tower_model()
-    assert check_jacobi(towers) == []
-    phi = tower_map(towers)
+def test_tower_model_is_a_lie_algebra_where_the_relations_vanish(qb):
+    # the rewriter's table is the certified model of g2.lp at bound 4, renamed
+    pres = g2_presentation()
+    cert = certify(pres, qb)
+    assert cert.ok
+    assert check_jacobi(cert.table) == []
+    phi = lie_map(cert.table, [{g: Fraction(1)} for g in range(3)])
     relations = g2_relations()
     assert len(relations) == 54
     assert all(phi(r) == {} for r in relations)
+    assert rewriter_structure_table() == renamed(qb, cert.table, named_basis_free())
 
 
 def test_tower_model_refuses_relations_that_leave_a_tower_unreduced(monkeypatch):
-    # The first 43 relations of g2.lp do not span the last 11, so some degree-4
-    # tower keeps a degree-4 remainder; the model must not be built.
-    first_43 = g2_relations()[:43]
-    g2.g2_span.cache_clear()
-    monkeypatch.setattr(g2, "g2_relations", lambda: first_43)
-    try:
-        with pytest.raises(RuntimeError, match=r"do not reduce the tower \(2, 1, 1, 3\)"):
-            tower_model()
-    finally:
-        g2.g2_span.cache_clear()
+    # The first 43 relations of g2.lp do not span the last 11, so a degree-4 word
+    # stays a representative at bound 4; ad(x_g) takes it past the bound, and the
+    # table must not be built.
+    pres = g2_presentation()
+    first_43 = Presentation(pres.generators, pres.relations[:43])
+    assert max(len(w) for w in quotient_closure(first_43, 4).representatives) == 4
+    monkeypatch.setattr(g2, "g2_presentation", lambda: first_43)
+    with pytest.raises(ValueError, match="exceeds bound 4"):
+        rewriter_structure_table()
 
 
 def test_g2_lp_is_parsed_once_per_process(monkeypatch):
-    pres = g2_presentation()
     parse = g2.parse_presentation
     calls = []
     monkeypatch.setattr(g2, "parse_presentation", lambda text: calls.append(text) or parse(text))
-    g2.g2_span.cache_clear()
+    g2.g2_presentation.cache_clear()
+    pres = g2_presentation()
     assert rewriter_applicable(pres)
     assert rewriter_applicable(pres)
     rewriter_structure_table()

@@ -29,11 +29,16 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(liepres.__file__)), "fix
 GOLDEN = os.path.join(FIXTURES, "g2_table.json")
 
 TABLE_IO = {"cli", "linalg", "table", "tabledoc"}
+DERIVE = TABLE_IO | {"freelie", "g2", "presentation", "quotient", "record"}
 
 # command -> (its arguments, the liepres.* modules it loads); a bare `import liepres.cli` loads only cli
 EXPECTED = {
-    "derive": (["derive", os.path.join(FIXTURES, "g2.lp"), "--out", os.devnull],
-               TABLE_IO | {"freelie", "g2", "presentation", "quotient", "record"}),
+    "derive": (["derive", os.path.join(FIXTURES, "g2.lp"), "--out", os.devnull], DERIVE),
+    # the rewriter's table is the closure's, so each engine loads the same modules
+    "derive --engine rewriter": (["derive", os.path.join(FIXTURES, "g2.lp"), "--engine", "rewriter",
+                                  "--out", os.devnull], DERIVE),
+    "derive --engine closure": (["derive", os.path.join(FIXTURES, "g2.lp"), "--engine", "closure",
+                                 "--out", os.devnull], DERIVE),
     "classify": (["classify", "--table", GOLDEN], TABLE_IO | {"analysis", "record"}),
     "verify": (["verify", "--table", GOLDEN, "--golden", GOLDEN], TABLE_IO),
     "export": (["export", "--table", GOLDEN, "--format", "csv"], TABLE_IO),

@@ -1,6 +1,6 @@
 """No module of the package rebinds a module-level name from inside a function,
-and no function keeps a process-wide cache except the named basis and the span
-of the G2 relations."""
+and no function keeps a process-wide cache except the named basis and the parsed
+G2 presentation."""
 
 import ast
 from pathlib import Path
@@ -29,7 +29,7 @@ def _decorator_name(node) -> str | None:
     return None
 
 
-def test_the_only_process_wide_caches_are_the_g2_span_and_named_basis():
+def test_the_only_process_wide_caches_are_the_g2_presentation_and_named_basis():
     # A functools cache outlives every call; a new one needs a deliberate edit here.
     cached = []
     for path in SOURCES:
@@ -37,4 +37,4 @@ def test_the_only_process_wide_caches_are_the_g2_span_and_named_basis():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list):
                     cached.append(f"{path.stem}.{node.name}")
-    assert cached == ["g2.g2_span", "g2.named_basis_free"]
+    assert cached == ["g2.g2_presentation", "g2.named_basis_free"]
