@@ -77,7 +77,7 @@ def _write_table(table, out_path: str | None) -> None:
 
 def cmd_derive(args) -> int:
     from .g2 import named_basis_free, rewriter_applicable, rewriter_structure_table
-    from .quotient import NamesNotBasisError, certify, check_degree_bound, quotient_closure, renamed
+    from .quotient import NamesNotBasisError, certify, closure_levels, renamed
 
     pres = _load_presentation(args.presentation)
     if pres is None:
@@ -94,12 +94,10 @@ def cmd_derive(args) -> int:
         _write_table(table, args.out)
         return 0
 
-    # The closure runs from scratch at each bound, from the relations' degree up
-    # to the ceiling --max-degree, and stops at the first bound that certifies.
+    # One closure climbs from the relations' degree to the ceiling --max-degree
+    # and stops at the first bound that certifies.
     try:
-        check_degree_bound(pres, args.max_degree)
-        for bound in range(max(pres.max_relation_degree(), 1), args.max_degree + 1):
-            qb = quotient_closure(pres, bound)
+        for qb in closure_levels(pres, args.max_degree):
             cert = certify(pres, qb)
             if cert.ok:
                 break

@@ -7,7 +7,6 @@ from fractions import Fraction
 from .record import FrozenRecord
 
 Word = tuple  # tuple of 0-based generator indices
-Tower = tuple  # left-normed nesting [x_{t0}, [x_{t1}, [... x_{tk}]]]
 
 
 class Generator(FrozenRecord):
@@ -73,13 +72,16 @@ def check_word_budget(alphabet_size: int, max_degree: int) -> None:
 
 
 def standard_factorization(w: Word) -> tuple:
-    """Split a Lyndon word of length >= 2 at its longest proper Lyndon suffix."""
+    """Split a Lyndon word of length >= 2 at its longest proper Lyndon suffix.
+
+    That suffix is the lexicographically smallest proper suffix v: v is smaller
+    than its own proper suffixes, so it is Lyndon, and a longer Lyndon suffix
+    would end in v and so be smaller than v.
+    """
     if len(w) < 2:
         raise ValueError("standard factorization needs length >= 2")
-    for i in range(1, len(w)):
-        if is_lyndon(w[i:]):
-            return w[:i], w[i:]
-    raise AssertionError("unreachable: the last letter is a Lyndon suffix")
+    i = min(range(1, len(w)), key=lambda i: w[i:])
+    return w[:i], w[i:]
 
 
 def _clean(terms: dict) -> dict:
@@ -181,10 +183,12 @@ _DEPTH_LIMIT = 500
 
 
 def _bracket_words(u: Word, v: Word, depth: int = 1) -> dict:
-    """[b_u, b_v] as a term dict over Lyndon words; results are cached and read-only.
+    """[b_u, b_v] for Lyndon words u, v as an int term dict; results are cached and read-only.
 
-    For u < v the pair is a basis bracket exactly when uv is Lyndon with standard
-    factorization (u, v); otherwise u = u1 u2 splits and Jacobi rewrites
+    The Lyndon basis has integer structure constants, so no Fraction is needed.
+    For u < v the word uv is Lyndon, and its standard factorization is (u, v)
+    exactly when u is a letter or u = u1 u2 (standard) has u2 >= v (Lothaire,
+    Combinatorics on Words, 5.1); then [b_u, b_v] = b_uv.  Otherwise Jacobi rewrites
     [b_u, b_v] = [b_u1, [b_u2, b_v]] - [b_u2, [b_u1, b_v]].  Both inner brackets drop
     the total degree, and the outer re-brackets keep the total degree while the first
     argument shrinks; the depth guard backstops the induction.  depth counts the
@@ -200,13 +204,10 @@ def _bracket_words(u: Word, v: Word, depth: int = 1) -> dict:
         return hit
     if depth > _DEPTH_LIMIT:
         raise RuntimeError("bracket recursion depth guard tripped")
-    w = u + v
-    if is_lyndon(w) and standard_factorization(w) == (u, v):
-        out = {w: Fraction(1)}
+    u1, u2 = standard_factorization(u) if len(u) > 1 else (None, None)
+    if u2 is None or u2 >= v:
+        out = {u + v: 1}
     else:
-        if len(u) == 1:
-            raise AssertionError(f"letter pair {u},{v} must be standard")
-        u1, u2 = standard_factorization(u)
         acc: dict = {}
         for m, c in _bracket_words(u2, v, depth + 1).items():
             _add_scaled(acc, _bracket_words(u1, m, depth + 1), c)
@@ -226,16 +227,6 @@ def bracket(p: LiePoly, q: LiePoly) -> LiePoly:
                 raise DegreeCapExceeded(f"bracket degree {len(u) + len(v)} exceeds cap {DEFAULT_DEGREE_CAP}")
             _add_scaled(acc, _bracket_words(u, v), cu * cv)
     return _clean_poly(acc)
-
-
-def tower_to_poly(t: Tower) -> LiePoly:
-    """Left-normed tower [x_{t0}, [x_{t1}, [... x_{tk}]]] as a LiePoly (0-based indices)."""
-    if len(t) == 0:
-        raise ValueError("empty tower")
-    p = LiePoly.generator(t[-1])
-    for a in reversed(t[:-1]):
-        p = bracket(LiePoly.generator(a), p)
-    return p
 
 
 def bracket_string(w: Word, names) -> str:

@@ -62,6 +62,13 @@ class Echelon:
     def __eq__(self, other) -> bool:
         return isinstance(other, Echelon) and self.rows == other.rows
 
+    def copy(self) -> "Echelon":
+        """An independent Echelon over the same rows; add replaces a changed row and never edits one."""
+        out = Echelon()
+        out.rows = dict(self.rows)
+        out.containing = {k: set(s) for k, s in self.containing.items()}
+        return out
+
     def reduce(self, vec: dict) -> tuple:
         """(r, s) with r = s*vec minus a combination of rows, supported off the pivots.
 

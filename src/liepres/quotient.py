@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
 
 from . import freelie
 from .freelie import LiePoly, bracket_string
@@ -23,38 +22,52 @@ class TruncationEvent(Record):
 
 
 class QuotientBasis(Record):
-    """Reduced model of the truncated quotient F_b / N computed by quotient_closure.
+    """Reduced model of the truncated quotient F_b / N at one level b of `closure_levels`.
 
     F_b is the span of the Lyndon words of degree at most b = degree_bound, and N is
     the span of the consequence tree: the relations and their iterated ad(x_g)
     images, each expanded only while its top degree is below b.  Every tree node lies
-    in the relation ideal I, and the representatives are a basis of F_b / N.  This is
-    not L/(I + L_{>b}), which for G2 is 0 (x1 lies in I + L_{>=4}, and iterating
-    pushes it above any bound).  `certify` proves dim L/I = dim or names the check
-    that fails.  `stabilized` (the dimension at bound b - 1 is the same and every
-    dropped subtree touched only high degrees) is a heuristic, kept with
-    `dim_at_lower` and `truncation_events` only for the benchmark's replay.
+    in the relation ideal I, and the representatives are a basis of F_b / N.  The
+    climb reaches N without building the tree (see `closure_levels`).  This is not
+    L/(I + L_{>b}), which for G2 is 0 (x1 lies in I + L_{>=4}, and iterating pushes it
+    above any bound).  `certify` proves dim L/I = dim or names the check that fails.
 
-    The closure's own integer `Echelon` is kept: `reduce` eliminates against its
-    rows, whose pivots are exactly the non-representative words.
+    `stabilized` (the dimension at bound b - 1 is the same and every dropped
+    subtree touched only high degrees) is a heuristic, kept with `dim_at_lower` and
+    `truncation_events` only for the benchmark's replay.  `dim_at_lower` is the
+    rank read at the level below; the events come from the one pass over the tree
+    left, `truncation_events`, run only when they are read.
+
+    `reduce` eliminates against a copy of the climb's integer `Echelon` at this
+    level, whose pivots are exactly the non-representative words.
     """
     __slots__ = (
         "degree_bound",
         "alphabet",
         "generator_names",
         "representatives",    # Lyndon words, increasing (degree, lex)
-        "stabilized",
-        "truncation_events",
         "dim_at_lower",       # quotient dimension at degree_bound - 1, if computable
+        "_presentation",
         "_rep_index",
         "_echelon",
         "_word_index",
     )
-    _hidden = ("_rep_index", "_echelon", "_word_index")
+    _hidden = ("_presentation", "_rep_index", "_echelon", "_word_index")
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
+
+    @property
+    def truncation_events(self) -> tuple:
+        return truncation_events(self._presentation, self.degree_bound)
+
+    @property
+    def stabilized(self) -> bool:
+        if self.dim_at_lower is None or self.dim_at_lower != self.dim:
+            return False
+        threshold = self.degree_bound - self._presentation.max_relation_degree()
+        return all(min(e.kept_degrees) > threshold for e in self.truncation_events)
 
     def reduce(self, p: LiePoly) -> tuple:
         """Coordinates of p over the representatives."""
@@ -62,7 +75,7 @@ class QuotientBasis(Record):
         vec: dict = {}
         for w, c in zip(p.terms, ints):
             idx = self._word_index.get(w)
-            if idx is None:
+            if idx is None or len(w) > self.degree_bound:
                 raise ValueError(f"monomial degree {len(w)} exceeds bound {self.degree_bound} or bad alphabet: {w}")
             vec[idx] = c
         rem, s = self._echelon.reduce(vec)
@@ -89,7 +102,7 @@ class QuotientBasis(Record):
 
 
 def check_degree_bound(pres: Presentation, degree_bound: int) -> None:
-    """Raise ValueError unless quotient_closure can run at degree_bound.
+    """Raise ValueError unless the closure can run at degree_bound.
 
     The bound must be positive, reach the relations' degree and keep the Lyndon
     words within their budget; nothing is allocated before these checks.
@@ -102,44 +115,49 @@ def check_degree_bound(pres: Presentation, degree_bound: int) -> None:
     freelie.check_word_budget(len(pres.generators), degree_bound)
 
 
-def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
-    """Close the relation ideal under ad(generator) up to degree_bound and quotient.
+def closure_levels(pres: Presentation, max_bound: int):
+    """Yield the QuotientBasis at every bound from the relations' degree to max_bound.
 
-    Consequences are the full finite tree of ad(x_g) monomials applied to each
-    relation.  A consequence whose children would carry a component above the bound
-    stops there: the children are dropped whole (never partially truncated, which
-    would inject spurious low-degree vectors) and a TruncationEvent records which
-    within-bound degrees the drop touched, for the `stabilized` heuristic.
+    Tree_b, the consequence tree at bound b, holds the relations and their
+    iterated ad(x_g) images of top degree at most b: in a free Lie algebra
+    [x_g, u] = 0 for a nonzero homogeneous u only when u is a multiple of x_g, so
+    a nonzero child has top degree one above its parent's.  Its inner nodes are
+    tree_{b-1}, so
+        span(tree_b) = span(tree_{b-1}) + span(roots of top degree b)
+                       + sum_g ad(x_g) span(tree_{b-1}),
+    and ad(x_g) span(tree_{b-2}) already lies in span(tree_{b-1}).  The echelon
+    rows whose pivots first appeared at level b - 1 complete span(tree_{b-2}) to
+    span(tree_{b-1}): a nonzero combination of them has its top index at one of
+    their pivots, which no element of span(tree_{b-2}) has.  So level b inserts
+    only the roots of top degree b and [x_g, row] for those rows, into the one
+    `Echelon` of the whole climb.  The span is that of the tree, and its reduced
+    echelon form is unique, so every level equals the eager closure of the tree.
 
-    All nodes go through one elimination.  The tree at bound b - 1 is the set of
-    inner nodes of this one (top degree below b), so they are inserted first and
-    the rank read right after them gives dim_at_lower.  Inner nodes are inserted in
-    ascending order of their top word index, so a new pivot nearly always lies
-    above every existing one.  Leaves (top degree b) are never expanded and their
-    dicts are not kept: each is rebuilt from its parent and inserted last, also in
-    ascending order of top index.  The reduced echelon form of a span is unique, so
-    the order changes no result, and events are reported in tree preorder.
+    The words, their index and the bracket cache grow one degree per level, so a
+    climb stopped at the relations' degree builds nothing above it.  Each level
+    reduces against its own copy of the rows and stays valid as the climb goes on.
     """
-    check_degree_bound(pres, degree_bound)
+    check_degree_bound(pres, max_bound)
     n = len(pres.generators)
     max_rel_deg = pres.max_relation_degree()
-    by_degree = freelie.lyndon_words(n, degree_bound)
-    flat = [w for d in range(1, degree_bound + 1) for w in by_degree[d]]
-    word_index = {w: i for i, w in enumerate(flat)}
-    degree = [len(w) for w in flat]
+    by_top: dict = {}
+    for rel in pres.relations:
+        if rel.terms:
+            by_top.setdefault(rel.max_degree(), []).append(rel)
 
+    flat: list = []
+    word_index: dict = {}
     # expansion cache: exp_cache[g][i] is [x_g, flat[i]] as (word index, int) terms
-    exp_cache = [[None] * len(flat) for _ in range(n)]
+    exp_cache: list = [[] for _ in range(n)]
 
-    def child(terms, g: int) -> dict:
-        """[x_g, node] for a node given by its (word index, coefficient) terms."""
+    def child(row: dict, g: int) -> dict:
+        """[x_g, row] for a row of degree below the current level."""
         cache = exp_cache[g]
         out: dict = {}
-        for i, c in terms:
+        for i, c in row.items():
             expansion = cache[i]
             if expansion is None:
-                expansion = [(word_index[w2], int(k))
-                             for w2, k in freelie._bracket_words((g,), flat[i]).items()]
+                expansion = [(word_index[w2], k) for w2, k in freelie._bracket_words((g,), flat[i]).items()]
                 cache[i] = expansion
             for j, k in expansion:
                 nv = out.get(j, 0) + c * k
@@ -149,79 +167,90 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
                     out.pop(j, None)
         return out
 
-    # In a free Lie algebra [x_g, u] = 0 for a nonzero homogeneous u only when u is
-    # a multiple of x_g, so a nonzero child has top degree exactly one above its
-    # parent's.  Hence the tree at bound b - 1 (same roots, expanded while the top
-    # degree is at most b - 2) is exactly the set of inner nodes, those of top degree
-    # below b, and the leaves are the children of nodes of top degree b - 1.
-    # A path (relation index, g1, g2, ...) names a node; its lexicographic order is
-    # the tree's preorder.
-    heap: list = []     # inner nodes as (top index, path, node)
-    leaves: list = []   # (top index, path, parent, g); parent is the node itself for a root
-    for ridx, rel in enumerate(pres.relations):
-        _, ints = integer_scaled(rel.terms.values())
-        seed = {word_index[w]: c for w, c in zip(rel.terms, ints)}
-        if not seed:
-            continue
-        top = max(seed)
-        if degree[top] == degree_bound:
-            leaves.append((top, (ridx,), seed, None))
-        else:
-            heappush(heap, (top, (ridx,), seed))
-
     elim = Echelon()
-    while heap:
-        top, path, node = heappop(heap)
-        elim.add(node)
-        if degree[top] < degree_bound - 1:
-            for g in range(n):
-                ch = child(node.items(), g)
-                if ch:
-                    heappush(heap, (max(ch), path + (g,), ch))
-        else:
-            # The children are leaves; the top component alone says which are
-            # nonzero and where their pivots lie.  They are rebuilt in full below.
-            top_part = [(i, c) for i, c in node.items() if degree[i] == degree_bound - 1]
-            for g in range(n):
-                ch = child(top_part, g)
-                if ch:
-                    leaves.append((max(ch), path + (g,), node, g))
-    rank_lower = len(elim.rows)
+    fresh: list = []    # pivots that first appeared at the level below
+    for b in range(1, max_bound + 1):
+        words_below, rank_below = len(flat), len(elim.rows)
+        words = freelie.lyndon_words(n, b)[b]
+        word_index.update(zip(words, range(len(flat), len(flat) + len(words))))
+        flat += words
+        for cache in exp_cache:
+            cache += [None] * len(words)
 
-    dropped = []
-    leaves.sort(key=lambda leaf: leaf[:2])
-    for _, path, parent, g in leaves:
-        leaf = parent if g is None else child(parent.items(), g)
-        elim.add(leaf)
-        kept = tuple(sorted({degree[i] + 1 for i in leaf if degree[i] < degree_bound}))
-        if kept:
-            dropped.append((path, TruncationEvent(path[0], kept)))
-    events = tuple(e for _, e in sorted(dropped, key=lambda pe: pe[0]))
+        new = []
+        for rel in by_top.get(b, ()):
+            _, ints = integer_scaled(rel.terms.values())
+            new.append({word_index[w]: c for w, c in zip(rel.terms, ints)})
+        # the fresh rows as the level below left them: nothing is inserted before this
+        new += [ch for p in fresh for g in range(n) if (ch := child(elim.rows[p], g))]
+        # in ascending order of top index a new pivot nearly always lies above every
+        # existing one, which keeps back-substitution cheap; the order changes no row
+        new.sort(key=max)
+        fresh = [p for p in map(elim.add, new) if p is not None]
 
-    pivots = set(elim.rows)
-    reps = tuple(flat[i] for i in range(len(flat)) if i not in pivots)
+        if b >= max(max_rel_deg, 1):
+            reps = tuple(w for i, w in enumerate(flat) if i not in elim.rows)
+            yield QuotientBasis(
+                degree_bound=b,
+                alphabet=n,
+                generator_names=pres.names,
+                representatives=reps,
+                dim_at_lower=words_below - rank_below if b - 1 >= max_rel_deg else None,
+                _presentation=pres,
+                _rep_index={word_index[w]: i for i, w in enumerate(reps)},
+                _echelon=elim.copy(),
+                _word_index=word_index,
+            )
 
-    dim_at_lower = None
-    stabilized = False
-    if degree_bound - 1 >= max_rel_deg:
-        dim_at_lower = len(flat) - len(by_degree[degree_bound]) - rank_lower
-        threshold = degree_bound - max_rel_deg
-        events_ok = all(min(e.kept_degrees) > threshold for e in events)
-        stabilized = (dim_at_lower == len(reps)) and events_ok
 
-    qb = QuotientBasis(
-        degree_bound=degree_bound,
-        alphabet=n,
-        generator_names=pres.names,
-        representatives=reps,
-        stabilized=stabilized,
-        truncation_events=events,
-        dim_at_lower=dim_at_lower,
-        _rep_index={word_index[w]: i for i, w in enumerate(reps)},
-        _echelon=elim,
-        _word_index=word_index,
-    )
+def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
+    """The quotient F_b / N at b = degree_bound: level b of one `closure_levels` climb.
+
+    N is the span of the consequence tree at bound b.  The climb never builds the
+    tree: level b adds the relations of top degree b and [x_g, row] for the echelon
+    rows new at level b - 1, since span(tree_b) = span(tree_{b-1}) + those roots
+    + sum_g ad(x_g) span(tree_{b-1}) and those rows complete span(tree_{b-2}) to
+    span(tree_{b-1}).  The span is the tree's, so the reduced echelon form, the
+    representatives and every table built on them are those of closing the whole
+    tree.  The one pass over the tree left is `truncation_events`, which only the
+    replay's `stabilized` heuristic reads.
+    """
+    *_, qb = closure_levels(pres, degree_bound)
     return qb
+
+
+def truncation_events(pres: Presentation, degree_bound: int) -> tuple:
+    """The TruncationEvents of the consequence tree at degree_bound, in tree preorder.
+
+    The one pass over the tree left, for the `stabilized` heuristic; it counts the
+    leaves under each child of a relation and computes no bracket.  An event is a leaf (a node of top degree b = degree_bound) with a
+    component below b; its kept degrees are those components' degrees plus one.  A
+    node's component degrees follow from its parent's alone: [x_g, u_d] has degree
+    d + 1 and vanishes only when u_d is a multiple of x_g, which needs d = 1, and
+    only relations have components of degree 1.  So below a relation every child
+    of a node of top degree t has its degrees shifted by one, and the
+    n^(b - t) leaves under a child of top degree t are all alike.
+    """
+    n = len(pres.generators)
+    events = []
+    for ridx, rel in enumerate(pres.relations):
+        degrees = {len(w) for w in rel.terms}
+        if not degrees:
+            continue
+        if max(degrees) == degree_bound:
+            subtrees = [(degrees, 0)]
+        else:
+            letters = {w for w in rel.terms if len(w) == 1}
+            subtrees = []
+            for g in range(n):
+                ch = {d + 1 for d in degrees if d > 1 or letters != {(g,)}}
+                if ch:
+                    subtrees.append((ch, degree_bound - max(ch)))
+        for ch, depth in subtrees:
+            kept = tuple(sorted(d + depth + 1 for d in ch if d + depth < degree_bound))
+            if kept:
+                events += [TruncationEvent(ridx, kept) for _ in range(n ** depth)]
+    return tuple(events)
 
 
 def _compose(a: list, b: list) -> list:

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 from sl3 import verify_sl3_subalgebra
+from towers import tower_to_poly
 
 import liepres
 from liepres import analysis, cli, g2
-from liepres.freelie import LiePoly, bracket, expand_to_associative, lyndon_words, tower_to_poly
+from liepres.freelie import LiePoly, bracket, expand_to_associative, lyndon_words
 from liepres.linalg import det
 from liepres.presentation import parse_presentation
 from liepres.g2 import rewriter_applicable

@@ -1,5 +1,6 @@
 """Command line tests: every subcommand and every exit code, run in process."""
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,6 +77,15 @@ def test_derive_mutant_fails_to_stabilize(run):
     assert stderr == "quotient not certified up to degree bound 6; rerun with a larger --max-degree\n"
     assert "degree bound: 6" in stdout
     assert "certified: no (relation 8 does not vanish in the model)" in stdout
+
+
+def test_derive_mutant_certifies_dim_0_at_bound_9(run, tmp_path):
+    out = tmp_path / "t.json"
+    code, stdout, stderr = run("derive", MUTANT, "--max-degree", "9", "--out", str(out))
+    assert code == 0, stderr
+    assert "degree bound: 9\ndim = 0\ncertified: yes (" in stdout
+    assert json.loads(out.read_text(encoding="utf-8")) == {
+        "schema_version": "1", "dim": 0, "names": [], "brackets": []}
 
 
 # The bound-4 and bound-5 quotients agree on dim 4, which the old stabilization

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from towers import tower_to_poly
 
 from liepres import freelie
 from liepres.freelie import (
@@ -16,7 +17,6 @@ from liepres.freelie import (
     is_lyndon,
     lyndon_words,
     standard_factorization,
-    tower_to_poly,
 )
 
 

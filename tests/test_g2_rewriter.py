@@ -9,10 +9,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from towers import tower_to_poly
 
 from liepres import g2
 from liepres.analysis import check_jacobi
-from liepres.freelie import LiePoly, tower_to_poly
+from liepres.freelie import LiePoly
 from liepres.g2 import (
     G2_NAMES,
     g2_presentation,

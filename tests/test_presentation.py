@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from towers import tower_to_poly
 
 from liepres.freelie import (
     DegreeCapExceeded,
@@ -12,7 +13,6 @@ from liepres.freelie import (
     NCPoly,
     bracket,
     expand_to_associative,
-    tower_to_poly,
 )
 from liepres.presentation import (
     MAX_NESTING,
