@@ -70,21 +70,6 @@ def killing_form(t: StructureTable) -> list:
     return K
 
 
-def killing_invariance_violations(t: StructureTable, K: list) -> list:
-    """Triples where K([bi,bj],bk) + K(bj,[bi,bk]) != 0, K given as sparse rows."""
-    n = t.dim
-    out = []
-    for i in range(n):
-        for j in range(n):
-            vij = t.bracket_map(i, j)
-            for k in range(n):
-                lhs = sum(x * K[m].get(k, 0) for m, x in vij.items())
-                rhs = sum(K[j].get(m, 0) * x for m, x in t.bracket_map(i, k).items())
-                if lhs + rhs != 0:
-                    out.append((i, j, k))
-    return out
-
-
 class CartanCheck(Record):
     __slots__ = (
         "ok",

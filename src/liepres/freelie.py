@@ -235,79 +235,3 @@ def bracket_string(w: Word, names) -> str:
         return names[w[0]]
     u, v = standard_factorization(w)
     return f"[{bracket_string(u, names)},{bracket_string(v, names)}]"
-
-
-class NCPoly:
-    """Noncommutative associative polynomial: Q-combination of words in the generators."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for w, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[tuple(w)] = c
-        self.terms = clean
-
-    @classmethod
-    def letter(cls, index: int) -> "NCPoly":
-        return cls({(index,): 1})
-
-    def mul(self, other: "NCPoly") -> "NCPoly":
-        acc: dict = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = u + v
-                val = acc.get(w, 0) + cu * cv
-                if val:
-                    acc[w] = val
-                else:
-                    acc.pop(w, None)
-        return NCPoly(acc)
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        acc = dict(self.terms)
-        _add_scaled(acc, other.terms, Fraction(1))
-        return NCPoly(acc)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        acc = dict(self.terms)
-        _add_scaled(acc, other.terms, Fraction(-1))
-        return NCPoly(acc)
-
-    def __rmul__(self, scalar) -> "NCPoly":
-        scalar = Fraction(scalar)
-        return NCPoly({w: scalar * c for w, c in self.terms.items()})
-
-    def commutator(self, other: "NCPoly") -> "NCPoly":
-        return self.mul(other) - other.mul(self)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            bits.append(f"{self.terms[w]}*w{list(w)}")
-        return " + ".join(bits)
-
-
-def _word_to_associative(w: Word) -> NCPoly:
-    if len(w) == 1:
-        return NCPoly.letter(w[0])
-    u, v = standard_factorization(w)
-    return _word_to_associative(u).commutator(_word_to_associative(v))
-
-
-def expand_to_associative(p: LiePoly) -> NCPoly:
-    """Image of p under the standard embedding into the free associative algebra."""
-    acc: dict = {}
-    for w, c in p.terms.items():
-        _add_scaled(acc, _word_to_associative(w).terms, c)
-    return NCPoly(acc)

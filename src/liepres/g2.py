@@ -1,13 +1,13 @@
-"""G2, the one module that knows it: relations, named basis, the rewriter's table.
+"""G2, the one module that knows it: relations, named basis, the rewriter gate.
 
 The relations are read from the shipped `fixtures/g2.lp` and typed out nowhere
 else; `g2_presentation` parses it once per process.  `rewriter_applicable`
 compares a presentation's relation span with theirs.  The named basis is
-defined once, as free Lie polynomials in `named_basis_free`.  The rewriter's
-table is the quotient closure of g2.lp at degree bound 4, the relations' degree
-and the bound where `certify` proves dimension 14, renamed to the named basis:
-every degree-4 Lyndon word is a pivot of the relations' echelon form, so the 14
-representatives lie below degree 4.
+defined once, as free Lie polynomials in `named_basis_free`.  A presentation
+that passes the gate has g2.lp's relation span, whose 18 echelon pivots are the
+18 degree-4 Lyndon words; so its closure at degree bound 4, the relations'
+degree, has 14 representatives below degree 4, `certify` proves dimension 14
+there, and renamed to the named basis it is the rewriter's table.
 """
 
 from __future__ import annotations
@@ -77,7 +77,9 @@ def rewriter_structure_table() -> StructureTable:
 
     The table `certify` checks at that bound, renamed to named_basis_free().
     Raises ValueError if a representative of degree 4 is left, which would need
-    the closure at degree 5 to act on.
+    the closure at degree 5 to act on.  `derive` climbs its own input instead;
+    this stays only because the benchmark's replay (`perfbench/replay.py`)
+    imports it.
     """
     from .quotient import structure_table  # quotient imports g2
     return structure_table(g2_presentation(), named_basis_free(), 4)

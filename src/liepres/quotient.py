@@ -93,26 +93,19 @@ class QuotientBasis(Record):
             out[len(w)] = out.get(len(w), 0) + 1
         return out
 
-    def degree_images(self, degree: int) -> list:
-        """(word, coordinates) for every Lyndon monomial of the given degree."""
-        out = []
-        for w in freelie.lyndon_words(self.alphabet, degree)[degree]:
-            out.append((w, self.reduce(LiePoly.monomial(w))))
-        return out
-
 
 def check_degree_bound(pres: Presentation, degree_bound: int) -> None:
-    """Raise ValueError unless the closure can run at degree_bound.
+    """Raise ValueError unless the closure can climb to degree_bound.
 
-    The bound must be positive, reach the relations' degree and keep the Lyndon
-    words within their budget; nothing is allocated before these checks.
+    The bound must be positive and reach the relations' degree.  The word budget
+    is not checked here: `freelie.lyndon_words` checks it before building each
+    level, so a climb that certifies below the budget's degree never meets it.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be positive")
     max_rel_deg = pres.max_relation_degree()
     if max_rel_deg > degree_bound:
         raise ValueError(f"degree bound {degree_bound} below max relation degree {max_rel_deg}")
-    freelie.check_word_budget(len(pres.generators), degree_bound)
 
 
 def closure_levels(pres: Presentation, max_bound: int):

@@ -91,3 +91,18 @@ def killing(t):
     ads = [ad(t, i) for i in range(t.dim)]
     n = t.dim
     return [[sum((a[k][m] * b[m][k] for k in range(n) for m in range(n)), Fraction(0)) for b in ads] for a in ads]
+
+
+def killing_invariance_violations(t, K):
+    """Triples where K([bi,bj],bk) + K(bj,[bi,bk]) != 0, K given as sparse rows."""
+    n = t.dim
+    out = []
+    for i in range(n):
+        for j in range(n):
+            vij = t.bracket_map(i, j)
+            for k in range(n):
+                lhs = sum(x * K[m].get(k, 0) for m, x in vij.items())
+                rhs = sum(K[j].get(m, 0) * x for m, x in t.bracket_map(i, k).items())
+                if lhs + rhs != 0:
+                    out.append((i, j, k))
+    return out

@@ -19,6 +19,7 @@ FIXTURES = Path(liepres.__file__).parent / "fixtures"
 G2 = str(FIXTURES / "g2.lp")
 SL2 = str(FIXTURES / "sl2.lp")
 HEIS = str(FIXTURES / "heisenberg.lp")
+SL3 = str(FIXTURES / "sl3.lp")
 MUTANT = str(FIXTURES / "g2_mutated.lp")
 GOLDEN = str(FIXTURES / "g2_table.json")
 
@@ -56,12 +57,16 @@ def test_derive_closure_engine_matches_golden(run, tmp_path):
 
 
 def test_derive_rewriter_engine_matches_golden(run, tmp_path):
-    out = tmp_path / "t.json"
-    code, stdout, _ = run("derive", G2, "--engine", "rewriter", "--out", str(out))
-    assert code == 0
-    assert "engine: rewriter" in stdout
-    assert "stabilization: not applicable" in stdout
-    assert out.read_bytes() == Path(GOLDEN).read_bytes()
+    # the rewriter climbs to its own bound 4, so --max-degree does not apply
+    for extra in ((), ("--max-degree", "2")):
+        out = tmp_path / "t.json"
+        code, stdout, _ = run("derive", G2, "--engine", "rewriter", *extra, "--out", str(out))
+        assert code == 0
+        assert stdout == ("engine: rewriter\ndim = 14\n"
+                          "stabilization: not applicable (the rewriter reduces every bracket exactly)\n"
+                          f"wrote {out}\n")
+        assert out.read_bytes() == Path(GOLDEN).read_bytes()
+        out.unlink()
 
 
 def test_derive_sl2_skips_rewriter(run):
@@ -452,7 +457,7 @@ def g2_variant(tmp_path, scales, drop=0):
 RESCALE = (Fraction(3, 2), Fraction(-7), Fraction(2, 5), Fraction(-1, 3))
 
 
-@pytest.mark.parametrize("engine", ["rewriter", "closure"])
+@pytest.mark.parametrize("engine", ["rewriter", "closure", "both"])
 def test_derive_rescaled_shuffled_g2_writes_golden_bytes(run, tmp_path, engine):
     out = tmp_path / "t.json"
     code, stdout, stderr = run("derive", g2_variant(tmp_path, RESCALE), "--engine", engine, "--out", str(out))
@@ -500,12 +505,32 @@ def test_derive_named_basis_rejected_exits_3(run, tmp_path, monkeypatch, engine)
     assert not out.exists()
 
 @pytest.mark.parametrize("argv", [
-    ("derive", HEIS, "--max-degree", "40"),
+    ("derive", "free20.lp", "--max-degree", "40"),
     ("free", "--alphabet", "2", "--max-degree", "40"),
     ("free", "--alphabet", "1", "--max-degree", "200001"),
-], ids=["derive-heisenberg-40", "free-2-40", "free-1-over-budget"])
-def test_word_budget_exits_2_before_allocating(run, argv):
+], ids=["derive-free-20-40", "free-2-40", "free-1-over-budget"])
+def test_word_budget_exits_2_before_allocating(run, tmp_path, monkeypatch, argv):
+    # 20 generators and no relations certify at no bound: the climb meets the
+    # budget before building degree 5
+    monkeypatch.chdir(tmp_path)
+    Path("free20.lp").write_text("generators: " + " ".join(f"g{i}" for i in range(20)) + "\n")
     code, stdout, stderr = run(*argv)
     assert code == 2
     assert stderr.startswith("error: ") and "Lyndon word" in stderr
     assert stdout == ""
+
+
+def test_word_budget_is_checked_per_level(run, tmp_path):
+    # the budget is met only by a level the climb builds; at degree 40 it would refuse
+    code, stdout, stderr = run("derive", HEIS, "--max-degree", "40")
+    assert (code, stderr) == (0, "")
+    assert "degree bound: 3\ndim = 3\ncertified: yes (" in stdout
+    # six generators, past the budget at the default bound 8, certify at bound 3
+    out = tmp_path / "sl3.json"
+    code, stdout, stderr = run("derive", SL3, "--out", str(out))
+    assert (code, stderr) == (0, "")
+    assert "degree bound: 3\ndim = 8\ncertified: yes (" in stdout
+    code, stdout, _ = run("classify", "--table", str(out))
+    assert code == 0
+    assert "cartan matrix: [[2, -1], [-1, 2]]" in stdout
+    assert stdout.splitlines()[-1] == "type: A2"

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from associative import expand_to_associative, word_image
 from towers import tower_to_poly
 
 from liepres import freelie
@@ -13,7 +14,6 @@ from liepres.freelie import (
     LiePoly,
     bracket,
     bracket_string,
-    expand_to_associative,
     is_lyndon,
     lyndon_words,
     standard_factorization,
@@ -157,22 +157,25 @@ def test_jacobi_exhaustive_to_degree_6():
     assert count == 170
 
 
-def test_associative_commutator_oracle_to_degree_5():
-    grouped = lyndon_words(3, 4)
-    monos = [w for n in range(1, 5) for w in grouped[n]]
+def test_associative_commutator_oracle_on_every_climb_bracket():
+    # The closure climb brackets only [x_g, w] with a letter first: every such
+    # bracket on 3 letters up to |w| = 7 and on 2 letters up to |w| = 9 must be the
+    # commutator x_g b_w - b_w x_g of the associative images, summed in one dict.
     pairs = 0
-    for u in monos:
-        for v in monos:
-            if u >= v or len(u) + len(v) > 5:
-                continue
-            pu = LiePoly.monomial(u)
-            pv = LiePoly.monomial(v)
-            lhs = expand_to_associative(bracket(pu, pv))
-            au = expand_to_associative(pu)
-            av = expand_to_associative(pv)
-            assert lhs == au.mul(av) - av.mul(au), (u, v)
-            pairs += 1
-    assert pairs == 117
+    for letters, top in ((3, 7), (2, 9)):
+        for w in (w for words in lyndon_words(letters, top)[1:] for w in words):
+            bw = word_image(w)
+            for g in range(letters):
+                acc: dict = {}
+                for m, c in freelie._bracket_words((g,), w).items():
+                    for x, k in word_image(m).items():
+                        acc[x] = acc.get(x, 0) + c * k
+                for x, k in bw.items():
+                    acc[(g,) + x] = acc.get((g,) + x, 0) - k
+                    acc[x + (g,)] = acc.get(x + (g,), 0) + k
+                assert not any(acc.values()), (g, w)
+                pairs += 1
+    assert pairs == 1778
 
 
 def test_associative_oracle_on_random_polys():

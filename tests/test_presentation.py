@@ -4,16 +4,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from associative import NCPoly, expand_to_associative
 from towers import tower_to_poly
 
-from liepres.freelie import (
-    DegreeCapExceeded,
-    Generator,
-    LiePoly,
-    NCPoly,
-    bracket,
-    expand_to_associative,
-)
+from liepres.freelie import DegreeCapExceeded, Generator, LiePoly, bracket
 from liepres.presentation import (
     MAX_NESTING,
     ParseError,

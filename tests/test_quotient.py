@@ -23,6 +23,7 @@ from liepres.quotient import (
     certify,
     closure_levels,
     quotient_closure,
+    renamed,
     structure_table,
 )
 from liepres.tabledoc import load_table
@@ -142,8 +143,13 @@ def test_g2_relations_vanish_in_quotient(g2_pres, g2_qb6):
         assert g2_qb6.reduce(r) == zero
 
 
+def degree_images(qb, degree: int) -> list:
+    """(word, coordinates) for every Lyndon monomial of the given degree."""
+    return [(w, qb.reduce(LiePoly.monomial(w))) for w in lyndon_words(qb.alphabet, degree)[degree]]
+
+
 def test_g2_degree_4_words_collapse_to_generators(g2_pres, g2_qb6):
-    images = g2_qb6.degree_images(4)
+    images = degree_images(g2_qb6, 4)
     assert len(images) == 18
     zero = tuple(Fraction(0) for _ in range(14))
     nonzero = 0
@@ -218,8 +224,27 @@ def test_rewriter_applicability_rule(g2_pres, family_member_text):
 def test_closure_table_matches_rewriter_g2(g2_pres, g2_qb6):
     assert rewriter_applicable(g2_pres)
     assert g2_qb6.stabilized
-    table = structure_table(g2_pres, named_basis_free(), qb=g2_qb6)
-    assert table.diff(rewriter_structure_table()) == []
+    rewriter = rewriter_structure_table()
+    assert structure_table(g2_pres, named_basis_free(), qb=g2_qb6).diff(rewriter) == []
+    # derive prints "engines agree" whenever the gate holds: a gated presentation's
+    # climb starts at bound 4 with g2.lp's echelon rows and certifies the rewriter's table
+    g2_rows = next(closure_levels(g2_pres, 4))._echelon.rows
+    rng = random.Random(17)
+    for seed in range(10):
+        shuffled = list(g2_pres.relations)
+        rng.shuffle(shuffled)
+        rescaled = shuffled_scaled(g2_pres, seed).relations
+        dropped = list(rescaled)
+        del dropped[rng.randrange(len(dropped))]
+        for rels in (shuffled, rescaled, dropped):
+            pres = Presentation(g2_pres.generators, tuple(rels))
+            assert rewriter_applicable(pres), seed
+            first = next(closure_levels(pres, 8))
+            assert first.degree_bound == 4
+            assert first._echelon.rows == g2_rows
+            cert = certify(pres, first)
+            assert cert.ok, cert.detail
+            assert renamed(first, cert.table, named_basis_free()) == rewriter
 
 
 def test_non_g2_table_over_representatives():
@@ -364,7 +389,7 @@ def assert_matches_reference(pres: Presentation, top: int) -> None:
         assert all(row[p] > 0 for p, row in qb._echelon.rows.items())
         terms = {}
         for degree in range(1, bound + 1):
-            for i, (w, vec) in enumerate(qb.degree_images(degree)):
+            for i, (w, vec) in enumerate(degree_images(qb, degree)):
                 assert vec == reference_reduce(ref, LiePoly.monomial(w)), w
                 terms[w] = Fraction(i % 5 - 2, i % 3 + 1)
         dense = LiePoly(terms)
