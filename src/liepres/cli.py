@@ -56,16 +56,16 @@ def _load_table(path: str):
 
 
 def _print_closure_report(pres, qb, cert) -> None:
-    from .freelie import lyndon_words
+    from .freelie import lyndon_counts
     print(f"degree bound: {qb.degree_bound}")
     print(f"dim = {qb.dim}")
     print(f"certified: {'yes' if cert.ok else 'no'} ({cert.detail})")
     top = min(qb.degree_bound, pres.max_relation_degree())
     if top:
         survive = qb.dims_by_degree()
-        for d, words in enumerate(lyndon_words(qb.alphabet, top)[1:], start=1):
-            if words:
-                print(f"degree {d}: {len(words)} Lyndon words, {survive.get(d, 0)} independent in the quotient")
+        for d, count in enumerate(lyndon_counts(qb.alphabet, top), start=1):
+            if count:
+                print(f"degree {d}: {count} Lyndon words, {survive.get(d, 0)} independent in the quotient")
 
 
 def _write_table(table, out_path: str | None) -> None:
@@ -100,11 +100,7 @@ def cmd_derive(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"engine: {args.engine}")
-    if rewriter:
-        print(f"dim = {qb.dim}")
-        print("stabilization: not applicable (the rewriter reduces every bracket exactly)")
-    else:
-        _print_closure_report(pres, qb, cert)
+    _print_closure_report(pres, qb, cert)
     if not cert.ok:
         print(f"quotient not certified up to degree bound {qb.degree_bound}; "
               "rerun with a larger --max-degree", file=sys.stderr)
@@ -225,14 +221,14 @@ def cmd_export(args) -> int:
 
 
 def cmd_free(args) -> int:
-    from .freelie import lyndon_words
+    from .freelie import check_word_budget, lyndon_counts
 
     try:
-        grouped = lyndon_words(args.alphabet, args.max_degree)
+        check_word_budget(args.alphabet, args.max_degree)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    counts = [len(ws) for ws in grouped[1:]]
+    counts = list(lyndon_counts(args.alphabet, args.max_degree))
     print(f"{' '.join(str(c) for c in counts)}, total {sum(counts)}")
     return 0
 

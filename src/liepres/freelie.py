@@ -51,20 +51,30 @@ def lyndon_words(alphabet_size: int, max_degree: int) -> list:
     return by_degree
 
 
-def check_word_budget(alphabet_size: int, max_degree: int) -> None:
-    """Raise ValueError if there are more than MAX_LYNDON_WORDS words up to max_degree.
+def lyndon_counts(alphabet_size: int, max_degree: int):
+    """Yield N(d), the number of Lyndon words of length d, for d in 1..max_degree.
 
-    Witt: a^d = sum over e | d of e * N(e), N(e) the number of Lyndon words of
-    length e, so N(d) follows from the smaller lengths with N(e) > 0.
+    Witt: a^d = sum over e | d of e * N(e), so N(d) follows from the smaller
+    lengths with N(e) > 0.  Nothing is built; the caller may stop at any degree.
     """
-    if max_degree > MAX_LYNDON_WORDS:
-        raise ValueError(f"degree bound {max_degree} exceeds the Lyndon word budget {MAX_LYNDON_WORDS}")
-    total = 0
     weighted = []  # (e, e * N(e)) for the lengths e with N(e) > 0
     for d in range(1, max_degree + 1):
         count = (alphabet_size ** d - sum(m for e, m in weighted if d % e == 0)) // d
         if count:
             weighted.append((d, d * count))
+        yield count
+
+
+def check_word_budget(alphabet_size: int, max_degree: int) -> None:
+    """Raise ValueError if there are more than MAX_LYNDON_WORDS words up to max_degree.
+
+    The counts are summed degree by degree, so the refusal comes at the first
+    degree past the budget.
+    """
+    if max_degree > MAX_LYNDON_WORDS:
+        raise ValueError(f"degree bound {max_degree} exceeds the Lyndon word budget {MAX_LYNDON_WORDS}")
+    total = 0
+    for count in lyndon_counts(alphabet_size, max_degree):
         total += count
         if total > MAX_LYNDON_WORDS:
             raise ValueError(f"more than {MAX_LYNDON_WORDS} Lyndon words on {alphabet_size} letters "
@@ -125,9 +135,6 @@ class LiePoly:
     def generator(cls, index: int) -> "LiePoly":
         return cls({(index,): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "LiePoly") -> "LiePoly":
         acc = dict(self.terms)
         for w, c in other.terms.items():
@@ -178,12 +185,11 @@ def _clean_poly(terms: dict) -> LiePoly:
     return p
 
 
-_bracket_cache: dict = {}
 _DEPTH_LIMIT = 500
 
 
-def _bracket_words(u: Word, v: Word, depth: int = 1) -> dict:
-    """[b_u, b_v] for Lyndon words u, v as an int term dict; results are cached and read-only.
+def _bracket_words(u: Word, v: Word, cache: dict, depth: int = 1) -> dict:
+    """[b_u, b_v] for Lyndon words u, v as an int term dict, memoized read-only in the caller's cache.
 
     The Lyndon basis has integer structure constants, so no Fraction is needed.
     For u < v the word uv is Lyndon, and its standard factorization is (u, v)
@@ -192,16 +198,18 @@ def _bracket_words(u: Word, v: Word, depth: int = 1) -> dict:
     [b_u, b_v] = [b_u1, [b_u2, b_v]] - [b_u2, [b_u1, b_v]].  Both inner brackets drop
     the total degree, and the outer re-brackets keep the total degree while the first
     argument shrinks; the depth guard backstops the induction.  depth counts the
-    uncached calls on the stack, this one included.
+    uncached calls on the stack, this one included.  The cache holds both
+    orientations, so a reversed pair is negated once.
     """
+    key = (u, v)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     if u == v:
         return {}
     if u > v:
-        return {w: -c for w, c in _bracket_words(v, u, depth).items()}
-    key = (u, v)
-    hit = _bracket_cache.get(key)
-    if hit is not None:
-        return hit
+        out = cache[key] = {w: -c for w, c in _bracket_words(v, u, cache, depth).items()}
+        return out
     if depth > _DEPTH_LIMIT:
         raise RuntimeError("bracket recursion depth guard tripped")
     u1, u2 = standard_factorization(u) if len(u) > 1 else (None, None)
@@ -209,23 +217,24 @@ def _bracket_words(u: Word, v: Word, depth: int = 1) -> dict:
         out = {u + v: 1}
     else:
         acc: dict = {}
-        for m, c in _bracket_words(u2, v, depth + 1).items():
-            _add_scaled(acc, _bracket_words(u1, m, depth + 1), c)
-        for m, c in _bracket_words(u1, v, depth + 1).items():
-            _add_scaled(acc, _bracket_words(u2, m, depth + 1), -c)
+        for m, c in _bracket_words(u2, v, cache, depth + 1).items():
+            _add_scaled(acc, _bracket_words(u1, m, cache, depth + 1), c)
+        for m, c in _bracket_words(u1, v, cache, depth + 1).items():
+            _add_scaled(acc, _bracket_words(u2, m, cache, depth + 1), -c)
         out = _clean(acc)
-    _bracket_cache[key] = out
+    cache[key] = out
     return out
 
 
 def bracket(p: LiePoly, q: LiePoly) -> LiePoly:
     """Lie bracket [p, q] in the Lyndon basis, refused past DEFAULT_DEGREE_CAP."""
     acc: dict = {}
+    cache: dict = {}
     for u, cu in p.terms.items():
         for v, cv in q.terms.items():
             if len(u) + len(v) > DEFAULT_DEGREE_CAP:
                 raise DegreeCapExceeded(f"bracket degree {len(u) + len(v)} exceeds cap {DEFAULT_DEGREE_CAP}")
-            _add_scaled(acc, _bracket_words(u, v), cu * cv)
+            _add_scaled(acc, _bracket_words(u, v, cache), cu * cv)
     return _clean_poly(acc)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freelie import Generator, LiePoly, bracket, bracket_string
+from .freelie import Generator, LiePoly, bracket
 from .record import FrozenRecord
 
 
@@ -199,17 +199,3 @@ def combination_text(terms) -> str:
         else:
             bits.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(bits) or "0"
-
-
-def poly_text(p: LiePoly, names) -> str:
-    """Render a Lie polynomial as a sum of bracketed Lyndon monomials."""
-    words = sorted(p.terms, key=lambda w: (len(w), w))
-    return combination_text((bracket_string(w, names), p.terms[w]) for w in words)
-
-
-def format_presentation(pres: Presentation) -> str:
-    """Canonical text form; parsing it back yields an equal Presentation."""
-    lines = ["generators: " + " ".join(pres.names)]
-    for r in pres.relations:
-        lines.append(f"relation: {poly_text(r, pres.names)} = 0")
-    return "\n".join(lines) + "\n"

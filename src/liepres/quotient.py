@@ -126,8 +126,8 @@ def closure_levels(pres: Presentation, max_bound: int):
     `Echelon` of the whole climb.  The span is that of the tree, and its reduced
     echelon form is unique, so every level equals the eager closure of the tree.
 
-    The words, their index and the bracket cache grow one degree per level, so a
-    climb stopped at the relations' degree builds nothing above it.  Each level
+    The words, their index and the climb's bracket memo grow one degree per
+    level, so a climb stopped at the relations' degree builds nothing above it.  Each level
     reduces against its own copy of the rows and stays valid as the climb goes on.
     """
     check_degree_bound(pres, max_bound)
@@ -142,6 +142,7 @@ def closure_levels(pres: Presentation, max_bound: int):
     word_index: dict = {}
     # expansion cache: exp_cache[g][i] is [x_g, flat[i]] as (word index, int) terms
     exp_cache: list = [[] for _ in range(n)]
+    brackets: dict = {}  # the climb's Lyndon bracket memo
 
     def child(row: dict, g: int) -> dict:
         """[x_g, row] for a row of degree below the current level."""
@@ -150,7 +151,8 @@ def closure_levels(pres: Presentation, max_bound: int):
         for i, c in row.items():
             expansion = cache[i]
             if expansion is None:
-                expansion = [(word_index[w2], k) for w2, k in freelie._bracket_words((g,), flat[i]).items()]
+                expansion = [(word_index[w2], k)
+                             for w2, k in freelie._bracket_words((g,), flat[i], brackets).items()]
                 cache[i] = expansion
             for j, k in expansion:
                 nv = out.get(j, 0) + c * k
@@ -326,7 +328,9 @@ def _model(qb: QuotientBasis) -> tuple:
     degree bound; a Lyndon word acts through its standard factorization, by the
     commutator of its factors' operators.
     """
-    rho = {(g,): [_sparse(qb.reduce(LiePoly(freelie._bracket_words((g,), w)))) for w in qb.representatives]
+    brackets: dict = {}
+    rho = {(g,): [_sparse(qb.reduce(LiePoly(freelie._bracket_words((g,), w, brackets))))
+                  for w in qb.representatives]
            for g in range(qb.alphabet)}
     act = generator_action(rho, qb.representatives)
     return act, action_table((qb.representative_name(i) for i in range(qb.dim)), act)

@@ -5,12 +5,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from presentation_text import format_presentation
 
 import liepres
 from liepres import g2
 from liepres.cli import main
 from liepres.g2 import g2_presentation, named_basis_free
-from liepres.presentation import Presentation, format_presentation, parse_presentation
+from liepres.presentation import Presentation, parse_presentation
 from liepres.quotient import quotient_closure
 from liepres.table import StructureTable
 from liepres.tabledoc import load_table, save_table
@@ -62,8 +63,13 @@ def test_derive_rewriter_engine_matches_golden(run, tmp_path):
         out = tmp_path / "t.json"
         code, stdout, _ = run("derive", G2, "--engine", "rewriter", *extra, "--out", str(out))
         assert code == 0
-        assert stdout == ("engine: rewriter\ndim = 14\n"
-                          "stabilization: not applicable (the rewriter reduces every bracket exactly)\n"
+        assert stdout == ("engine: rewriter\ndegree bound: 4\ndim = 14\n"
+                          "certified: yes (every representative below degree 4; model of dim 14 passes "
+                          "Jacobi on 364 triples; all 54 relations vanish)\n"
+                          "degree 1: 3 Lyndon words, 3 independent in the quotient\n"
+                          "degree 2: 3 Lyndon words, 3 independent in the quotient\n"
+                          "degree 3: 8 Lyndon words, 8 independent in the quotient\n"
+                          "degree 4: 18 Lyndon words, 0 independent in the quotient\n"
                           f"wrote {out}\n")
         assert out.read_bytes() == Path(GOLDEN).read_bytes()
         out.unlink()

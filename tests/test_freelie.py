@@ -15,6 +15,7 @@ from liepres.freelie import (
     bracket,
     bracket_string,
     is_lyndon,
+    lyndon_counts,
     lyndon_words,
     standard_factorization,
 )
@@ -125,7 +126,7 @@ def test_public_constructor_coerces_and_arithmetic_stays_clean():
     for r in (p + q, p - q, q - q, -p, 1 * p, 0 * p, Fraction(3, 7) * p, 2 * q, bracket(p, q)):
         assert _clean_terms(r)
     assert (p + q).terms == {(0, 2): Fraction(1, 3), (1,): 5}
-    assert (q - q).is_zero() and (0 * p).is_zero()
+    assert q - q == LiePoly.zero() and 0 * p == LiePoly.zero()
     assert (1 * p) == p and (1 * p).terms is not p.terms
 
 
@@ -163,11 +164,12 @@ def test_associative_commutator_oracle_on_every_climb_bracket():
     # commutator x_g b_w - b_w x_g of the associative images, summed in one dict.
     pairs = 0
     for letters, top in ((3, 7), (2, 9)):
+        cache: dict = {}
         for w in (w for words in lyndon_words(letters, top)[1:] for w in words):
             bw = word_image(w)
             for g in range(letters):
                 acc: dict = {}
-                for m, c in freelie._bracket_words((g,), w).items():
+                for m, c in freelie._bracket_words((g,), w, cache).items():
                     for x, k in word_image(m).items():
                         acc[x] = acc.get(x, 0) + c * k
                 for x, k in bw.items():
@@ -251,23 +253,42 @@ def test_degree_cap_enforced(monkeypatch):
 
 def test_depth_guard_unwinds_counter(monkeypatch):
     # the depth travels as an argument, so a tripped guard leaves no state behind:
-    # with the default limit the same bracket then succeeds and is correct
+    # with the default limit the same bracket, on the same memo, then succeeds and is correct
     default_limit = freelie._DEPTH_LIMIT
-    monkeypatch.setattr(freelie, "_bracket_cache", {})
+    cache: dict = {}
     monkeypatch.setattr(freelie, "_DEPTH_LIMIT", 1)
     with pytest.raises(RuntimeError, match="depth guard"):
-        freelie._bracket_words((0, 0, 1), (1,))
+        freelie._bracket_words((0, 0, 1), (1,), cache)
     monkeypatch.setattr(freelie, "_DEPTH_LIMIT", default_limit)
     u, v = LiePoly.monomial((0, 0, 1)), LiePoly.monomial((1,))
-    got = LiePoly(freelie._bracket_words((0, 0, 1), (1,)))
-    assert not got.is_zero()
+    got = LiePoly(freelie._bracket_words((0, 0, 1), (1,), cache))
+    assert got != LiePoly.zero()
     assert expand_to_associative(got) == expand_to_associative(u).commutator(expand_to_associative(v))
+
+
+def test_bracket_memo_is_the_callers_and_holds_both_orientations():
+    words = [w for ws in lyndon_words(3, 4)[1:] for w in ws]
+    warm: dict = {}
+    for u, v in itertools.product(words, repeat=2):
+        if len(u) + len(v) > 6:
+            continue
+        cold = freelie._bracket_words(u, v, {})
+        assert freelie._bracket_words(u, v, warm) == cold
+        assert freelie._bracket_words(v, u, warm) == {w: -c for w, c in cold.items()}
+        assert freelie._bracket_words(u, v, warm) == cold
+        if u > v:
+            # the reversed call stores its negation beside the bracket it negates
+            one: dict = {}
+            freelie._bracket_words(u, v, one)
+            assert one[(u, v)] == cold and one[(v, u)] == {w: -c for w, c in cold.items()}
+    assert len(warm) > 100
 
 
 @pytest.mark.parametrize("alphabet, bound", [(3, 6), (2, 9), (4, 4), (5, 3)])
 def test_word_budget_counts_exactly_with_witt(monkeypatch, alphabet, bound):
     total = sum(witt(alphabet, d) for d in range(1, bound + 1))
     monkeypatch.setattr(freelie, "MAX_LYNDON_WORDS", total)
+    assert list(lyndon_counts(alphabet, bound)) == [len(ws) for ws in lyndon_words(alphabet, bound)[1:]]
     assert sum(len(ws) for ws in lyndon_words(alphabet, bound)[1:]) == total
     monkeypatch.setattr(freelie, "MAX_LYNDON_WORDS", total - 1)
     with pytest.raises(ValueError, match=f"more than {total - 1} Lyndon words"):

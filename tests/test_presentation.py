@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from associative import NCPoly, expand_to_associative
+from presentation_text import format_presentation, poly_text
 from towers import tower_to_poly
 
 from liepres.freelie import DegreeCapExceeded, Generator, LiePoly, bracket
@@ -13,9 +14,7 @@ from liepres.presentation import (
     ParseError,
     Presentation,
     combination_text,
-    format_presentation,
     parse_presentation,
-    poly_text,
 )
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from presentation_text import format_presentation
 from towers import tower_to_poly
 
 import liepres
@@ -17,7 +18,7 @@ from liepres.cli import main
 from liepres.freelie import Generator, LiePoly, bracket, lyndon_words
 from liepres.g2 import named_basis_free, rewriter_applicable, rewriter_structure_table
 from liepres.linalg import Echelon
-from liepres.presentation import Presentation, format_presentation, parse_presentation
+from liepres.presentation import Presentation, parse_presentation
 from liepres.quotient import (
     NamesNotBasisError,
     certify,
@@ -316,6 +317,7 @@ def reference_closure(pres: Presentation, bound: int) -> dict:
     word_index = {w: i for i, w in enumerate(flat)}
     rows: dict = {}
     events = []
+    brackets: dict = {}
     for ridx, rel in enumerate(pres.relations):
         stack = [rel.terms] if rel.terms else []
         while stack:
@@ -329,7 +331,7 @@ def reference_closure(pres: Presentation, bound: int) -> dict:
             for g in reversed(range(n)):
                 child: dict = {}
                 for w, c in node.items():
-                    freelie._add_scaled(child, freelie._bracket_words((g,), w), c)
+                    freelie._add_scaled(child, freelie._bracket_words((g,), w, brackets), c)
                 if child:
                     stack.append(child)
     reps = tuple(w for i, w in enumerate(flat) if i not in rows)
@@ -457,6 +459,18 @@ def test_derive_climb_inserts_only_the_new_rows(monkeypatch, capsys):
     assert main(["derive", str(FIXTURES / "g2_mutated.lp"), "--max-degree", "8"]) == 4
     assert "degree bound: 8\n" in capsys.readouterr().out
     assert len(calls) == 1566
+
+
+def test_a_climb_after_an_unrelated_climb_has_the_rows_of_the_first():
+    # each climb owns its bracket memo, so a climb leaves nothing that the next one reads
+    def levels(pres, bound):
+        return [(qb.representatives, qb._echelon.rows) for qb in closure_levels(pres, bound)]
+
+    heis = parse_presentation(HEIS)
+    first = levels(heis, 7)
+    levels(parse_presentation((FIXTURES / "g2_mutated.lp").read_text(encoding="utf-8")), 6)
+    assert levels(heis, 7) == first
+    assert first[-1][0] == reference_closure(heis, 7)["representatives"]
 
 
 def test_bound_one_without_relations_is_not_stabilized():
