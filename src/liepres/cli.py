@@ -35,7 +35,7 @@ def _load_presentation(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     try:
@@ -68,11 +68,17 @@ def _print_closure_report(pres, qb, cert) -> None:
                 print(f"degree {d}: {count} Lyndon words, {survive.get(d, 0)} independent in the quotient")
 
 
-def _write_table(table, out_path: str | None) -> None:
+def _write_table(table, out_path: str | None) -> int:
+    """Write the table to out_path, if given; 2 after printing the error when it cannot be written."""
     if out_path:
         from .tabledoc import save_table
-        save_table(table, out_path)
+        try:
+            save_table(table, out_path)
+        except OSError as exc:
+            print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {out_path}")
+    return 0
 
 
 def cmd_derive(args) -> int:
@@ -121,8 +127,7 @@ def cmd_derive(args) -> int:
             print(f"engines agree on all {table.dim * (table.dim - 1) // 2} bracket pairs")
         else:
             print(f"rewriter engine skipped: {_NOT_G2}")
-    _write_table(table, args.out)
-    return 0
+    return _write_table(table, args.out)
 
 
 def cmd_verify(args) -> int:

@@ -226,10 +226,14 @@ def _bracket_words(u: Word, v: Word, cache: dict, depth: int = 1) -> dict:
     return out
 
 
-def bracket(p: LiePoly, q: LiePoly) -> LiePoly:
-    """Lie bracket [p, q] in the Lyndon basis, refused past DEFAULT_DEGREE_CAP."""
+def bracket(p: LiePoly, q: LiePoly, cache: dict | None = None) -> LiePoly:
+    """Lie bracket [p, q] in the Lyndon basis, refused past DEFAULT_DEGREE_CAP.
+
+    cache is the caller's word-bracket memo, shared across its calls; None uses a fresh one.
+    """
     acc: dict = {}
-    cache: dict = {}
+    if cache is None:
+        cache = {}
     for u, cu in p.terms.items():
         for v, cv in q.terms.items():
             if len(u) + len(v) > DEFAULT_DEGREE_CAP:

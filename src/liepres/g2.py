@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .freelie import LiePoly, bracket
+from . import freelie
+from .freelie import LiePoly
 from .linalg import Echelon
 from .presentation import Presentation, parse_presentation
 from .table import StructureTable
@@ -89,6 +90,7 @@ def rewriter_structure_table() -> StructureTable:
 def named_basis_free() -> dict:
     """The 14 named elements as free Lie polynomials, in the order of G2_NAMES."""
     half, third = Fraction(1, 2), Fraction(1, 3)
+    bracket = partial(freelie.bracket, cache={})  # one Lyndon bracket memo for all 14 names
     x = {i: LiePoly.generator(i - 1) for i in (1, 2, 3)}
     y = {
         1: half * bracket(x[2], x[3]),

@@ -82,6 +82,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.index: dict = {}
+        self.brackets: dict = {}  # one Lyndon bracket memo for the whole file
 
     def peek(self):
         return self.tokens[self.pos]
@@ -179,7 +180,7 @@ class _Parser:
             right = self.parse_expr()
             self.expect("RBRACK", "']'")
             self.depth -= 1
-            return bracket(left, right)
+            return bracket(left, right, self.brackets)
         raise ParseError(f"expected a generator name or '[', found {val!r}", ln, col)
 
 

@@ -69,8 +69,8 @@ class QuotientBasis(Record):
         threshold = self.degree_bound - self._presentation.max_relation_degree()
         return all(min(e.kept_degrees) > threshold for e in self.truncation_events)
 
-    def reduce(self, p: LiePoly) -> tuple:
-        """Coordinates of p over the representatives."""
+    def reduce(self, p: LiePoly) -> dict:
+        """Sparse coordinates {representative index: Fraction} of p, zeros left out."""
         D, ints = integer_scaled(p.terms.values())
         vec: dict = {}
         for w, c in zip(p.terms, ints):
@@ -79,10 +79,7 @@ class QuotientBasis(Record):
                 raise ValueError(f"monomial degree {len(w)} exceeds bound {self.degree_bound} or bad alphabet: {w}")
             vec[idx] = c
         rem, s = self._echelon.reduce(vec)
-        out = [Fraction(0)] * len(self.representatives)
-        for idx, c in rem.items():
-            out[self._rep_index[idx]] = Fraction(c, D * s)
-        return tuple(out)
+        return {self._rep_index[idx]: Fraction(c, D * s) for idx, c in rem.items()}
 
     def representative_name(self, i: int) -> str:
         return bracket_string(self.representatives[i], self.generator_names)
@@ -316,10 +313,6 @@ def lie_map(table: StructureTable, generator_images: list):
     return phi
 
 
-def _sparse(vec) -> dict:
-    return {k: c for k, c in enumerate(vec) if c}
-
-
 def _model(qb: QuotientBasis) -> tuple:
     """(act, table): the representatives' action and the model table it gives.
 
@@ -329,8 +322,7 @@ def _model(qb: QuotientBasis) -> tuple:
     commutator of its factors' operators.
     """
     brackets: dict = {}
-    rho = {(g,): [_sparse(qb.reduce(LiePoly(freelie._bracket_words((g,), w, brackets))))
-                  for w in qb.representatives]
+    rho = {(g,): [qb.reduce(LiePoly(freelie._bracket_words((g,), w, brackets))) for w in qb.representatives]
            for g in range(qb.alphabet)}
     act = generator_action(rho, qb.representatives)
     return act, action_table((qb.representative_name(i) for i in range(qb.dim)), act)
@@ -380,7 +372,7 @@ def certify(pres: Presentation, qb: QuotientBasis) -> Certificate:
         i, j, k, _ = violations[0]
         return Certificate(None, f"model fails Jacobi at ({names[i]},{names[j]},{names[k]})")
 
-    phi = lie_map(table, [_sparse(qb.reduce(LiePoly.generator(g))) for g in range(qb.alphabet)])
+    phi = lie_map(table, [qb.reduce(LiePoly.generator(g)) for g in range(qb.alphabet)])
     for r, rel in enumerate(pres.relations, start=1):
         if phi(rel):
             return Certificate(None, f"relation {r} does not vanish in the model")
@@ -412,4 +404,4 @@ def renamed(qb: QuotientBasis, model: StructureTable, names: dict | None) -> Str
     """
     if names is None:
         return model
-    return model.rebased(names, (_sparse(qb.reduce(p)) for p in names.values()))
+    return model.rebased(names, (qb.reduce(p) for p in names.values()))

@@ -19,8 +19,8 @@ class StructureTable:
     """Bracket table [b_i, b_j] = sum_k c[(i,j,k)] b_k, stored for i < j only.
 
     c holds the nonzero constants keyed by (i, j, k). The constructor also indexes
-    them once by pair, (i, j) -> {k: c[(i,j,k)]}, so that bracket_map and
-    bracket_vector are a dict lookup rather than a scan of every entry.
+    them once by pair, (i, j) -> {k: c[(i,j,k)]}, so that bracket_map is a dict
+    lookup rather than a scan of every entry.
     """
 
     __slots__ = ("names", "c", "_pairs")
@@ -47,13 +47,6 @@ class StructureTable:
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def bracket_vector(self, i: int, j: int) -> list:
-        """[b_i, b_j] as a dense coefficient vector (antisymmetry applied for i >= j)."""
-        out = [Fraction(0)] * self.dim
-        for k, val in self.bracket_map(i, j).items():
-            out[k] = val
-        return out
 
     def bracket_map(self, i: int, j: int) -> dict:
         """[b_i, b_j] as a sparse k -> coefficient mapping."""
@@ -153,13 +146,20 @@ def check_jacobi(t: StructureTable) -> list:
     Each violation is (i, j, k, total) with total the sparse map {m: c} of
     [b_i,[b_j,b_k]] + [b_k,[b_i,b_j]] - [b_j,[b_i,b_k]], summed over bracket maps.
     The sums run in ints over integer_ad_maps; a nonzero total is divided by D**2.
+    Each term brackets one of [b_i,b_j], [b_j,b_k], [b_i,b_k], so a triple whose
+    three pair brackets vanish is skipped: when [b_i,b_j] = 0 only the k in the
+    keys of ads[i] or ads[j] are visited.
     """
     n = t.dim
     D, ads = integer_ad_maps(t)
     violations = []
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
+            if j in ads[i]:
+                ks = range(j + 1, n)
+            else:
+                ks = sorted(k for k in ads[i].keys() | ads[j].keys() if k > j)
+            for k in ks:
                 acc: dict = {}
                 _add_bracket(acc, ads[i], ads[j].get(k, {}), 1)
                 _add_bracket(acc, ads[k], ads[i].get(j, {}), 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 
@@ -163,8 +164,16 @@ def load_table(path) -> StructureTable:
 
 
 def save_table(t: StructureTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(to_json_text(t))
+    """Write t as JSON to path; a write that fails once the file is open removes it."""
+    text = to_json_text(t)
+    f = open(path, "w", encoding="utf-8")
+    try:
+        with f:
+            f.write(text)
+    except OSError:
+        if os.path.isfile(path):  # a device path such as /dev/full is never removed
+            os.remove(path)
+        raise
 
 
 def to_csv(t: StructureTable) -> str:
@@ -174,8 +183,9 @@ def to_csv(t: StructureTable) -> str:
     lines = ["i,j," + ",".join(t.names)]
     for i in range(t.dim):
         for j in range(i + 1, t.dim):
-            vec = t.bracket_vector(i, j)
-            lines.append(f"{t.names[i]},{t.names[j]}," + ",".join(format_rational(x) for x in vec))
+            vec = t.bracket_map(i, j)
+            cells = ",".join(format_rational(vec.get(k, 0)) for k in range(t.dim))
+            lines.append(f"{t.names[i]},{t.names[j]},{cells}")
     return "\n".join(lines) + "\n"
 
 

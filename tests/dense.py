@@ -27,6 +27,12 @@ def sparse_rows(m):
     return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
+def column(t, i, j):
+    """[b_i, b_j] as a dense column over the table basis, read from bracket_map."""
+    vec = t.bracket_map(i, j)
+    return [Fraction(vec.get(k, 0)) for k in range(t.dim)]
+
+
 def gauss_jordan(m, cols):
     """(reduced rows, pivot columns) of Gauss-Jordan over Fraction, leftmost pivot first."""
     rows = [[Fraction(x) for x in row] for row in m]
@@ -82,7 +88,7 @@ def leibniz_det(m):
 
 def ad(t, i):
     """The matrix of ad(b_i) acting on column vectors in the table basis."""
-    cols = [t.bracket_vector(i, j) for j in range(t.dim)]
+    cols = [column(t, i, j) for j in range(t.dim)]
     return [[cols[j][k] for j in range(t.dim)] for k in range(t.dim)]
 
 

@@ -217,7 +217,7 @@ def test_criterion_10_rewriter_total_and_confluent():
     def reduce_tower(t):
         """{(g,): c} for the tower [x_t0,[x_t1,...]] (indices 1..3) over qb's representatives."""
         coords = qb.reduce(tower_to_poly(tuple(g - 1 for g in t)))
-        got = {qb.representatives[i]: c for i, c in enumerate(coords) if c}
+        got = {qb.representatives[i]: c for i, c in coords.items()}
         assert all(len(w) == 1 for w in got), t
         return {(w[0] + 1,): c for w, c in got.items()}
 

@@ -1,5 +1,6 @@
 """Command line tests: every subcommand and every exit code, run in process."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -196,6 +197,30 @@ def test_derive_missing_file(run, tmp_path):
     code, _, stderr = run("derive", str(tmp_path / "nope.lp"))
     assert code == 2
     assert "cannot read" in stderr
+
+
+def test_derive_file_not_utf8_exits_2(run, tmp_path):
+    path = tmp_path / "bad.lp"
+    path.write_bytes(b"\xff\xfe")
+    out = tmp_path / "t.json"
+    code, stdout, stderr = run("derive", str(path), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_derive_out_that_cannot_be_written_exits_2(run, tmp_path, where):
+    out = tmp_path / "missing" / "t.json" if where == "missing directory" else tmp_path
+    code, stdout, stderr = run("derive", G2, "--out", str(out))
+    assert code == 2
+    assert "dim = 14" in stdout
+    assert f"wrote {out}" not in stdout
+    assert stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_derive_bound_below_relation_degree(run):
@@ -412,6 +437,26 @@ def test_export_csv(run):
     lines = stdout.splitlines()
     assert lines[0].startswith("i,j,h1,h2,")
     assert len(lines) == 92
+
+
+CSV = {
+    "sl2": "i,j,e,f,h\ne,f,0,0,1\ne,h,-2,0,0\nf,h,0,2,0\n",
+    "heisenberg": "i,j,p,q,[p,q]\np,q,0,0,1\np,[p,q],0,0,0\nq,[p,q],0,0,0\n",
+}
+
+
+@pytest.mark.parametrize("name", ["g2", "sl2", "heisenberg"])
+def test_export_csv_bytes(run, tmp_path, name):
+    table = tmp_path / "t.json"
+    code, _, _ = run("derive", str(FIXTURES / f"{name}.lp"), "--out", str(table))
+    assert code == 0
+    code, stdout, _ = run("export", "--table", str(table), "--format", "csv")
+    assert code == 0
+    if name == "g2":
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "88d6ed6001978cc5ca83b61f844dfebea3fb454d1651a738a2d81966c34c528a")
+    else:
+        assert stdout == CSV[name]
 
 
 def test_export_latex(run):

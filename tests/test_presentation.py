@@ -1,5 +1,6 @@
 """Presentation DSL: parsing, errors with positions, and round-tripping."""
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from associative import NCPoly, expand_to_associative
 from presentation_text import format_presentation, poly_text
 from towers import tower_to_poly
 
+from liepres import freelie, g2
 from liepres.freelie import DegreeCapExceeded, Generator, LiePoly, bracket
 from liepres.presentation import (
     MAX_NESTING,
@@ -288,3 +290,21 @@ def test_token_soup_parses_or_raises_a_typed_error(data):
     except (ParseError, DegreeCapExceeded):
         return
     assert parse_presentation(format_presentation(pres)) == pres
+
+
+def test_a_parse_expands_each_bracket_pair_once(monkeypatch):
+    # one memo per parse (and per named_basis_free call): the relations share inner brackets
+    expanded = Counter()
+    expand = freelie._bracket_words
+
+    def counting(u, v, cache, depth=1):
+        if u != v and (u, v) not in cache:
+            expanded[(u, v)] += 1
+        return expand(u, v, cache, depth)
+
+    monkeypatch.setattr(freelie, "_bracket_words", counting)
+    parse_presentation(g2.g2_presentation_text())
+    assert expanded and max(expanded.values()) == 1
+    expanded.clear()
+    g2.named_basis_free.__wrapped__()
+    assert expanded and max(expanded.values()) == 1

@@ -90,8 +90,7 @@ def test_reduce_is_linear_and_fixes_representatives():
     pres = parse_presentation(SL2)
     qb = quotient_closure(pres, 4)
     for i, w in enumerate(qb.representatives):
-        vec = qb.reduce(LiePoly.monomial(w))
-        assert vec == tuple(Fraction(int(j == i)) for j in range(qb.dim))
+        assert qb.reduce(LiePoly.monomial(w)) == {i: 1}
     rng = random.Random(8)
     grouped = lyndon_words(3, 3)
     monos = [w for n in range(1, 4) for w in grouped[n]]
@@ -104,17 +103,16 @@ def test_reduce_is_linear_and_fixes_representatives():
             q = q + Fraction(rng.randint(-3, 3)) * LiePoly.monomial(w)
         rp, rq = qb.reduce(p), qb.reduce(q)
         rsum = qb.reduce(p + q)
-        assert rsum == tuple(a + b for a, b in zip(rp, rq))
+        assert rsum == {k: v for k in rp.keys() | rq.keys() if (v := rp.get(k, 0) + rq.get(k, 0))}
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-        assert qb.reduce(c * p) == tuple(c * a for a in rp)
+        assert qb.reduce(c * p) == {k: c * a for k, a in rp.items() if c}
 
 
 def test_relations_reduce_to_zero():
     pres = parse_presentation(SL2)
     qb = quotient_closure(pres, 4)
-    zero = tuple(Fraction(0) for _ in range(qb.dim))
     for r in pres.relations:
-        assert qb.reduce(r) == zero
+        assert qb.reduce(r) == {}
 
 
 def test_reduce_rejects_out_of_range_monomials():
@@ -139,29 +137,27 @@ def test_g2_dimension_and_stability_at_bound_6(g2_pres, g2_qb6):
 
 
 def test_g2_relations_vanish_in_quotient(g2_pres, g2_qb6):
-    zero = tuple(Fraction(0) for _ in range(14))
     for r in g2_pres.relations:
-        assert g2_qb6.reduce(r) == zero
+        assert g2_qb6.reduce(r) == {}
 
 
 def degree_images(qb, degree: int) -> list:
-    """(word, coordinates) for every Lyndon monomial of the given degree."""
+    """(word, sparse coordinates) for every Lyndon monomial of the given degree."""
     return [(w, qb.reduce(LiePoly.monomial(w))) for w in lyndon_words(qb.alphabet, degree)[degree]]
 
 
 def test_g2_degree_4_words_collapse_to_generators(g2_pres, g2_qb6):
     images = degree_images(g2_qb6, 4)
     assert len(images) == 18
-    zero = tuple(Fraction(0) for _ in range(14))
     nonzero = 0
     for w, vec in images:
-        assert all(c == 0 for c in vec[3:]), w
-        if vec != zero:
+        assert all(k < 3 for k in vec), w
+        if vec:
             nonzero += 1
     assert nonzero > 0
     by_word = dict(images)
-    assert by_word[(0, 0, 0, 1)] == zero
-    assert by_word[(0, 0, 0, 2)] == zero
+    assert by_word[(0, 0, 0, 1)] == {}
+    assert by_word[(0, 0, 0, 2)] == {}
 
 
 def test_g2_named_table_matches_golden(g2_pres, g2_qb6):
@@ -358,8 +354,8 @@ def primitive(row: dict) -> dict:
     return {k: int(v * d) // g for k, v in row.items()}
 
 
-def reference_reduce(ref: dict, p: LiePoly) -> tuple:
-    """Coordinates of p over the representatives, by the monic rows over Q."""
+def reference_reduce(ref: dict, p: LiePoly) -> dict:
+    """Sparse coordinates of p over the representatives, by the monic rows over Q."""
     vec = {ref["word_index"][w]: c for w, c in p.terms.items()}
     rows = ref["monic_rows"]
     for piv in [i for i in vec if i in rows]:
@@ -371,10 +367,20 @@ def reference_reduce(ref: dict, p: LiePoly) -> tuple:
                     vec[k] = nv
                 else:
                     vec.pop(k, None)
-    out = [Fraction(0)] * len(ref["representatives"])
-    for idx, c in vec.items():
-        out[ref["_rep_index"][idx]] = c
-    return tuple(out)
+    return {ref["_rep_index"][idx]: c for idx, c in vec.items()}
+
+
+def dense_reference_reduce(ref: dict, p: LiePoly) -> tuple:
+    """Coordinates of p over the representatives as one dense tuple: p minus
+    p[q] times monic row q, for every pivot q, read on the representatives' columns."""
+    n = len(ref["word_index"])
+    vec = [Fraction(0)] * n
+    for w, c in p.terms.items():
+        vec[ref["word_index"][w]] += c
+    rows = ref["monic_rows"]
+    dense_rows = {q: [row.get(k, Fraction(0)) for k in range(n)] for q, row in rows.items()}
+    out = [vec[k] - sum((vec[q] * r[k] for q, r in dense_rows.items()), Fraction(0)) for k in range(n)]
+    return tuple(out[k] for k in range(n) if k not in rows)
 
 
 def assert_matches_reference(pres: Presentation, top: int) -> None:
@@ -439,6 +445,24 @@ def presentations_and_bounds(draw):
 @given(case=presentations_and_bounds())
 def test_closure_matches_reference_on_random_presentations(case):
     assert_matches_reference(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=presentations_and_bounds(), data=st.data())
+def test_reduce_returns_sparse_representative_coordinates(case, data):
+    pres, top = case
+    levels = list(closure_levels(pres, top))
+    qb = levels[data.draw(st.integers(0, len(levels) - 1))]
+    ref = reference_closure(pres, qb.degree_bound)
+    words = list(ref["word_index"])
+    coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    for _ in range(3):
+        chosen = data.draw(st.lists(st.sampled_from(words), max_size=6, unique=True))
+        p = LiePoly({w: data.draw(coefficients) for w in chosen})
+        got = qb.reduce(p)
+        assert set(got) <= set(range(qb.dim))
+        assert all(got.values())
+        assert tuple(got.get(k, 0) for k in range(qb.dim)) == dense_reference_reduce(ref, p)
 
 
 @pytest.mark.parametrize("bound,pivots,events", [(6, 182, 108), (7, 494, 324), (8, 1304, 972)])

@@ -111,6 +111,28 @@ def test_save_and_load(tmp_path, golden):
     assert load_table(str(p)).c == golden.c
 
 
+def test_a_failed_write_leaves_no_file(tmp_path, golden, monkeypatch):
+    class FullDisk:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[:10])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tabledoc, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+    path = tmp_path / "t.json"
+    with pytest.raises(OSError):
+        save_table(golden, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_document_shape(golden):
     doc = table_to_document(golden)
     assert doc["schema_version"] == "1"
