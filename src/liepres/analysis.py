@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
 
-from .linalg import Echelon, basis_change, integer_char_poly, integer_scaled, kernel_basis
+from .linalg import Echelon, basis_change, kernel_basis
 from .record import Record
 from .table import StructureTable, check_jacobi, integer_ad_maps  # noqa: F401  classify calls analysis.check_jacobi
 
@@ -102,101 +101,6 @@ def cartan_check(t: StructureTable, indices) -> CartanCheck:
     return CartanCheck(True, True, True, ndim, None)
 
 
-# --- exact eigen machinery ----------------------------------------------------
-
-def _trim(p: list) -> list:
-    while len(p) > 1 and p[0] == 0:
-        p = p[1:]
-    return p
-
-
-def _poly_divmod(a: list, b: list) -> tuple:
-    """Quotient and remainder over Q of polynomials given highest power first."""
-    a = [Fraction(x) for x in a]
-    q = []
-    while len(a) >= len(b):
-        f = a[0] / b[0]
-        q.append(f)
-        for i in range(1, len(b)):
-            a[i] -= f * b[i]
-        a.pop(0)
-    return q, _trim(a or [Fraction(0)])
-
-
-def _primitive(p: list) -> list:
-    """p times a positive rational, as integers with no common factor."""
-    _, ints = integer_scaled(p)
-    g = gcd(*ints) or 1
-    return [x // g for x in ints]
-
-
-def _derivative(p: list) -> list:
-    return [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
-
-
-def _horner(p: list, x: int) -> int:
-    acc = 0
-    for c in p:
-        acc = acc * x + c
-    return acc
-
-
-def _integer_roots(p: list) -> list:
-    """Sorted distinct integer roots of an integer polynomial, highest power first.
-
-    The squarefree part p / gcd(p, p') has the same roots, each simple, so a Sturm
-    sequence counts its real roots in (lo, hi] as V(lo) - V(hi), V the number of
-    sign changes. Integer bisection inside the Cauchy bound then shrinks every
-    interval that holds a root to (r - 1, r], and r is a root or the root is not an
-    integer. The work grows with the bound's bit length, not with its size.
-    """
-    p = _trim(list(p))
-    if len(p) == 1:
-        return []
-    g, h = p, _derivative(p)
-    while any(h):  # Euclid: g ends as gcd(p, p')
-        g, h = h, _poly_divmod(g, h)[1]
-    sq = _primitive(_poly_divmod(p, g)[0])
-    seq = [sq, _primitive(_derivative(sq))]
-    while len(seq[-1]) > 1:
-        r = _poly_divmod(seq[-2], seq[-1])[1]
-        if not any(r):
-            break
-        seq.append(_primitive([-c for c in r]))
-
-    def changes(x: int) -> int:
-        signs = [v > 0 for v in (_horner(s, x) for s in seq) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    bound = 1 + -(-max(abs(c) for c in sq[1:]) // abs(sq[0]))
-    roots = []
-    stack = [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
-    while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        if vlo == vhi:
-            continue
-        if hi - lo == 1:
-            if _horner(sq, hi) == 0:
-                roots.append(hi)
-            continue
-        mid = (lo + hi) // 2
-        vmid = changes(mid)
-        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
-    return sorted(roots)
-
-
-def rational_eigenvalues(rows) -> list:
-    """All rational eigenvalues, exactly, of a square matrix given as its n sparse rows {j: x}.
-
-    Scaling by the common denominator D makes the matrix integral, whose monic integer
-    characteristic polynomial confines rational roots to integers; those are
-    isolated exactly and divided by D.  The transpose has the same eigenvalues, so
-    sparse columns serve as well as rows.
-    """
-    D, a = integer_char_poly(rows)
-    return [Fraction(r, D) for r in _integer_roots(a)]
-
-
 class RootDatum(Record):
     """Roots and root spaces of a table under a Cartan set of basis indices.
 
@@ -214,15 +118,11 @@ class RootDatum(Record):
 def root_decomposition(t: StructureTable, cartan_indices) -> RootDatum:
     """Split the table basis into simultaneous ad-eigenspaces of the Cartan elements.
 
-    The zero-weight space must contain the Cartan span, and every root space must be
-    spanned by table basis elements (all tables in scope are split in their own basis).
-    The root spaces are spanned by basis elements exactly when every ad(h) is
-    diagonal in the table basis: then each b_j is a common eigenvector, and its
-    weight is read off the diagonals, the coefficients of b_j in [h, b_j].  When
-    some ad(h) is not diagonal the decomposition is refused, whether or not the
-    ad(h) are simultaneously diagonalizable in another basis.  For a set from
-    find_cartan_candidate they always are: the elements bracket to zero, so under
-    Jacobi their ads commute, and each ad is diagonalizable over Q.
+    Every ad(h) must be diagonal in the table basis: then each b_j is a common
+    eigenvector, and its weight is read off the diagonals, the coefficients of b_j
+    in [h, b_j].  find_cartan_candidate picks only such elements, so the refusal
+    here is the check on a direct caller's set.  The zero-weight space must
+    contain the Cartan span.
     """
     cartan_indices = tuple(cartan_indices)
     n = t.dim
@@ -300,36 +200,22 @@ def cartan_matrix_and_type(rd: RootDatum) -> tuple:
         if len(ref) != rank_ or _CATALOG_ROOT_COUNT[name] != len(rd.roots):
             continue
         for perm in itertools.permutations(range(rank_)):
-            permuted = tuple(tuple(A[perm[i]][perm[j]] for j in range(rank_)) for i in range(rank_))
-            transposed = tuple(tuple(permuted[j][i] for j in range(rank_)) for i in range(rank_))
-            if permuted == ref or transposed == ref:
+            if tuple(tuple(A[perm[i]][perm[j]] for j in range(rank_)) for i in range(rank_)) == ref:
                 return A, name
     return A, "unrecognized"
 
 
 def find_cartan_candidate(t: StructureTable) -> list:
-    """Greedy maximal set of commuting basis elements with rationally diagonalizable ad.
+    """Greedy maximal set of commuting basis elements whose ad is diagonal in the table basis.
 
-    If ad(b_i) is diagonal in the table basis it is rationally diagonalizable, its
-    eigenvalues being the diagonal entries, and b_i needs no characteristic
-    polynomial. Any other element qualifies when the geometric multiplicities of
-    its rational eigenvalues add up to the dimension; the rank of ad(b_i) - lambda
-    is that of its sparse columns.
+    Their eigenvalues are the diagonal entries, so root_decomposition reads the
+    weights off the basis.  An element whose ad is diagonalizable only in another
+    basis is skipped.
     """
-    n = t.dim
     chosen = []
-    for i in range(n):
-        if any(t.bracket_map(i, j) for j in chosen):
-            continue
-        ad = _ad_map(t, i)
-        if not _is_diagonal(ad):
-            total = 0
-            for lam in rational_eigenvalues(ad.get(m, {}) for m in range(n)):
-                shifted = ({**ad.get(m, {}), m: ad.get(m, {}).get(m, 0) - lam} for m in range(n))
-                total += n - len(Echelon.of(shifted).rows)
-            if total != n:
-                continue
-        chosen.append(i)
+    for i in range(t.dim):
+        if not any(t.bracket_map(i, j) for j in chosen) and _is_diagonal(_ad_map(t, i)):
+            chosen.append(i)
     return chosen
 
 

@@ -8,6 +8,7 @@ runs inside its own function: `import liepres.cli` loads no engine module, and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 _NOT_G2 = "the rewriter engine needs 3 generators and relations spanning the standard quadruple relations"
@@ -275,12 +276,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; 2 after printing the error when standard output cannot be written.
+
+    Each command reports the files it reads and writes itself, so an OSError
+    that reaches here is a failed write to standard output: a full disk, or a
+    reader that closed the pipe.  The final flush meets it before exit, and
+    standard output then points at devnull so that the flush at shutdown cannot
+    fail again (the "Note on SIGPIPE" in the documentation of Python's `signal`).
+    """
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

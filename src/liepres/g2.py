@@ -1,7 +1,7 @@
 """G2, the one module that knows it: relations, named basis, the rewriter gate.
 
 The relations are read from the shipped `fixtures/g2.lp` and typed out nowhere
-else; `g2_presentation` parses it once per process.  `rewriter_applicable`
+else; `g2_presentation` parses it on each call.  `rewriter_applicable`
 compares a presentation's relation span with theirs.  The named basis is
 defined once, as free Lie polynomials in `named_basis_free`.  A presentation
 that passes the gate has g2.lp's relation span, whose 18 echelon pivots are the
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from . import freelie
 from .freelie import LiePoly
@@ -37,9 +37,8 @@ def g2_presentation_text() -> str:
         return f.read()
 
 
-@lru_cache(maxsize=None)
 def g2_presentation() -> Presentation:
-    """The quadruple presentation as a parsed object, parsed once per process; callers only read it."""
+    """The quadruple presentation as a parsed object, parsed anew on each call."""
     return parse_presentation(g2_presentation_text())
 
 
@@ -86,7 +85,6 @@ def rewriter_structure_table() -> StructureTable:
     return structure_table(g2_presentation(), named_basis_free(), 4)
 
 
-@lru_cache(maxsize=None)
 def named_basis_free() -> dict:
     """The 14 named elements as free Lie polynomials, in the order of G2_NAMES."""
     half, third = Fraction(1, 2), Fraction(1, 3)

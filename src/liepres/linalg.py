@@ -7,7 +7,7 @@ over the integers.  Every span, rank and kernel runs on it: the closure engine,
 `analysis`, and `basis_change`, which renames tables (`StructureTable.rebased`)
 and solves against the Killing form on a Cartan subalgebra.  The integer
 characteristic polynomial of a square matrix (Faddeev-LeVerrier, no
-elimination) gives the eigenvalues in `analysis` and `det`.
+elimination) serves only `det`.
 """
 
 from __future__ import annotations
@@ -181,7 +181,8 @@ def integer_char_poly(rows) -> tuple:
     m is given as its n sparse rows {j: x}, 0 <= j < n.  Faddeev-LeVerrier on
     the integer rows of A = D*m: M_1 = A, c_k = -trace(M_k)/k,
     M_{k+1} = A (M_k + c_k I).  Every M_k is an integer matrix and every c_k an
-    integer coefficient of det(xI - A), so each trace divides exactly.
+    integer coefficient of det(xI - A), so each trace divides exactly.  Once some
+    M_k is zero every later c_k and M_k is zero too, and the product stops there.
     """
     rows = list(rows)
     n = len(rows)
@@ -192,6 +193,9 @@ def integer_char_poly(rows) -> tuple:
     coeffs = [1]
     mk = rows
     for k in range(1, n + 1):
+        if not any(mk):
+            coeffs += [0] * (n + 1 - k)
+            break
         ck = -sum(row.get(i, 0) for i, row in enumerate(mk)) // k
         coeffs.append(ck)
         if k < n:

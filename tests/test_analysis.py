@@ -129,10 +129,10 @@ def test_normalizer_is_not_the_centralizer(sl2_table):
 
 
 def test_cartan_candidate_with_an_asymmetric_spectrum():
-    # basis (a, c = a + b) of [a, b] = b: ad(a) is not diagonal, has eigenvalues 0
-    # and 1, and each multiplicity is that of its own eigenvalue, not of -lambda
+    # basis (a, c = a + b) of [a, b] = b: ad(a) and ad(c) both have eigenvalues 0
+    # and 1, but neither is diagonal in this basis, so neither is picked
     t = StructureTable(["a", "c"], {(0, 1, 1): Fraction(1), (0, 1, 0): Fraction(-1)})
-    assert analysis.find_cartan_candidate(t) == [0]
+    assert analysis.find_cartan_candidate(t) == []
 
 
 def char_poly(rows):
@@ -144,37 +144,27 @@ def char_poly(rows):
 def test_char_poly_known_cases():
     assert char_poly([{0: 2, 1: 1}, {1: 3}]) == [Fraction(1), Fraction(-5), Fraction(6)]
     assert char_poly([{1: 1}, {0: -1}]) == [Fraction(1), Fraction(0), Fraction(1)]
-
-
-def test_rational_eigenvalues_exact():
-    assert analysis.rational_eigenvalues([{0: Fraction(1, 2)}, {1: -3}]) == [Fraction(-3), Fraction(1, 2)]
-    rot = [{1: 1}, {0: -1}]
-    assert analysis.rational_eigenvalues(rot) == []
-    nil = [{1: 1}, {}]
-    assert analysis.rational_eigenvalues(nil) == [Fraction(0)]
-    assert analysis.rational_eigenvalues([]) == []
+    assert char_poly([{1: 1}, {}]) == [Fraction(1), Fraction(0), Fraction(0)]
+    assert char_poly([{}, {}, {}]) == [Fraction(1)] + [Fraction(0)] * 3
+    jordan = [{j + 1: Fraction(1, 2)} for j in range(4)] + [{}]  # nilpotent, N^4 != 0
+    assert char_poly(jordan) == [Fraction(1)] + [Fraction(0)] * 5
+    assert char_poly([]) == [Fraction(1)]
     with pytest.raises(ValueError, match="need a square matrix"):
-        analysis.rational_eigenvalues([{0: 1, 2: 1}, {1: 1}])
+        char_poly([{0: 1, 2: 1}, {1: 1}])
 
 
 def test_rational_eigenvalues_with_huge_constant_term():
-    # trial division up to the square root of the constant term would need >10^9 steps
+    # the characteristic polynomial of a non-diagonal matrix with eigenvalues up to
+    # 3*10^6 and 1/7, exactly
     eigs = [Fraction(10**6), Fraction(-2 * 10**6), Fraction(3 * 10**6), Fraction(1, 7)]
     p = [[Fraction(x) for x in row] for row in ([1, 2, 0, -1], [0, 1, 3, 0], [1, 0, 1, 2], [0, -1, 0, 1])]
     d = [[eigs[i] if i == j else Fraction(0) for j in range(4)] for i in range(4)]
     m = matmul(matmul(p, d), inverse(p))
     assert any(m[i][j] != 0 for i in range(4) for j in range(4) if i != j)
-    assert analysis.rational_eigenvalues(sparse_rows(m)) == sorted(eigs)
     expected = [Fraction(1)]
     for lam in eigs:  # times (x - lam)
         expected = [a - lam * b for a, b in zip(expected + [0], [0] + expected)]
     assert char_poly(sparse_rows(m)) == expected
-
-
-def test_rational_eigenvalues_skip_irrational_and_repeated_roots():
-    # x^2 - 2 (irrational roots) on a block, 3 twice on a Jordan block, 0 once
-    m = [{1: 2}, {0: 1}, {2: 3, 3: 1}, {3: 3}, {}]
-    assert analysis.rational_eigenvalues(m) == [Fraction(0), Fraction(3)]
 
 
 def test_root_decomposition_refuses_non_diagonal_cartan():

@@ -186,69 +186,92 @@ def test_type_invariant_under_permutation_and_rescale(table, matrix, kind, data)
     assert kind in lines
 
 
+# Chevalley-Serre presentation of B2: [h_i, e_j] = A_ij e_j for A = [[2, -1], [-2, 2]],
+# and Serre's ad(e_i)^(1 - A_ij) e_j = 0
+B2 = """generators: e1 e2 f1 f2 h1 h2
+relation: [h1,h2] = 0
+relation: [h1,e1] = 2*e1
+relation: [h1,e2] = -e2
+relation: [h2,e1] = -2*e1
+relation: [h2,e2] = 2*e2
+relation: [h1,f1] = -2*f1
+relation: [h1,f2] = f2
+relation: [h2,f1] = 2*f1
+relation: [h2,f2] = -2*f2
+relation: [e1,f1] = h1
+relation: [e2,f2] = h2
+relation: [e1,f2] = 0
+relation: [e2,f1] = 0
+relation: [e1,[e1,e2]] = 0
+relation: [e2,[e2,[e2,e1]]] = 0
+relation: [f1,[f1,f2]] = 0
+relation: [f2,[f2,[f2,f1]]] = 0
+"""
+
+
+def test_serre_b2_derives_and_classifies_in_two_bases(tmp_path):
+    (tmp_path / "b2.lp").write_text(B2)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["derive", str(tmp_path / "b2.lp"), "--out", str(tmp_path / "b2.json")]) == 0
+    assert "degree bound: 4" in out.getvalue().splitlines()
+    assert "dim = 10" in out.getvalue().splitlines()
+    t = load_table(str(tmp_path / "b2.json"))
+    rng = random.Random(5)
+    perm = list(range(t.dim))
+    rng.shuffle(perm)
+    scales = [Fraction(rng.choice((1, 2, 3)), rng.choice((1, 5))) * rng.choice((1, -1)) for _ in perm]
+    for basis in (t, permuted_rescaled(t, perm, scales)):
+        code, lines = classify_lines(basis)
+        assert code == 0
+        assert "cartan matrix: [[2, -1], [-2, 2]]" in lines
+        assert lines[-1] == "type: B2"
+
+
 def test_g2_with_h1_scaled_by_100_classifies():
     scales = [Fraction(100) if name == "h1" else Fraction(1) for name in GOLDEN.names]
     t = permuted_rescaled(GOLDEN, list(range(GOLDEN.dim)), scales)
-    h1 = t.index_of("h1")
-    diagonal = {t.bracket_map(h1, j).get(j, Fraction(0)) for j in range(t.dim)}
-    assert analysis.rational_eigenvalues(dense.sparse_rows(dense.ad(t, h1))) == sorted(diagonal)
     code, lines = classify_lines(t)
     assert code == 0
     assert "cartan matrix: [[2, -1], [-3, 2]]" in lines
     assert lines[-1] == "type: G2"
 
 
-@pytest.mark.parametrize("name, plus", [("x1", "x2"), ("h1", "x1")])
-def test_classify_refuses_basis_not_aligned_with_roots(name, plus):
+@pytest.mark.parametrize("name, plus, reason", [
+    ("x1", "x2", "no Cartan candidate among the basis elements"),
+    ("h1", "x1", "candidate ['h2'] fails the Cartan check"),
+], ids=["x1-x2", "h1-x1"])
+def test_classify_refuses_basis_not_aligned_with_roots(name, plus, reason):
     code, lines = classify_lines(rebased(GOLDEN, name, plus))
     assert code == 1
-    assert "cartan: h1 h2" in lines
-    assert lines[-1] == "type: unrecognized (root spaces are not aligned with the table basis)"
-
-
-def diagonalizable_over_q(m):
-    """The geometric multiplicities of the rational eigenvalues add up to the size.
-
-    The ranks are the dense Gauss-Jordan reference for the sparse multiplicities.
-    """
-    n = len(m)
-    total = 0
-    for lam in analysis.rational_eigenvalues(dense.sparse_rows(m)):
-        shifted = [[x - lam if r == c else x for c, x in enumerate(row)] for r, row in enumerate(m)]
-        total += n - dense.rank(shifted, n)
-    return total == n
+    assert not any(line.startswith("cartan:") for line in lines)
+    assert lines[-1] == f"type: unrecognized ({reason})"
 
 
 @pytest.mark.parametrize("table", [GOLDEN, SL2], ids=["g2", "sl2"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_accepted_cartan_candidates_commute_and_diagonalize(table, data):
-    # Why root_decomposition can refuse a non-diagonal Cartan outright: a candidate
-    # that passes the Cartan check is simultaneously diagonalizable over Q anyway.
+    # every picked ad is diagonal in the table basis, which root_decomposition needs
     a = data.draw(st.integers(0, table.dim - 1))
     b = data.draw(st.sampled_from([k for k in range(table.dim) if k != a]))
     t = rebased(table, table.names[a], table.names[b], data.draw(factors()))
     assert analysis.check_jacobi(t) == []
-    cartan = analysis.find_cartan_candidate(t)
-    if not cartan or not analysis.cartan_check(t, cartan).ok:
-        return
-    ads = [dense.ad(t, h) for h in cartan]
+    ads = [dense.ad(t, h) for h in analysis.find_cartan_candidate(t)]
     for x in ads:
-        assert diagonalizable_over_q(x)
+        assert all(v == 0 for r, row in enumerate(x) for c, v in enumerate(row) if r != c)
         for y in ads:
             assert dense.matmul(x, y) == dense.matmul(y, x)
 
 
 def test_non_diagonal_cartan_passes_the_check():
-    # the property above is not vacuous: here the picked h1 + x1 has a
-    # non-diagonal ad and the candidate passes the Cartan check
+    # h1 + x1 and h2 span a Cartan subalgebra, but ad(h1 + x1) is not diagonal in
+    # the table basis, so find_cartan_candidate does not pick it
     t = rebased(GOLDEN, "h1", "x1", Fraction(-3, 2))
-    cartan = analysis.find_cartan_candidate(t)
-    assert analysis.cartan_check(t, cartan).ok
-    h1 = t.index_of("h1")
-    assert h1 in cartan
+    h1, h2 = t.index_of("h1"), t.index_of("h2")
+    assert analysis.cartan_check(t, [h1, h2]).ok
     assert any(k != m for m in range(t.dim) for k in t.bracket_map(h1, m))
-    assert diagonalizable_over_q(dense.ad(t, h1))
+    assert h1 not in analysis.find_cartan_candidate(t)
 
 
 def invertible_bases(n):

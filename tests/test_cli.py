@@ -1,7 +1,11 @@
-"""Command line tests: every subcommand and every exit code, run in process."""
+"""Command line tests: every subcommand and every exit code, run in process, except
+the failed writes to standard output, which need a process of their own."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -488,6 +492,33 @@ def test_free_counts(run):
     assert stdout == "3 3 8 18 48 116, total 196\n"
     code, stdout, _ = run("free", "--alphabet", "2", "--max-degree", "4")
     assert stdout == "2 1 2 3, total 8\n"
+
+
+def run_child(argv, stdout, buffered):
+    """(exit code, stderr) of `python -m liepres.cli argv` writing to stdout, a file or PIPE."""
+    env = {**os.environ, "PYTHONPATH": str(Path(liepres.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "liepres.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env, text=True)
+    if stdout == subprocess.PIPE:
+        proc.stdout.close()  # the reader is gone before the command writes
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(), err
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_failed_write_to_stdout_exits_2_without_traceback(buffered, tmp_path):
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            code, err = run_child(["free", "--alphabet", "3", "--max-degree", "6"], full, buffered)
+        assert code == 2
+        assert err == "error: cannot write standard output: [Errno 28] No space left on device\n"
+    code, err = run_child(["derive", G2, "--out", str(tmp_path / "t.json")], subprocess.PIPE, buffered)
+    assert code == 2
+    assert err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 def test_no_command_is_usage_error(run):

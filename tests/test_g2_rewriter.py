@@ -255,16 +255,18 @@ def test_tower_model_refuses_relations_that_leave_a_tower_unreduced(monkeypatch)
         rewriter_structure_table()
 
 
-def test_g2_lp_is_parsed_once_per_process(monkeypatch):
+def test_g2_lp_is_parsed_once_per_call(monkeypatch):
+    # no parse outlives its call: each gate and each rewriter table parses g2.lp once
     parse = g2.parse_presentation
     calls = []
     monkeypatch.setattr(g2, "parse_presentation", lambda text: calls.append(text) or parse(text))
-    g2.g2_presentation.cache_clear()
     pres = g2_presentation()
-    assert rewriter_applicable(pres)
-    assert rewriter_applicable(pres)
-    rewriter_structure_table()
     assert len(calls) == 1
+    assert rewriter_applicable(pres)
+    assert len(calls) == 2
+    rewriter_structure_table()
+    assert len(calls) == 3
+    assert g2_presentation() is not pres
 
 
 def test_rewriter_table_shape():

@@ -1,6 +1,5 @@
 """No module of the package rebinds a module-level name from inside a function or
-fills a module-level container, and no function keeps a process-wide cache except
-the named basis and the parsed G2 presentation."""
+fills a module-level container, and no function keeps a process-wide cache."""
 
 import ast
 from pathlib import Path
@@ -29,15 +28,15 @@ def _decorator_name(node) -> str | None:
     return None
 
 
-def test_the_only_process_wide_caches_are_the_g2_presentation_and_named_basis():
-    # A functools cache outlives every call; a new one needs a deliberate edit here.
+def test_no_function_keeps_a_process_wide_cache():
+    # A functools cache outlives every call; each caller owns its memos instead.
     cached = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list):
                     cached.append(f"{path.stem}.{node.name}")
-    assert cached == ["g2.g2_presentation", "g2.named_basis_free"]
+    assert cached == []
 
 
 _MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)

@@ -306,5 +306,5 @@ def test_a_parse_expands_each_bracket_pair_once(monkeypatch):
     parse_presentation(g2.g2_presentation_text())
     assert expanded and max(expanded.values()) == 1
     expanded.clear()
-    g2.named_basis_free.__wrapped__()
+    g2.named_basis_free()
     assert expanded and max(expanded.values()) == 1
