@@ -19,6 +19,11 @@ def _is_diagonal(ad: dict) -> bool:
     return all(len(col) == 1 and m in col for m, col in ad.items())
 
 
+def _derived_rows(t: StructureTable) -> dict:
+    """The Echelon rows of [g, g], spanned by the nonzero brackets [b_i, b_j], i < j."""
+    return Echelon.of(t.bracket_map(i, j) for i, j in dict.fromkeys((i, j) for i, j, _ in t.c)).rows
+
+
 class DerivedCenter(Record):
     __slots__ = (
         "derived_dim",
@@ -35,7 +40,7 @@ def derived_subalgebra_and_center(t: StructureTable) -> DerivedCenter:
     k: one sparse row {m: c_im^k} per (i, k), read off the constants.
     """
     n = t.dim
-    derived = Echelon.of(t.bracket_map(i, j) for i in range(n) for j in range(i + 1, n)).rows
+    derived = _derived_rows(t)
     rows: dict = {}
     for (i, j, k), v in t.c.items():
         rows.setdefault((i, k), {})[j] = v
@@ -219,15 +224,19 @@ def find_cartan_candidate(t: StructureTable) -> list:
     return chosen
 
 
-def lower_central_dims(t: StructureTable) -> list:
-    """Dimensions of the lower central series g, [g,g], [g,[g,g]], ... until stable."""
-    n = t.dim
-    current = [{k: 1} for k in range(n)]
-    dims = [n]
-    while True:
-        span = Echelon.of(t.bracket({i: 1}, v) for i in range(n) for v in current).rows
-        dims.append(len(span))
-        if not span or dims[-1] == dims[-2]:
-            return dims
-        current = list(span.values())
+def lower_central_dims(t: StructureTable, derived_basis=None) -> list:
+    """Dimensions of the lower central series g, [g,g], [g,[g,g]], ... until stable.
 
+    [g, g] is derived_basis when given (a `DerivedCenter`'s), else computed.  Each
+    later term brackets the previous one with the basis elements whose ad is nonzero.
+    """
+    n = t.dim
+    if derived_basis is None:
+        derived_basis = _derived_rows(t).values()
+    current = list(derived_basis)
+    active = sorted({x for i, j, _ in t.c for x in (i, j)})
+    dims = [n, len(current)]
+    while current and dims[-1] != dims[-2]:
+        current = list(Echelon.of(t.bracket({i: 1}, v) for i in active for v in current).rows.values())
+        dims.append(len(current))
+    return dims

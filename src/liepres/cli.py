@@ -70,9 +70,14 @@ def _print_closure_report(pres, qb, cert) -> None:
 
 
 def _write_table(table, out_path: str | None) -> int:
-    """Write the table to out_path, if given; 2 after printing the error when it cannot be written."""
+    """Write the table to out_path, if given; 2 after printing the error when it cannot be written.
+
+    The report goes out first: when standard output fails, its OSError reaches
+    `main` before the table is written, in either buffering mode.
+    """
     if out_path:
         from .tabledoc import save_table
+        sys.stdout.flush()
         try:
             save_table(table, out_path)
         except OSError as exc:
@@ -177,7 +182,7 @@ def cmd_classify(args) -> int:
     kd = det(K)
     print(f"killing determinant: {format_rational(kd)} ({'nonzero' if kd != 0 else 'zero: degenerate'})")
     if kd == 0:
-        series = analysis.lower_central_dims(table)
+        series = analysis.lower_central_dims(table, dc.derived_basis)
         if series[-1] == 0:
             print("type: unrecognized (nilpotent: Killing form degenerate)")
         else:
@@ -239,8 +244,22 @@ def cmd_free(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage on standard output may fail.
+
+    argparse drops an OSError from writing a message; one from standard output
+    goes on to `main`, as it does when the write is buffered and fails at the flush.
+    """
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liepres",
         description="Exact-arithmetic engine for finitely presented Lie algebras over the rationals.")
     sub = parser.add_subparsers(dest="command", required=True)

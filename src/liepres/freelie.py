@@ -28,27 +28,46 @@ def is_lyndon(w: Word) -> bool:
     return len(w) > 0 and all(w < w[i:] for i in range(1, len(w)))
 
 
+def lyndon_words_of_degree(alphabet_size: int, degree: int):
+    """Yield the Lyndon words of length degree over 0..alphabet_size-1, in lexicographic order.
+
+    Fredricksen-Kessler-Maiorana: walk the prenecklaces of length degree in
+    lexicographic order, each the periodic extension of its first p letters, and
+    yield those of period p = degree.  The successor of a prenecklace raises its
+    last letter below alphabet_size - 1, and the new period is that letter's
+    position.  No word of another length is built, and the budget is the caller's.
+    """
+    if alphabet_size < 1 or degree < 1:
+        raise ValueError("alphabet size and degree must be positive")
+    a = [0] * degree
+    last = alphabet_size - 1
+    p = 1
+    while True:
+        if p == degree:
+            yield tuple(a)
+        i = degree - 1
+        while i >= 0 and a[i] == last:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        p = i + 1
+        for j in range(p, degree):
+            a[j] = a[j - p]
+
+
 def lyndon_words(alphabet_size: int, max_degree: int) -> list:
     """Lyndon words over 0..alphabet_size-1 grouped by length: result[d] for d in 1..max_degree.
 
-    Duval's algorithm; each group comes out in lexicographic order.  Raises
+    Each group is `lyndon_words_of_degree`, in lexicographic order.  Raises
     ValueError before allocating anything when the words would number more than
     MAX_LYNDON_WORDS, counted degree by degree with Witt's formula.
     """
     if alphabet_size < 1 or max_degree < 1:
         raise ValueError("alphabet size and degree must be positive")
     check_word_budget(alphabet_size, max_degree)
-    by_degree = [None] + [[] for _ in range(max_degree)]
-    w = [-1]
-    while w:
-        w[-1] += 1
-        by_degree[len(w)].append(tuple(w))
-        m = len(w)
-        while len(w) < max_degree:
-            w.append(w[len(w) - m])
-        while w and w[-1] == alphabet_size - 1:
-            w.pop()
-    return by_degree
+    return [None] + [list(lyndon_words_of_degree(alphabet_size, d)) if count else []
+                     for d, count in enumerate(lyndon_counts(alphabet_size, max_degree), start=1)]
 
 
 def lyndon_counts(alphabet_size: int, max_degree: int):
@@ -198,18 +217,19 @@ def _bracket_words(u: Word, v: Word, cache: dict, depth: int = 1) -> dict:
     [b_u, b_v] = [b_u1, [b_u2, b_v]] - [b_u2, [b_u1, b_v]].  Both inner brackets drop
     the total degree, and the outer re-brackets keep the total degree while the first
     argument shrinks; the depth guard backstops the induction.  depth counts the
-    uncached calls on the stack, this one included.  The cache holds both
-    orientations, so a reversed pair is negated once.
+    uncached calls on the stack, this one included.
+
+    The cache holds one orientation, the pair (u, v) with u < v.  A call with
+    u > v returns a fresh negation of the stored bracket and stores nothing; the
+    hot callers (`bracket`, the Jacobi step here, `quotient.closure_levels`) ask
+    in the stored order and apply the sign where they use the result.
     """
+    if u >= v:
+        return {w: -c for w, c in _bracket_words(v, u, cache, depth).items()} if u > v else {}
     key = (u, v)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if u == v:
-        return {}
-    if u > v:
-        out = cache[key] = {w: -c for w, c in _bracket_words(v, u, cache, depth).items()}
-        return out
     if depth > _DEPTH_LIMIT:
         raise RuntimeError("bracket recursion depth guard tripped")
     u1, u2 = standard_factorization(u) if len(u) > 1 else (None, None)
@@ -218,12 +238,20 @@ def _bracket_words(u: Word, v: Word, cache: dict, depth: int = 1) -> dict:
     else:
         acc: dict = {}
         for m, c in _bracket_words(u2, v, cache, depth + 1).items():
-            _add_scaled(acc, _bracket_words(u1, m, cache, depth + 1), c)
+            _add_bracket(acc, u1, m, c, cache, depth + 1)
         for m, c in _bracket_words(u1, v, cache, depth + 1).items():
-            _add_scaled(acc, _bracket_words(u2, m, cache, depth + 1), -c)
+            _add_bracket(acc, u2, m, -c, cache, depth + 1)
         out = _clean(acc)
     cache[key] = out
     return out
+
+
+def _add_bracket(acc: dict, u: Word, v: Word, scale, cache: dict, depth: int = 1) -> None:
+    """acc += scale * [b_u, b_v], reading the memo in its stored orientation."""
+    if u < v:
+        _add_scaled(acc, _bracket_words(u, v, cache, depth), scale)
+    elif u > v:
+        _add_scaled(acc, _bracket_words(v, u, cache, depth), -scale)
 
 
 def bracket(p: LiePoly, q: LiePoly, cache: dict | None = None) -> LiePoly:
@@ -238,7 +266,7 @@ def bracket(p: LiePoly, q: LiePoly, cache: dict | None = None) -> LiePoly:
         for v, cv in q.terms.items():
             if len(u) + len(v) > DEFAULT_DEGREE_CAP:
                 raise DegreeCapExceeded(f"bracket degree {len(u) + len(v)} exceeds cap {DEFAULT_DEGREE_CAP}")
-            _add_scaled(acc, _bracket_words(u, v, cache), cu * cv)
+            _add_bracket(acc, u, v, cu * cv, cache)
     return _clean_poly(acc)
 
 

@@ -48,7 +48,7 @@ class Echelon:
 
     def __init__(self):
         self.rows: dict = {}            # pivot index -> {index: int}
-        self.containing: dict = {}      # index -> set of pivots whose row touches it
+        self.containing: dict | None = {}   # index -> set of pivots whose row touches it; None until a copy adds
 
     @classmethod
     def of(cls, rows) -> "Echelon":
@@ -63,10 +63,14 @@ class Echelon:
         return isinstance(other, Echelon) and self.rows == other.rows
 
     def copy(self) -> "Echelon":
-        """An independent Echelon over the same rows; add replaces a changed row and never edits one."""
+        """An independent Echelon that shares the row dicts: add replaces a changed row and never edits one.
+
+        Only `add` reads the `containing` index, so the copy leaves it out and
+        rebuilds it on its first add; a copy that only reduces holds the rows alone.
+        """
         out = Echelon()
         out.rows = dict(self.rows)
-        out.containing = {k: set(s) for k, s in self.containing.items()}
+        out.containing = None
         return out
 
     def reduce(self, vec: dict) -> tuple:
@@ -117,6 +121,10 @@ class Echelon:
         p = max(rem)
         if rem[p] < 0:
             rem = {k: -v for k, v in rem.items()}
+        if self.containing is None:
+            self.containing = {}
+            for q, row in self.rows.items():
+                self._register(q, row)
         for q in list(self.containing.get(p, ())):
             row = self.rows[q]
             self._unregister(q, row)

@@ -38,8 +38,10 @@ class QuotientBasis(Record):
     rank read at the level below; the events come from the one pass over the tree
     left, `truncation_events`, run only when they are read.
 
-    `reduce` eliminates against a copy of the climb's integer `Echelon` at this
-    level, whose pivots are exactly the non-representative words.
+    `reduce` eliminates against a snapshot of the climb's integer `Echelon` at
+    this level, whose pivots are exactly the non-representative words.  The
+    snapshot shares the climb's row dicts, which the climb replaces and never
+    edits, and holds no `containing` index, since it never adds a row.
     """
     __slots__ = (
         "degree_bound",
@@ -95,8 +97,8 @@ def check_degree_bound(pres: Presentation, degree_bound: int) -> None:
     """Raise ValueError unless the closure can climb to degree_bound.
 
     The bound must be positive and reach the relations' degree.  The word budget
-    is not checked here: `freelie.lyndon_words` checks it before building each
-    level, so a climb that certifies below the budget's degree never meets it.
+    is not checked here: `closure_levels` checks it before building each level's
+    words, so a climb that certifies below the budget's degree never meets it.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be positive")
@@ -124,8 +126,12 @@ def closure_levels(pres: Presentation, max_bound: int):
     echelon form is unique, so every level equals the eager closure of the tree.
 
     The words, their index and the climb's bracket memo grow one degree per
-    level, so a climb stopped at the relations' degree builds nothing above it.  Each level
-    reduces against its own copy of the rows and stays valid as the climb goes on.
+    level, so a climb stopped at the relations' degree builds nothing above it:
+    level b checks the word budget up to b and builds only the words of degree b.
+    The memo holds each bracket once, in the orientation u < v, and `child` applies
+    the sign of a reversed pair to its expansion.  Each level reduces against its
+    own snapshot of the rows, sharing the row dicts, and stays valid as the climb
+    goes on.
     """
     check_degree_bound(pres, max_bound)
     n = len(pres.generators)
@@ -148,8 +154,10 @@ def closure_levels(pres: Presentation, max_bound: int):
         for i, c in row.items():
             expansion = cache[i]
             if expansion is None:
-                expansion = [(word_index[w2], k)
-                             for w2, k in freelie._bracket_words((g,), flat[i], brackets).items()]
+                # the memo holds [b_u, b_v] for u < v only; a word below (g,) flips the sign
+                u, v, sign = ((g,), flat[i], 1) if (g,) < flat[i] else (flat[i], (g,), -1)
+                expansion = [(word_index[w], sign * k)
+                             for w, k in freelie._bracket_words(u, v, brackets).items()]
                 cache[i] = expansion
             for j, k in expansion:
                 nv = out.get(j, 0) + c * k
@@ -163,7 +171,8 @@ def closure_levels(pres: Presentation, max_bound: int):
     fresh: list = []    # pivots that first appeared at the level below
     for b in range(1, max_bound + 1):
         words_below, rank_below = len(flat), len(elim.rows)
-        words = freelie.lyndon_words(n, b)[b]
+        freelie.check_word_budget(n, b)
+        words = list(freelie.lyndon_words_of_degree(n, b))
         word_index.update(zip(words, range(len(flat), len(flat) + len(words))))
         flat += words
         for cache in exp_cache:

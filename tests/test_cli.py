@@ -416,6 +416,22 @@ def test_classify_nilpotent(run, tmp_path):
     assert "type: unrecognized (nilpotent: Killing form degenerate)" in stdout
 
 
+def test_classify_abelian_table_brackets_nothing(run, tmp_path, monkeypatch):
+    # a degenerate table with no constants: [g, g] = 0 is read once and nothing is bracketed
+    p = tmp_path / "abelian.json"
+    save_table(StructureTable([f"a{i}" for i in range(40)], {}), str(p))
+    calls = []
+    for method in ("bracket", "bracket_map"):
+        original = getattr(StructureTable, method)
+        monkeypatch.setattr(StructureTable, method,
+                            lambda t, a, b, method=method, original=original: calls.append(method) or original(t, a, b))
+    code, stdout, _ = run("classify", "--table", str(p))
+    assert code == 1
+    assert "derived dim: 0\ncenter dim: 40\nkilling determinant: 0 (zero: degenerate)\n" in stdout
+    assert stdout.splitlines()[-1] == "type: unrecognized (nilpotent: Killing form degenerate)"
+    assert calls == []
+
+
 def test_classify_jacobi_failure(run, tmp_path):
     golden = load_table(GOLDEN)
     c = dict(golden.c)
@@ -519,6 +535,47 @@ def test_failed_write_to_stdout_exits_2_without_traceback(buffered, tmp_path):
     code, err = run_child(["derive", G2, "--out", str(tmp_path / "t.json")], subprocess.PIPE, buffered)
     assert code == 2
     assert err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_failed_write_to_stdout_writes_no_table(buffered, tmp_path):
+    # the report is flushed before the table is written, so a failing stdout leaves no file
+    out = tmp_path / "t.json"
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            code, err = run_child(["derive", G2, "--out", str(out)], full, buffered)
+        assert (code, err) == (2, "error: cannot write standard output: [Errno 28] No space left on device\n")
+        assert not out.exists()
+    code, err = run_child(["derive", G2, "--out", str(out)], subprocess.PIPE, buffered)
+    assert (code, err) == (2, "error: cannot write standard output: [Errno 32] Broken pipe\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["derive", "--help"]], ids=["help", "derive-help"])
+def test_help_into_a_failed_stdout_exits_2(buffered, argv):
+    # argparse drops an OSError from its own writes; the one from standard output reaches main
+    code, err = run_child(argv, subprocess.PIPE, buffered)
+    assert (code, err) == (2, "error: cannot write standard output: [Errno 32] Broken pipe\n")
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            code, err = run_child(argv, full, buffered)
+        assert (code, err) == (2, "error: cannot write standard output: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_usage_error_into_a_failed_stderr_keeps_the_interpreters_exit(buffered):
+    # a failed standard error is left to argparse and the interpreter: unbuffered, argparse
+    # drops the error and exits 2; buffered, the flush at shutdown fails and Python exits 120
+    env = {**os.environ, "PYTHONPATH": str(Path(liepres.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "liepres.cli", "derive", "--bogus"],
+                              stdout=subprocess.PIPE, stderr=full, env=env, text=True)
+    assert (proc.returncode, proc.stdout) == (120 if buffered else 2, "")
 
 
 def test_no_command_is_usage_error(run):

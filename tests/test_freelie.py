@@ -17,6 +17,7 @@ from liepres.freelie import (
     is_lyndon,
     lyndon_counts,
     lyndon_words,
+    lyndon_words_of_degree,
     standard_factorization,
 )
 
@@ -266,7 +267,7 @@ def test_depth_guard_unwinds_counter(monkeypatch):
     assert expand_to_associative(got) == expand_to_associative(u).commutator(expand_to_associative(v))
 
 
-def test_bracket_memo_is_the_callers_and_holds_both_orientations():
+def test_bracket_memo_is_the_callers_and_stores_one_orientation():
     words = [w for ws in lyndon_words(3, 4)[1:] for w in ws]
     warm: dict = {}
     for u, v in itertools.product(words, repeat=2):
@@ -276,12 +277,19 @@ def test_bracket_memo_is_the_callers_and_holds_both_orientations():
         assert freelie._bracket_words(u, v, warm) == cold
         assert freelie._bracket_words(v, u, warm) == {w: -c for w, c in cold.items()}
         assert freelie._bracket_words(u, v, warm) == cold
-        if u > v:
-            # the reversed call stores its negation beside the bracket it negates
-            one: dict = {}
-            freelie._bracket_words(u, v, one)
-            assert one[(u, v)] == cold and one[(v, u)] == {w: -c for w, c in cold.items()}
+    # a reversed call reads the bracket stored under (v, u) and negates it unstored
+    assert all(u < v for u, v in warm)
     assert len(warm) > 100
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3, 4, 5])
+def test_words_of_one_degree_match_the_grouped_words_and_brute_force(alphabet):
+    top = {1: 6, 2: 10, 3: 7, 4: 5, 5: 4}[alphabet]
+    grouped = lyndon_words(alphabet, top)
+    for degree in range(1, top + 1):
+        words = list(lyndon_words_of_degree(alphabet, degree))
+        assert words == grouped[degree]
+        assert words == [w for w in itertools.product(range(alphabet), repeat=degree) if is_lyndon(w)]
 
 
 @pytest.mark.parametrize("alphabet, bound", [(3, 6), (2, 9), (4, 4), (5, 3)])

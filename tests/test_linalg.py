@@ -112,6 +112,26 @@ def test_echelon_pivots_and_free_columns():
             assert [v.get(g, 0) for g in free] == [int(g == f) for g in free]
 
 
+def test_echelon_copy_shares_rows_and_adds_independently():
+    rng = random.Random(11)
+    for trial in range(25):
+        m = rand_matrix(rng, 6, 6)
+        base = Echelon.of(sparse_rows(m[:3]))
+        snapshot = base.copy()
+        assert snapshot.containing is None
+        assert all(snapshot.rows[p] is row for p, row in base.rows.items())
+        before = dict(base.rows)
+        extra = [{j: int(x) for j, x in enumerate(r) if x} for r in m[3:]]
+        for row in extra:
+            base.add(row)
+        # the original's inserts replace rows and edit none: the copy still holds the old ones
+        assert snapshot.rows == before and snapshot == Echelon.of(sparse_rows(m[:3]))
+        # a copy that adds rebuilds its index first and ends where a fresh elimination does
+        for row in extra:
+            snapshot.add(row)
+        assert snapshot == base == Echelon.of(sparse_rows(m))
+
+
 def test_kernel_annihilates_and_has_right_dimension():
     rng = random.Random(99)
     for trial in range(25):

@@ -293,12 +293,13 @@ def test_token_soup_parses_or_raises_a_typed_error(data):
 
 
 def test_a_parse_expands_each_bracket_pair_once(monkeypatch):
-    # one memo per parse (and per named_basis_free call): the relations share inner brackets
+    # one memo per parse (and per named_basis_free call): the relations share inner brackets.
+    # The memo holds the pair u < v, so a bracket is computed only under that orientation.
     expanded = Counter()
     expand = freelie._bracket_words
 
     def counting(u, v, cache, depth=1):
-        if u != v and (u, v) not in cache:
+        if u < v and (u, v) not in cache:
             expanded[(u, v)] += 1
         return expand(u, v, cache, depth)
 

@@ -1,6 +1,7 @@
 """Ideal-closure engine: quotient bases, reduction maps, tables, the rewriter gate."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -527,6 +528,26 @@ def test_mutated_g2_is_not_certified():
     pres = parse_presentation((FIXTURES / "g2_mutated.lp").read_text(encoding="utf-8"))
     for bound in range(4, 9):
         assert _certified_dim(pres, bound) is None, bound
+
+
+def test_climb_of_the_mutated_g2_stays_under_its_memory_bound():
+    # about 2.5 MB traced on CPython 3.11; a memo that also stores the reversed pairs,
+    # or snapshots that copy the echelon's index, reach 3.6 MB
+    pres = parse_presentation((FIXTURES / "g2_mutated.lp").read_text(encoding="utf-8"))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        for qb in closure_levels(pres, 8):
+            certify(pres, qb)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (qb.degree_bound, len(qb._echelon.rows)) == (8, 1316)
+    assert peak < 2.9e6
 
 
 def test_family_member_1_2_4_is_not_certified(family_member_text):
