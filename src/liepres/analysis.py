@@ -149,14 +149,14 @@ def root_decomposition(t: StructureTable, cartan_indices) -> RootDatum:
     return RootDatum(cartan_indices, roots, root_spaces, ck)
 
 
-_CATALOG = (
-    ("A1", ((2,),)),
-    ("A1xA1", ((2, 0), (0, 2))),
-    ("A2", ((2, -1), (-1, 2))),
-    ("B2", ((2, -1), (-2, 2))),
-    ("G2", ((2, -1), (-3, 2))),
-)
-_CATALOG_ROOT_COUNT = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12}
+# cartan matrix, simple roots short first -> (type, number of roots)
+_CATALOG = {
+    ((2,),): ("A1", 2),
+    ((2, 0), (0, 2)): ("A1xA1", 4),
+    ((2, -1), (-1, 2)): ("A2", 6),
+    ((2, -1), (-2, 2)): ("B2", 8),
+    ((2, -1), (-3, 2)): ("G2", 12),
+}
 
 
 def cartan_matrix_and_type(rd: RootDatum) -> tuple:
@@ -166,6 +166,9 @@ def cartan_matrix_and_type(rd: RootDatum) -> tuple:
     applied as the change of basis to its rows;
     positivity is lexicographic on the root's coordinate tuple; simple roots are the
     indecomposable positive roots, ordered by squared length then lexicographically.
+    At the catalog's ranks (at most 2) that order gives the catalog's own matrix:
+    roots of equal length give a symmetric one, and otherwise the short root
+    comes first, as the catalog writes B2 and G2.
     """
     kinv = basis_change(rd.cartan_killing, len(rd.cartan_indices))
     if kinv is None:
@@ -201,13 +204,8 @@ def cartan_matrix_and_type(rd: RootDatum) -> tuple:
     if any(x.denominator != 1 for row in A for x in row):
         return None, "unrecognized"
     A = tuple(tuple(int(x) for x in row) for row in A)
-    for name, ref in _CATALOG:
-        if len(ref) != rank_ or _CATALOG_ROOT_COUNT[name] != len(rd.roots):
-            continue
-        for perm in itertools.permutations(range(rank_)):
-            if tuple(tuple(A[perm[i]][perm[j]] for j in range(rank_)) for i in range(rank_)) == ref:
-                return A, name
-    return A, "unrecognized"
+    name, root_count = _CATALOG.get(A, ("unrecognized", None))
+    return A, name if root_count == len(rd.roots) else "unrecognized"
 
 
 def find_cartan_candidate(t: StructureTable) -> list:

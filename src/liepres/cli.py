@@ -295,13 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; 2 after printing the error when standard output cannot be written.
+    """Run one command; 2 after printing the error when standard output or error cannot be written.
 
     Each command reports the files it reads and writes itself, so an OSError
-    that reaches here is a failed write to standard output: a full disk, or a
-    reader that closed the pipe.  The final flush meets it before exit, and
-    standard output then points at devnull so that the flush at shutdown cannot
-    fail again (the "Note on SIGPIPE" in the documentation of Python's `signal`).
+    that reaches here is a failed write to standard output or standard error: a
+    full disk, or a reader that closed the pipe.  The final flushes meet it before
+    exit, and each stream that still fails then points at devnull so that the
+    flush at shutdown cannot fail again (the "Note on SIGPIPE" in the
+    documentation of Python's `signal`).  When only standard error failed, the
+    report still goes out and the error message goes nowhere.
     """
     parser = build_parser()
     try:
@@ -312,11 +314,21 @@ def main(argv=None) -> int:
         else:
             code = args.func(args)
         sys.stdout.flush()
+        sys.stderr.flush()
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        _write_or_drop(sys.stdout, "")
+        _write_or_drop(sys.stderr, f"error: cannot write standard output: {exc}\n")
         return 2
     return code
+
+
+def _write_or_drop(stream, text: str) -> None:
+    """Write text to stream and flush it, or point the stream at devnull when it fails."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 if __name__ == "__main__":

@@ -65,8 +65,11 @@ def rewriter_applicable(pres: Presentation) -> bool:
     Equal spans generate the same ideal, so rescaled, reordered or recombined
     relations still present G2 with its named basis.  Echelon rows are the unique
     primitive reduced echelon form of the span, so equal Echelons mean equal spans.
+    The 18 pivots of g2.lp's span are the degree-4 Lyndon words, so each of its
+    nonzero elements has top degree 4, and relations whose top degree is not 4
+    are refused before g2.lp is parsed.
     """
-    if len(pres.generators) != 3:
+    if len(pres.generators) != 3 or pres.max_relation_degree() != 4:
         return False
     span = relation_span(pres.relations)
     return span is not None and span == relation_span(g2_presentation().relations)

@@ -2,9 +2,10 @@
 
 A vector is a sparse map {index: x} and a matrix is a list of such rows.
 `Echelon` is the package's one elimination kernel: a sparse reduced echelon form
-over the integers.  Every span, rank and kernel runs on it: the closure engine,
-`QuotientBasis.reduce`, `kernel_basis`, the subalgebras and multiplicities in
-`analysis`, and `basis_change`, which renames tables (`StructureTable.rebased`)
+over the integers, and `reduce(rows, vec)` eliminates a vector against its rows
+or a snapshot of them.  Every span, rank and kernel runs on it: the closure
+engine, `QuotientBasis.reduce`, `kernel_basis`, the subalgebras and multiplicities
+in `analysis`, and `basis_change`, which renames tables (`StructureTable.rebased`)
 and solves against the Killing form on a Cartan subalgebra.  The integer
 characteristic polynomial of a square matrix (Faddeev-LeVerrier, no
 elimination) serves only `det`.
@@ -34,6 +35,37 @@ def _content_strip(vec: dict) -> dict:
     return vec
 
 
+def reduce(rows: dict, vec: dict) -> tuple:
+    """(r, s) with r = s*vec minus a combination of rows, supported off their pivots.
+
+    rows are an `Echelon`'s rows, {pivot: row}, or a snapshot dict(e.rows) of them.
+    s > 0 is the product of the multipliers applied to vec, so vec is congruent
+    to r / s modulo the span of the rows.
+    """
+    vec = dict(vec)
+    s = 1
+    for p in [i for i in vec if i in rows]:
+        row = rows[p]
+        if len(row) == 1:
+            del vec[p]
+            continue
+        vp = vec[p]
+        rp = row[p]
+        g = gcd(vp, rp)
+        mv, mr = rp // g, vp // g
+        if mv != 1:
+            s *= mv
+            for k in vec:
+                vec[k] *= mv
+        for k, rv in row.items():
+            nv = vec.get(k, 0) - mr * rv
+            if nv:
+                vec[k] = nv
+            else:
+                vec.pop(k, None)
+    return vec, s
+
+
 class Echelon:
     """Sparse incremental reduced echelon form over Z: rows are content-stripped, tails pivot-free.
 
@@ -43,12 +75,14 @@ class Echelon:
     back-substitution is maintained on every insertion, so reduction of any vector is
     a single pass over its initial support, in any order (eliminating one pivot only
     ever introduces non-pivot coordinates).  Back-substitution is cheapest when
-    vectors arrive in ascending order of their largest index.
+    vectors arrive in ascending order of their largest index.  `add` replaces a
+    changed row and never edits one, so a snapshot dict(e.rows) keeps its rows,
+    and `reduce` against it, while e goes on adding.
     """
 
     def __init__(self):
         self.rows: dict = {}            # pivot index -> {index: int}
-        self.containing: dict | None = {}   # index -> set of pivots whose row touches it; None until a copy adds
+        self.containing: dict = {}      # index -> set of pivots whose row touches it
 
     @classmethod
     def of(cls, rows) -> "Echelon":
@@ -62,47 +96,6 @@ class Echelon:
     def __eq__(self, other) -> bool:
         return isinstance(other, Echelon) and self.rows == other.rows
 
-    def copy(self) -> "Echelon":
-        """An independent Echelon that shares the row dicts: add replaces a changed row and never edits one.
-
-        Only `add` reads the `containing` index, so the copy leaves it out and
-        rebuilds it on its first add; a copy that only reduces holds the rows alone.
-        """
-        out = Echelon()
-        out.rows = dict(self.rows)
-        out.containing = None
-        return out
-
-    def reduce(self, vec: dict) -> tuple:
-        """(r, s) with r = s*vec minus a combination of rows, supported off the pivots.
-
-        s > 0 is the product of the multipliers applied to vec, so vec is congruent
-        to r / s modulo the span of the rows.
-        """
-        vec = dict(vec)
-        rows = self.rows
-        s = 1
-        for p in [i for i in vec if i in rows]:
-            row = rows[p]
-            if len(row) == 1:
-                del vec[p]
-                continue
-            vp = vec[p]
-            rp = row[p]
-            g = gcd(vp, rp)
-            mv, mr = rp // g, vp // g
-            if mv != 1:
-                s *= mv
-                for k in vec:
-                    vec[k] *= mv
-            for k, rv in row.items():
-                nv = vec.get(k, 0) - mr * rv
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-        return vec, s
-
     def _register(self, p: int, row: dict) -> None:
         for k in row:
             self.containing.setdefault(k, set()).add(p)
@@ -115,16 +108,12 @@ class Echelon:
 
     def add(self, vec: dict) -> int | None:
         """Reduce vec and, if independent, insert it; returns the new pivot or None."""
-        rem = _content_strip(self.reduce(vec)[0])
+        rem = _content_strip(reduce(self.rows, vec)[0])
         if not rem:
             return None
         p = max(rem)
         if rem[p] < 0:
             rem = {k: -v for k, v in rem.items()}
-        if self.containing is None:
-            self.containing = {}
-            for q, row in self.rows.items():
-                self._register(q, row)
         for q in list(self.containing.get(p, ())):
             row = self.rows[q]
             self._unregister(q, row)
@@ -177,7 +166,7 @@ def basis_change(coords, n: int):
 
     def new_coordinates(vec: dict) -> dict:
         D, ints = integer_scaled(vec.values())
-        rem, s = ech.reduce({n + k: x for k, x in zip(vec, ints) if x})
+        rem, s = reduce(ech.rows, {n + k: x for k, x in zip(vec, ints) if x})
         return {i: Fraction(x, D * s) for i, x in rem.items()}
 
     return new_coordinates

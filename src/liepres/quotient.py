@@ -7,7 +7,7 @@ from fractions import Fraction
 from . import freelie
 from .freelie import LiePoly, bracket_string
 from .g2 import rewriter_applicable  # noqa: F401  perfbench/replay.py imports it from here
-from .linalg import Echelon, integer_scaled
+from .linalg import Echelon, integer_scaled, reduce
 from .presentation import Presentation
 from .record import FrozenRecord, Record
 from .table import NamesNotBasisError, StructureTable, check_jacobi  # noqa: F401
@@ -38,10 +38,10 @@ class QuotientBasis(Record):
     rank read at the level below; the events come from the one pass over the tree
     left, `truncation_events`, run only when they are read.
 
-    `reduce` eliminates against a snapshot of the climb's integer `Echelon` at
-    this level, whose pivots are exactly the non-representative words.  The
-    snapshot shares the climb's row dicts, which the climb replaces and never
-    edits, and holds no `containing` index, since it never adds a row.
+    A level is its rows: `_rows` is a copy of the climb's `Echelon.rows` dict at
+    this level, whose pivots are exactly the non-representative words, and
+    `reduce` eliminates against it.  The copy shares the row dicts, which the
+    climb replaces and never edits.
     """
     __slots__ = (
         "degree_bound",
@@ -51,10 +51,10 @@ class QuotientBasis(Record):
         "dim_at_lower",       # quotient dimension at degree_bound - 1, if computable
         "_presentation",
         "_rep_index",
-        "_echelon",
+        "_rows",
         "_word_index",
     )
-    _hidden = ("_presentation", "_rep_index", "_echelon", "_word_index")
+    _hidden = ("_presentation", "_rep_index", "_rows", "_word_index")
 
     @property
     def dim(self) -> int:
@@ -80,7 +80,7 @@ class QuotientBasis(Record):
             if idx is None or len(w) > self.degree_bound:
                 raise ValueError(f"monomial degree {len(w)} exceeds bound {self.degree_bound} or bad alphabet: {w}")
             vec[idx] = c
-        rem, s = self._echelon.reduce(vec)
+        rem, s = reduce(self._rows, vec)
         return {self._rep_index[idx]: Fraction(c, D * s) for idx, c in rem.items()}
 
     def representative_name(self, i: int) -> str:
@@ -128,10 +128,10 @@ def closure_levels(pres: Presentation, max_bound: int):
     The words, their index and the climb's bracket memo grow one degree per
     level, so a climb stopped at the relations' degree builds nothing above it:
     level b checks the word budget up to b and builds only the words of degree b.
-    The memo holds each bracket once, in the orientation u < v, and `child` applies
-    the sign of a reversed pair to its expansion.  Each level reduces against its
-    own snapshot of the rows, sharing the row dicts, and stays valid as the climb
-    goes on.
+    The memo is the climb's only bracket store: it holds each bracket once, in the
+    orientation u < v, and `child` reads it for every term and applies the sign of
+    a reversed pair.  Each level keeps its own copy of the rows dict, sharing the
+    row dicts, and stays valid as the climb goes on.
     """
     check_degree_bound(pres, max_bound)
     n = len(pres.generators)
@@ -143,23 +143,18 @@ def closure_levels(pres: Presentation, max_bound: int):
 
     flat: list = []
     word_index: dict = {}
-    # expansion cache: exp_cache[g][i] is [x_g, flat[i]] as (word index, int) terms
-    exp_cache: list = [[] for _ in range(n)]
     brackets: dict = {}  # the climb's Lyndon bracket memo
 
     def child(row: dict, g: int) -> dict:
         """[x_g, row] for a row of degree below the current level."""
-        cache = exp_cache[g]
         out: dict = {}
         for i, c in row.items():
-            expansion = cache[i]
-            if expansion is None:
-                # the memo holds [b_u, b_v] for u < v only; a word below (g,) flips the sign
-                u, v, sign = ((g,), flat[i], 1) if (g,) < flat[i] else (flat[i], (g,), -1)
-                expansion = [(word_index[w], sign * k)
-                             for w, k in freelie._bracket_words(u, v, brackets).items()]
-                cache[i] = expansion
-            for j, k in expansion:
+            # the memo holds [b_u, b_v] for u < v only; a word below (g,) flips the sign
+            u, v = (g,), flat[i]
+            if u > v:
+                u, v, c = v, u, -c
+            for w, k in freelie._bracket_words(u, v, brackets).items():
+                j = word_index[w]
                 nv = out.get(j, 0) + c * k
                 if nv:
                     out[j] = nv
@@ -175,8 +170,6 @@ def closure_levels(pres: Presentation, max_bound: int):
         words = list(freelie.lyndon_words_of_degree(n, b))
         word_index.update(zip(words, range(len(flat), len(flat) + len(words))))
         flat += words
-        for cache in exp_cache:
-            cache += [None] * len(words)
 
         new = []
         for rel in by_top.get(b, ()):
@@ -199,23 +192,13 @@ def closure_levels(pres: Presentation, max_bound: int):
                 dim_at_lower=words_below - rank_below if b - 1 >= max_rel_deg else None,
                 _presentation=pres,
                 _rep_index={word_index[w]: i for i, w in enumerate(reps)},
-                _echelon=elim.copy(),
+                _rows=dict(elim.rows),
                 _word_index=word_index,
             )
 
 
 def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
-    """The quotient F_b / N at b = degree_bound: level b of one `closure_levels` climb.
-
-    N is the span of the consequence tree at bound b.  The climb never builds the
-    tree: level b adds the relations of top degree b and [x_g, row] for the echelon
-    rows new at level b - 1, since span(tree_b) = span(tree_{b-1}) + those roots
-    + sum_g ad(x_g) span(tree_{b-1}) and those rows complete span(tree_{b-2}) to
-    span(tree_{b-1}).  The span is the tree's, so the reduced echelon form, the
-    representatives and every table built on them are those of closing the whole
-    tree.  The one pass over the tree left is `truncation_events`, which only the
-    replay's `stabilized` heuristic reads.
-    """
+    """The quotient F_b / N at b = degree_bound: the last level of a `closure_levels` climb."""
     *_, qb = closure_levels(pres, degree_bound)
     return qb
 

@@ -171,21 +171,6 @@ def factors():
                      st.integers(1, 1000), st.booleans(), st.booleans())
 
 
-@pytest.mark.parametrize("table, matrix, kind", [
-    (GOLDEN, "cartan matrix: [[2, -1], [-3, 2]]", "type: G2"),
-    (SL2, "cartan matrix: [[2]]", "type: A1"),
-], ids=["g2", "sl2"])
-@settings(max_examples=12, deadline=None)
-@given(data=st.data())
-def test_type_invariant_under_permutation_and_rescale(table, matrix, kind, data):
-    perm = data.draw(st.permutations(range(table.dim)))
-    scales = data.draw(st.lists(factors(), min_size=table.dim, max_size=table.dim))
-    code, lines = classify_lines(permuted_rescaled(table, perm, scales))
-    assert code == 0
-    assert matrix in lines
-    assert kind in lines
-
-
 # Chevalley-Serre presentation of B2: [h_i, e_j] = A_ij e_j for A = [[2, -1], [-2, 2]],
 # and Serre's ad(e_i)^(1 - A_ij) e_j = 0
 B2 = """generators: e1 e2 f1 f2 h1 h2
@@ -207,6 +192,46 @@ relation: [e2,[e2,[e2,e1]]] = 0
 relation: [f1,[f1,f2]] = 0
 relation: [f2,[f2,[f2,f1]]] = 0
 """
+
+
+
+
+def direct_sum(t, u):
+    """The table of t + u, u's basis after t's."""
+    n = t.dim
+    c = dict(t.c)
+    c.update({(i + n, j + n, k + n): v for (i, j, k), v in u.c.items()})
+    return StructureTable([f"{x}_1" for x in t.names] + [f"{x}_2" for x in u.names], c)
+
+
+def subtable(t, names):
+    """The table of the subalgebra spanned by the named basis elements of t."""
+    pos = {t.index_of(x): a for a, x in enumerate(names)}
+    return StructureTable(names, {(pos[i], pos[j], pos[k]): v for (i, j, k), v in t.c.items()
+                                  if i in pos and j in pos})
+
+
+# one table of each catalog type
+SL3 = subtable(GOLDEN, ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32"))
+SERRE_B2 = structure_table(parse_presentation(B2), degree_bound=4)
+
+
+@pytest.mark.parametrize("table, matrix, kind", [
+    (GOLDEN, "cartan matrix: [[2, -1], [-3, 2]]", "type: G2"),
+    (SL2, "cartan matrix: [[2]]", "type: A1"),
+    (direct_sum(SL2, SL2), "cartan matrix: [[2, 0], [0, 2]]", "type: A1xA1"),
+    (SL3, "cartan matrix: [[2, -1], [-1, 2]]", "type: A2"),
+    (SERRE_B2, "cartan matrix: [[2, -1], [-2, 2]]", "type: B2"),
+], ids=["g2", "sl2", "a1xa1", "sl3", "b2"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_type_invariant_under_permutation_and_rescale(table, matrix, kind, data):
+    perm = data.draw(st.permutations(range(table.dim)))
+    scales = data.draw(st.lists(factors(), min_size=table.dim, max_size=table.dim))
+    code, lines = classify_lines(permuted_rescaled(table, perm, scales))
+    assert code == 0
+    assert matrix in lines
+    assert kind in lines
 
 
 def test_serre_b2_derives_and_classifies_in_two_bases(tmp_path):

@@ -510,14 +510,19 @@ def test_free_counts(run):
     assert stdout == "2 1 2 3, total 8\n"
 
 
-def run_child(argv, stdout, buffered):
-    """(exit code, stderr) of `python -m liepres.cli argv` writing to stdout, a file or PIPE."""
+def child_env(buffered):
+    """The environment of a `python -m liepres.cli` child, its standard streams buffered or not."""
     env = {**os.environ, "PYTHONPATH": str(Path(liepres.__file__).parent.parent)}
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_child(argv, stdout, buffered):
+    """(exit code, stderr) of `python -m liepres.cli argv` writing to stdout, a file or PIPE."""
     proc = subprocess.Popen([sys.executable, "-m", "liepres.cli", *argv], stdout=stdout,
-                            stderr=subprocess.PIPE, env=env, text=True)
+                            stderr=subprocess.PIPE, env=child_env(buffered), text=True)
     if stdout == subprocess.PIPE:
         proc.stdout.close()  # the reader is gone before the command writes
     err = proc.stderr.read()
@@ -563,19 +568,27 @@ def test_help_into_a_failed_stdout_exits_2(buffered, argv):
         assert (code, err) == (2, "error: cannot write standard output: [Errno 28] No space left on device\n")
 
 
+def run_with_failed_stderr(argv, buffered):
+    """(exit code, stdout) of `python -m liepres.cli argv` with standard error on /dev/full."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "liepres.cli", *argv], stdout=subprocess.PIPE,
+                              stderr=full, env=child_env(buffered), text=True)
+    return proc.returncode, proc.stdout
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-def test_usage_error_into_a_failed_stderr_keeps_the_interpreters_exit(buffered):
-    # a failed standard error is left to argparse and the interpreter: unbuffered, argparse
-    # drops the error and exits 2; buffered, the flush at shutdown fails and Python exits 120
-    env = {**os.environ, "PYTHONPATH": str(Path(liepres.__file__).parent.parent)}
-    env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "liepres.cli", "derive", "--bogus"],
-                              stdout=subprocess.PIPE, stderr=full, env=env, text=True)
-    assert (proc.returncode, proc.stdout) == (120 if buffered else 2, "")
+def test_failed_stderr_exits_2_without_traceback(buffered):
+    # an uncaught error in the handler would exit 1, and a failed flush at shutdown 120
+    assert run_with_failed_stderr(["derive", "missing.lp"], buffered) == (2, "")
+    # argparse drops the failed write of its usage; the flush in main meets it
+    assert run_with_failed_stderr(["derive", "--bogus"], buffered) == (2, "")
+    # the report on standard output still goes out
+    code, out = run_with_failed_stderr(["derive", MUTANT], buffered)
+    assert code == 2 and "certified: no (" in out
+    # a command that writes nothing to standard error keeps its exit
+    assert run_with_failed_stderr(["free", "--alphabet", "3", "--max-degree", "3"], buffered) == (
+        0, "3 3 8, total 14\n")
 
 
 def test_no_command_is_usage_error(run):

@@ -8,7 +8,7 @@ from dense import gauss_jordan, identity, inverse, leibniz_det, matmul, rank, sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liepres.linalg import Echelon, basis_change, det, integer_char_poly, kernel_basis
+from liepres.linalg import Echelon, basis_change, det, integer_char_poly, kernel_basis, reduce
 from liepres.table import NamesNotBasisError, StructureTable
 
 
@@ -112,24 +112,22 @@ def test_echelon_pivots_and_free_columns():
             assert [v.get(g, 0) for g in free] == [int(g == f) for g in free]
 
 
-def test_echelon_copy_shares_rows_and_adds_independently():
+def test_row_snapshot_keeps_its_rows_and_reductions_while_the_echelon_adds():
     rng = random.Random(11)
     for trial in range(25):
         m = rand_matrix(rng, 6, 6)
         base = Echelon.of(sparse_rows(m[:3]))
-        snapshot = base.copy()
-        assert snapshot.containing is None
-        assert all(snapshot.rows[p] is row for p, row in base.rows.items())
-        before = dict(base.rows)
-        extra = [{j: int(x) for j, x in enumerate(r) if x} for r in m[3:]]
-        for row in extra:
-            base.add(row)
-        # the original's inserts replace rows and edit none: the copy still holds the old ones
-        assert snapshot.rows == before and snapshot == Echelon.of(sparse_rows(m[:3]))
-        # a copy that adds rebuilds its index first and ends where a fresh elimination does
-        for row in extra:
-            snapshot.add(row)
-        assert snapshot == base == Echelon.of(sparse_rows(m))
+        snapshot = dict(base.rows)
+        before = {p: dict(row) for p, row in snapshot.items()}
+        probes = [{j: int(x) for j, x in enumerate(r) if x} for r in rand_matrix(rng, 4, 6)]
+        reduced = [reduce(snapshot, v) for v in probes]
+        assert not any(r.keys() & snapshot.keys() for r, _ in reduced)
+        for r in m[3:]:
+            base.add({j: int(x) for j, x in enumerate(r) if x})
+        # add replaces rows and edits none: the snapshot still holds the old ones
+        assert snapshot == before == Echelon.of(sparse_rows(m[:3])).rows
+        assert [reduce(snapshot, v) for v in probes] == reduced
+        assert base == Echelon.of(sparse_rows(m))
 
 
 def test_kernel_annihilates_and_has_right_dimension():

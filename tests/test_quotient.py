@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -13,7 +14,7 @@ from presentation_text import format_presentation
 from towers import tower_to_poly
 
 import liepres
-from liepres import freelie
+from liepres import freelie, g2
 from liepres.analysis import check_jacobi, derived_subalgebra_and_center, lower_central_dims
 from liepres.cli import main
 from liepres.freelie import Generator, LiePoly, bracket, lyndon_words
@@ -219,6 +220,19 @@ def test_rewriter_applicability_rule(g2_pres, family_member_text):
         assert not rewriter_applicable(parse_presentation(base.replace(old, new, 1))), new
 
 
+def test_rewriter_gate_refuses_other_top_degrees_before_parsing_g2(g2_pres, monkeypatch):
+    # every nonzero element of g2.lp's relation span has top degree 4
+    def no_parse():
+        raise AssertionError("g2.lp parsed")
+
+    monkeypatch.setattr(g2, "g2_presentation", no_parse)
+    for text in ((FIXTURES / "sl2.lp").read_text(encoding="utf-8"), "generators: a b c",
+                 "generators: a b c\nrelation: [a,[a,[a,[a,b]]]] = [c,[c,[c,[c,b]]]]\n"):
+        assert not rewriter_applicable(parse_presentation(text)), text
+    monkeypatch.undo()
+    assert all(rewriter_applicable(shuffled_scaled(g2_pres, seed)) for seed in (3, 4))
+
+
 def test_closure_table_matches_rewriter_g2(g2_pres, g2_qb6):
     assert rewriter_applicable(g2_pres)
     assert g2_qb6.stabilized
@@ -226,7 +240,7 @@ def test_closure_table_matches_rewriter_g2(g2_pres, g2_qb6):
     assert structure_table(g2_pres, named_basis_free(), qb=g2_qb6).diff(rewriter) == []
     # derive prints "engines agree" whenever the gate holds: a gated presentation's
     # climb starts at bound 4 with g2.lp's echelon rows and certifies the rewriter's table
-    g2_rows = next(closure_levels(g2_pres, 4))._echelon.rows
+    g2_rows = next(closure_levels(g2_pres, 4))._rows
     rng = random.Random(17)
     for seed in range(10):
         shuffled = list(g2_pres.relations)
@@ -239,7 +253,7 @@ def test_closure_table_matches_rewriter_g2(g2_pres, g2_qb6):
             assert rewriter_applicable(pres), seed
             first = next(closure_levels(pres, 8))
             assert first.degree_bound == 4
-            assert first._echelon.rows == g2_rows
+            assert first._rows == g2_rows
             cert = certify(pres, first)
             assert cert.ok, cert.detail
             assert renamed(first, cert.table, named_basis_free()) == rewriter
@@ -388,14 +402,14 @@ def assert_matches_reference(pres: Presentation, top: int) -> None:
     """Every level of one climb to top, each checked after the climb has finished."""
     levels = list(closure_levels(pres, top))
     assert [qb.degree_bound for qb in levels] == list(range(max(pres.max_relation_degree(), 1), top + 1))
-    assert quotient_closure(pres, top)._echelon == levels[-1]._echelon
+    assert quotient_closure(pres, top)._rows == levels[-1]._rows
     for qb in levels:
         bound = qb.degree_bound
         ref = reference_closure(pres, bound)
         assert qb.representatives == ref["representatives"]
         assert qb._rep_index == ref["_rep_index"]
-        assert qb._echelon.rows == {p: primitive(row) for p, row in ref["monic_rows"].items()}
-        assert all(row[p] > 0 for p, row in qb._echelon.rows.items())
+        assert qb._rows == {p: primitive(row) for p, row in ref["monic_rows"].items()}
+        assert all(row[p] > 0 for p, row in qb._rows.items())
         terms = {}
         for degree in range(1, bound + 1):
             for i, (w, vec) in enumerate(degree_images(qb, degree)):
@@ -469,7 +483,7 @@ def test_reduce_returns_sparse_representative_coordinates(case, data):
 @pytest.mark.parametrize("bound,pivots,events", [(6, 182, 108), (7, 494, 324), (8, 1304, 972)])
 def test_g2_closure_counters(g2_pres, bound, pivots, events):
     qb = quotient_closure(g2_pres, bound)
-    assert len(qb._echelon.rows) == pivots
+    assert len(qb._rows) == pivots
     assert len(qb.truncation_events) == events
     assert qb.dim_at_lower == 14
     assert qb.dim == 14
@@ -489,7 +503,7 @@ def test_derive_climb_inserts_only_the_new_rows(monkeypatch, capsys):
 def test_a_climb_after_an_unrelated_climb_has_the_rows_of_the_first():
     # each climb owns its bracket memo, so a climb leaves nothing that the next one reads
     def levels(pres, bound):
-        return [(qb.representatives, qb._echelon.rows) for qb in closure_levels(pres, bound)]
+        return [(qb.representatives, qb._rows) for qb in closure_levels(pres, bound)]
 
     heis = parse_presentation(HEIS)
     first = levels(heis, 7)
@@ -531,8 +545,8 @@ def test_mutated_g2_is_not_certified():
 
 
 def test_climb_of_the_mutated_g2_stays_under_its_memory_bound():
-    # about 2.5 MB traced on CPython 3.11; a memo that also stores the reversed pairs,
-    # or snapshots that copy the echelon's index, reach 3.6 MB
+    # about 2.16 MB traced on CPython 3.11; a second store of the brackets beside the
+    # memo, or snapshots that hold the echelon and not only its rows, reach 2.5 MB
     pres = parse_presentation((FIXTURES / "g2_mutated.lp").read_text(encoding="utf-8"))
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -546,8 +560,31 @@ def test_climb_of_the_mutated_g2_stays_under_its_memory_bound():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert (qb.degree_bound, len(qb._echelon.rows)) == (8, 1316)
-    assert peak < 2.9e6
+    assert (qb.degree_bound, len(qb._rows)) == (8, 1316)
+    assert peak < 2.4e6
+
+
+def test_climb_computes_each_memo_pair_once(monkeypatch):
+    # the memo is the climb's only bracket store: each of its pairs is computed once,
+    # and every bracket computed is kept in it
+    computed = Counter()
+    memos = {}
+    expand = freelie._bracket_words
+
+    def counting(u, v, cache, depth=1):
+        memos[id(cache)] = cache
+        if u < v and (u, v) not in cache:
+            computed[(u, v)] += 1
+        return expand(u, v, cache, depth)
+
+    pres = parse_presentation((FIXTURES / "g2_mutated.lp").read_text(encoding="utf-8"))
+    monkeypatch.setattr(freelie, "_bracket_words", counting)
+    for qb in closure_levels(pres, 8):
+        pass
+    assert qb.degree_bound == 8 and len(memos) == 1
+    (memo,) = memos.values()
+    assert max(computed.values()) == 1
+    assert computed.keys() == memo.keys()
 
 
 def test_family_member_1_2_4_is_not_certified(family_member_text):
