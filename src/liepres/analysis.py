@@ -10,18 +10,13 @@ from .record import Record
 from .table import StructureTable, check_jacobi, integer_ad_maps  # noqa: F401  classify calls analysis.check_jacobi
 
 
-def _ad_map(t: StructureTable, i: int) -> dict:
-    """ad(b_i) as sparse columns: m -> {k: c} with [b_i, b_m] = sum_k c b_k, zero columns omitted."""
-    return {m: col for m in range(t.dim) if (col := t.bracket_map(i, m))}
-
-
 def _is_diagonal(ad: dict) -> bool:
     return all(len(col) == 1 and m in col for m, col in ad.items())
 
 
 def _derived_rows(t: StructureTable) -> dict:
     """The Echelon rows of [g, g], spanned by the nonzero brackets [b_i, b_j], i < j."""
-    return Echelon.of(t.bracket_map(i, j) for i, j in dict.fromkeys((i, j) for i, j, _ in t.c)).rows
+    return Echelon.of(col for i, ad in enumerate(t.ad) for j, col in ad.items() if i < j).rows
 
 
 class DerivedCenter(Record):
@@ -37,14 +32,15 @@ def derived_subalgebra_and_center(t: StructureTable) -> DerivedCenter:
     """[g, g] as the span of the brackets, the center as the common kernel of the ad(b_i).
 
     v is central when the coefficient of b_k in [b_i, v] vanishes for every i and
-    k: one sparse row {m: c_im^k} per (i, k), read off the constants.
+    k: one sparse row {m: c_im^k} per (i, k), read off ad(b_i).
     """
     n = t.dim
     derived = _derived_rows(t)
     rows: dict = {}
-    for (i, j, k), v in t.c.items():
-        rows.setdefault((i, k), {})[j] = v
-        rows.setdefault((j, k), {})[i] = -v
+    for i, ad in enumerate(t.ad):
+        for m, col in ad.items():
+            for k, v in col.items():
+                rows.setdefault((i, k), {})[m] = v
     center = kernel_basis(rows.values(), n)
     return DerivedCenter(len(derived), len(center), tuple(derived[p] for p in sorted(derived)), tuple(center))
 
@@ -89,12 +85,12 @@ def cartan_check(t: StructureTable, indices) -> CartanCheck:
     indices = list(indices)
     n = t.dim
     for a, b in itertools.combinations(indices, 2):
-        if t.bracket_map(a, b):
+        if b in t.ad[a]:
             return CartanCheck(False, False, False, 0, (a, b))
     inside = set(indices)
     rows: dict = {}  # (h, k) -> the coefficient of b_k in [b_h, v], for b_k outside the span
     for h in indices:
-        for m, col in _ad_map(t, h).items():
+        for m, col in t.ad[h].items():
             for k, v in col.items():
                 if k not in inside:
                     rows.setdefault((h, k), {})[m] = v
@@ -131,19 +127,18 @@ def root_decomposition(t: StructureTable, cartan_indices) -> RootDatum:
     """
     cartan_indices = tuple(cartan_indices)
     n = t.dim
-    ads = {h: _ad_map(t, h) for h in cartan_indices}
-    if not all(_is_diagonal(ad) for ad in ads.values()):
+    if not all(_is_diagonal(t.ad[h]) for h in cartan_indices):
         raise ValueError("root spaces are not aligned with the table basis")
     grouped: dict = {}
     for j in range(n):
-        weight = tuple(ads[h].get(j, {}).get(j, Fraction(0)) for h in cartan_indices)
+        weight = tuple(t.ad[h].get(j, {}).get(j, Fraction(0)) for h in cartan_indices)
         grouped.setdefault(weight, []).append(j)
     root_spaces = {w: tuple(grouped[w]) for w in sorted(grouped)}
     zero = tuple(Fraction(0) for _ in cartan_indices)
     zero_members = root_spaces.get(zero, ())
     if not set(cartan_indices) <= set(zero_members):
         raise ValueError("Cartan elements do not lie in the zero weight space")
-    ck = [{p: v for p, b in enumerate(cartan_indices) if (v := _killing_entry(ads[a], ads[b]))}
+    ck = [{p: v for p, b in enumerate(cartan_indices) if (v := _killing_entry(t.ad[a], t.ad[b]))}
           for a in cartan_indices]
     roots = tuple(sorted(w for w in root_spaces if w != zero))
     return RootDatum(cartan_indices, roots, root_spaces, ck)
@@ -217,7 +212,7 @@ def find_cartan_candidate(t: StructureTable) -> list:
     """
     chosen = []
     for i in range(t.dim):
-        if not any(t.bracket_map(i, j) for j in chosen) and _is_diagonal(_ad_map(t, i)):
+        if not any(j in t.ad[i] for j in chosen) and _is_diagonal(t.ad[i]):
             chosen.append(i)
     return chosen
 
@@ -232,7 +227,7 @@ def lower_central_dims(t: StructureTable, derived_basis=None) -> list:
     if derived_basis is None:
         derived_basis = _derived_rows(t).values()
     current = list(derived_basis)
-    active = sorted({x for i, j, _ in t.c for x in (i, j)})
+    active = [i for i, ad in enumerate(t.ad) if ad]
     dims = [n, len(current)]
     while current and dims[-1] != dims[-2]:
         current = list(Echelon.of(t.bracket({i: 1}, v) for i in active for v in current).rows.values())

@@ -118,8 +118,8 @@ def cmd_derive(args) -> int:
               "rerun with a larger --max-degree", file=sys.stderr)
         return 4
 
-    # The gate compares relation echelons, so when it holds the climb above is the
-    # rewriter's: that is the engines' agreement.
+    # The gate compares this climb's echelon rows at bound 4 with g2.lp's, so when it
+    # holds the climb above is the rewriter's: that is the engines' agreement.
     applicable = rewriter or rewriter_applicable(pres)
     try:
         table = renamed(qb, cert.table, named_basis_free() if applicable else None)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .record import FrozenRecord
+from .record import Record
 
 Word = tuple  # tuple of 0-based generator indices
 
 
-class Generator(FrozenRecord):
+class Generator(Record):
     __slots__ = ("index", "name")
 
 

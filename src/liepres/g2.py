@@ -1,13 +1,14 @@
 """G2, the one module that knows it: relations, named basis, the rewriter gate.
 
 The relations are read from the shipped `fixtures/g2.lp` and typed out nowhere
-else; `g2_presentation` parses it on each call.  `rewriter_applicable`
-compares a presentation's relation span with theirs.  The named basis is
-defined once, as free Lie polynomials in `named_basis_free`.  A presentation
-that passes the gate has g2.lp's relation span, whose 18 echelon pivots are the
-18 degree-4 Lyndon words; so its closure at degree bound 4, the relations'
-degree, has 14 representatives below degree 4, `certify` proves dimension 14
-there, and renamed to the named basis it is the rewriter's table.
+else; `g2_presentation` parses it on each call.  `rewriter_applicable` compares
+the echelon rows at degree bound 4 of a presentation's closure climb with those
+of g2.lp's.  The named basis is defined once, as free Lie polynomials in
+`named_basis_free`.  A presentation that passes the gate has g2.lp's relation
+span, whose 18 echelon pivots are the 18 degree-4 Lyndon words; so its closure
+at degree bound 4, the relations' degree, has 14 representatives below degree
+4, `certify` proves dimension 14 there, and renamed to the named basis it is
+the rewriter's table.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from functools import partial
 
 from . import freelie
 from .freelie import LiePoly
-from .linalg import Echelon
 from .presentation import Presentation, parse_presentation
 from .table import StructureTable
 
@@ -47,32 +47,26 @@ def g2_relations() -> list:
     return list(g2_presentation().relations)
 
 
-def relation_span(relations) -> Echelon | None:
-    """Echelon form of the relations over the Lyndon words of degree <= 4 on 3 letters.
-
-    A word w is the coordinate (len(w), w), so coordinates are ordered by degree,
-    then lexicographically, and a row's pivot is its highest word.  None when a
-    relation has a monomial outside that range.
-    """
-    if any(len(w) > 4 or max(w) > 2 for rel in relations for w in rel.terms):
-        return None
-    return Echelon.of({(len(w), w): c for w, c in rel.terms.items()} for rel in relations)
-
-
 def rewriter_applicable(pres: Presentation) -> bool:
     """Whether the G2 rewriter applies: 3 generators and relations spanning g2_relations().
 
     Equal spans generate the same ideal, so rescaled, reordered or recombined
-    relations still present G2 with its named basis.  Echelon rows are the unique
-    primitive reduced echelon form of the span, so equal Echelons mean equal spans.
-    The 18 pivots of g2.lp's span are the degree-4 Lyndon words, so each of its
-    nonzero elements has top degree 4, and relations whose top degree is not 4
-    are refused before g2.lp is parsed.
+    relations still present G2 with its named basis.  The 18 pivots of g2.lp's
+    span S are the degree-4 Lyndon words, so each nonzero element of S has top
+    degree 4, and relations whose top degree is not 4 are refused before g2.lp
+    is parsed.  The rest compares the level-4 echelon rows of the two climbs
+    (`closure_levels`), the unique primitive reduced echelon form of what each
+    holds at bound 4.  g2.lp's level 4 holds S: its relations have top degree 4,
+    so no lower level adds children.  If the input's rows span S, every input
+    relation lies in S and so is 0 or of top degree 4; then no lower level adds
+    children either, and the rows span exactly the input's relations, which
+    therefore span S.  Conversely, relations spanning S have top degree 4, and
+    the input's level 4 holds their span S.
     """
     if len(pres.generators) != 3 or pres.max_relation_degree() != 4:
         return False
-    span = relation_span(pres.relations)
-    return span is not None and span == relation_span(g2_presentation().relations)
+    from .quotient import closure_levels  # quotient imports g2
+    return next(closure_levels(pres, 4))._rows == next(closure_levels(g2_presentation(), 4))._rows
 
 
 def rewriter_structure_table() -> StructureTable:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .freelie import Generator, LiePoly, bracket
-from .record import FrozenRecord
+from .record import Record
 
 
 class ParseError(ValueError):
@@ -16,7 +16,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-class Presentation(FrozenRecord):
+class Presentation(Record):
     __slots__ = ("generators", "relations")
 
     @property

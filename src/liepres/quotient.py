@@ -9,7 +9,7 @@ from .freelie import LiePoly, bracket_string
 from .g2 import rewriter_applicable  # noqa: F401  perfbench/replay.py imports it from here
 from .linalg import Echelon, integer_scaled, reduce
 from .presentation import Presentation
-from .record import FrozenRecord, Record
+from .record import Record
 from .table import NamesNotBasisError, StructureTable, check_jacobi  # noqa: F401
 
 
@@ -320,7 +320,7 @@ def _model(qb: QuotientBasis) -> tuple:
     return act, action_table((qb.representative_name(i) for i in range(qb.dim)), act)
 
 
-class Certificate(FrozenRecord):
+class Certificate(Record):
     """Outcome of certify: the model table with its evidence, or the first failed check."""
     __slots__ = (
         "table",   # the quotient over the representatives when certified, else None

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 
 class Record:
-    """A record whose fields are the subclass's __slots__, in order.
+    """An immutable record whose fields are the subclass's __slots__, in order.
 
     The constructor takes every field, by position or by keyword.  `_hidden`
     names fields left out of repr.  Two records are equal when they have the same
-    class and equal fields; a mutable record is not hashable.
+    class and equal fields.  A field cannot be reassigned or deleted, and a
+    record is hashable when its fields are.
     """
 
     __slots__ = ()
@@ -37,17 +38,8 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden)
-        return f"{type(self).__qualname__}({shown})"
-
-
-class FrozenRecord(Record):
-    """A record whose fields cannot be reassigned; hashable when its fields are."""
-
-    __slots__ = ()
+    def __hash__(self):
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
@@ -55,5 +47,6 @@ class FrozenRecord(Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
 
-    def __hash__(self):
-        return hash(self._values())
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"

@@ -7,8 +7,9 @@ is the Jacobi check that `certify` and `classify` both run on a table.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .linalg import basis_change, integer_scaled
+from .linalg import basis_change
 
 
 class NamesNotBasisError(ValueError):
@@ -16,22 +17,22 @@ class NamesNotBasisError(ValueError):
 
 
 class StructureTable:
-    """Bracket table [b_i, b_j] = sum_k c[(i,j,k)] b_k, stored for i < j only.
+    """Bracket table [b_i, b_j] = sum_k c[(i,j,k)] b_k, indexed once by its ad maps.
 
-    c holds the nonzero constants keyed by (i, j, k). The constructor also indexes
-    them once by pair, (i, j) -> {k: c[(i,j,k)]}, so that bracket_map is a dict
-    lookup rather than a scan of every entry.
+    ad[i] maps m -> {k: c} with [b_i, b_m] = sum_k c b_k.  Each nonzero bracket is
+    held in both orientations, ad[m][i] = -ad[i][m], and zero columns are omitted,
+    so no ad[i] has the key i.  The constructor takes the nonzero constants keyed
+    by (i, j, k) with i < j, and `c` reads them back off ad.
     """
 
-    __slots__ = ("names", "c", "_pairs")
+    __slots__ = ("names", "ad")
 
     def __init__(self, names, c):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate basis names")
         n = len(self.names)
-        clean = {}
-        pairs = {}
+        ad: list = [{} for _ in range(n)]
         for (i, j, k), val in c.items():
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ValueError(f"index out of range: {(i, j, k)}")
@@ -39,23 +40,26 @@ class StructureTable:
                 raise ValueError(f"structure constants must be stored with i < j: {(i, j, k)}")
             val = Fraction(val)
             if val:
-                clean[(i, j, k)] = val
-                pairs.setdefault((i, j), {})[k] = val
-        self.c = clean
-        self._pairs = pairs
+                ad[i].setdefault(j, {})[k] = val
+                ad[j].setdefault(i, {})[k] = -val
+        self.ad = ad
+
+    @property
+    def c(self) -> dict:
+        """The nonzero constants {(i, j, k): c} with i < j, read off ad."""
+        return {(i, j, k): v for i, row in enumerate(self.ad) for j, col in row.items() if i < j
+                for k, v in col.items()}
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
     def bracket_map(self, i: int, j: int) -> dict:
-        """[b_i, b_j] as a sparse k -> coefficient mapping."""
-        if i == j:
-            return {}
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        return {k: sign * v for k, v in self._pairs.get((i, j), {}).items()}
+        """[b_i, b_j] as a sparse k -> coefficient mapping.
+
+        It is the stored column ad[i][j] itself, not a copy: no caller writes to it.
+        """
+        return self.ad[i].get(j, {})
 
     def bracket(self, a: dict, b: dict) -> dict:
         """[a, b] for sparse coordinate vectors {index: coefficient}."""
@@ -99,7 +103,7 @@ class StructureTable:
         return (
             isinstance(other, StructureTable)
             and self.names == other.names
-            and self.c == other.c
+            and self.ad == other.ad
         )
 
     def diff(self, other: "StructureTable") -> list:
@@ -115,22 +119,18 @@ class StructureTable:
         return out
 
     def __repr__(self) -> str:
-        return f"StructureTable(dim={self.dim}, nonzero_pairs={len(self._pairs)})"
+        return f"StructureTable(dim={self.dim}, nonzero_pairs={sum(map(len, self.ad)) // 2})"
 
 
 def integer_ad_maps(t: StructureTable) -> tuple:
-    """(D, ads): D the least common denominator of the constants, ads[i] = ad(D b_i).
+    """(D, ads): D the least common denominator of the constants, ads = t.ad scaled by D to ints.
 
-    ads[i] maps m -> {k: x} with D [b_i, b_m] = sum_k x b_k, x an int, zero
-    columns omitted.  A sum of products of two constants, taken over these
-    columns, is D**2 times the same sum over the table.
+    ads[i] maps m -> {k: x} with D [b_i, b_m] = sum_k x b_k.  A sum of products of
+    two constants, taken over these columns, is D**2 times the same sum over the table.
     """
-    D, ints = integer_scaled(t.c.values())
-    ads: list = [{} for _ in range(t.dim)]
-    for (i, j, k), x in zip(t.c, ints):
-        ads[i].setdefault(j, {})[k] = x
-        ads[j].setdefault(i, {})[k] = -x
-    return D, ads
+    D = lcm(1, *(x.denominator for row in t.ad for col in row.values() for x in col.values()))
+    return D, [{m: {k: x.numerator * (D // x.denominator) for k, x in col.items()} for m, col in row.items()}
+               for row in t.ad]
 
 
 def _add_bracket(acc: dict, ad: dict, vec: dict, sign: int) -> None:

@@ -1,5 +1,7 @@
 """Sparse Killing/Jacobi against dense references, and classify under changes of basis."""
 
+import contextlib
+import copy
 import io
 import os
 import random
@@ -19,7 +21,7 @@ from liepres.cli import main
 from liepres.presentation import parse_presentation
 from liepres.quotient import structure_table
 from liepres.table import NamesNotBasisError, StructureTable
-from liepres.tabledoc import load_table, save_table
+from liepres.tabledoc import load_table, save_table, to_csv, to_json_text, to_latex
 
 FIXTURES = Path(liepres.__file__).parent / "fixtures"
 GOLDEN = load_table(str(FIXTURES / "g2_table.json"))
@@ -349,3 +351,35 @@ def test_rebased_refuses_what_is_not_a_basis(table):
         table.rebased(table.names, unit[:-1] + [{}])
     with pytest.raises(NamesNotBasisError):
         table.rebased(table.names, unit[:-1] + [{0: Fraction(2), n - 2: Fraction(-1, 3)}])
+
+
+INDEXED = {"g2-seeded": seeded_g2(), "g2-half": g2_rescaled(11, Fraction(1, 2)),
+           "sl2-permuted": permuted_rescaled(SL2, [2, 0, 1], [Fraction(3), Fraction(-1, 2), Fraction(5, 3)]),
+           "b2-permuted": permuted_rescaled(SERRE_B2, list(reversed(range(SERRE_B2.dim))),
+                                            [Fraction(k + 1, 2) for k in range(SERRE_B2.dim)]),
+           "sl2+heisenberg": direct_sum(SL2, HEIS), "sl2+sl2": direct_sum(SL2, SL2),
+           "g2-h1+x1": rebased(GOLDEN, "h1", "x1", Fraction(-3, 2))}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_table_is_its_antisymmetric_ad_maps_and_callers_leave_them_alone(name):
+    t = INDEXED[name]
+    for i, ad in enumerate(t.ad):
+        assert i not in ad
+        for j, col in ad.items():
+            assert col and all(col.values())
+            assert t.ad[j][i] == {k: -v for k, v in col.items()}
+    assert StructureTable(t.names, t.c) == t
+    # bracket_map hands out the stored columns: no reader may write to them
+    before = copy.deepcopy(t.ad)
+    calls = [analysis.check_jacobi, analysis.derived_subalgebra_and_center, analysis.killing_form,
+             analysis.find_cartan_candidate, analysis.lower_central_dims, table.integer_ad_maps,
+             lambda t: analysis.cartan_check(t, analysis.find_cartan_candidate(t)),
+             lambda t: analysis.cartan_matrix_and_type(
+                 analysis.root_decomposition(t, analysis.find_cartan_candidate(t))),
+             lambda t: t.diff(StructureTable(t.names, {})),
+             to_json_text, to_csv, to_latex]
+    for call in calls:
+        with contextlib.suppress(ValueError):
+            call(t)
+        assert t.ad == before, call

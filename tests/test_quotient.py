@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
+import dense
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,6 +219,47 @@ def test_rewriter_applicability_rule(g2_pres, family_member_text):
     base = (FIXTURES / "g2.lp").read_text(encoding="utf-8")
     for old, new in MUTATIONS:
         assert not rewriter_applicable(parse_presentation(base.replace(old, new, 1))), new
+
+
+def same_span_as_g2(pres: Presentation, g2_pres: Presentation) -> bool:
+    """The gate's oracle: 3 generators, and rank R_in = rank R_g2 = rank of both, dense in (degree, word)."""
+    if len(pres.generators) != 3:
+        return False
+    cols = sorted({(len(w), w) for rel in pres.relations + g2_pres.relations for w in rel.terms})
+
+    def dense_rows(rels):
+        return [[rel.terms.get(w, Fraction(0)) for _, w in cols] for rel in rels]
+
+    r_in, r_g2 = dense_rows(pres.relations), dense_rows(g2_pres.relations)
+    return dense.rank(r_in, len(cols)) == dense.rank(r_g2, len(cols)) == dense.rank(r_in + r_g2, len(cols))
+
+
+def test_rewriter_gate_agrees_with_a_dense_rank_oracle(g2_pres, family_member_text):
+    rng = random.Random(25)
+    rels = g2_pres.relations
+    base = (FIXTURES / "g2.lp").read_text(encoding="utf-8")
+    cases = {}
+    for seed in range(3):
+        cases[f"shuffled-scaled-{seed}"] = shuffled_scaled(g2_pres, seed)
+        # r_i plus multiples of later relations: a unit triangular, so invertible, recombination
+        recombined = [sum((Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * s for s in rels[i + 1:i + 4]), r)
+                      for i, r in enumerate(rels)]
+        cases[f"recombined-{seed}"] = Presentation(g2_pres.generators, tuple(recombined))
+        dropped = list(rels)
+        del dropped[rng.randrange(len(dropped))]
+        cases[f"dropped-{seed}"] = Presentation(g2_pres.generators, tuple(dropped))
+    cases["first_43"] = Presentation(g2_pres.generators, rels[:43])
+    for old, new in MUTATIONS:
+        cases[new] = parse_presentation(base.replace(old, new, 1))
+    for coeffs in ((2, 4, 6), (1, 2, 3), (0, 0, 0), (4, 8, 12), (2, 4, 5), (1, 2, 0)):
+        cases[f"family{coeffs}"] = parse_presentation(family_member_text(*coeffs))
+    # the extras of top degree 3 and 2 leave children at level 4; the last lies outside the span
+    for extra in ("[x1,[x1,x2]] = x3", "[x1,x2] = x3", "[x1,[x1,[x2,x3]]] = 0"):
+        cases[f"g2 + {extra}"] = parse_presentation(base + f"relation: {extra}\n")
+    cases["sl2"] = parse_presentation(SL2)
+    verdicts = {name: same_span_as_g2(pres, g2_pres) for name, pres in cases.items()}
+    assert {name: rewriter_applicable(pres) for name, pres in cases.items()} == verdicts
+    assert set(verdicts.values()) == {True, False}
 
 
 def test_rewriter_gate_refuses_other_top_degrees_before_parsing_g2(g2_pres, monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from liepres.record import FrozenRecord, Record
+from liepres.record import Record
 
 
 class Point(Record):
@@ -10,7 +10,7 @@ class Point(Record):
     _hidden = ("_cache",)
 
 
-class Pair(FrozenRecord):
+class Pair(Record):
     __slots__ = ("left", "right")
 
 
@@ -34,12 +34,13 @@ def test_repr_lists_the_shown_fields():
     assert repr(Pair((1,), None)) == "Pair(left=(1,), right=None)"
 
 
-def test_mutable_records_are_unhashable_and_frozen_ones_immutable():
+def test_records_are_immutable_and_hashable_only_with_hashable_fields():
     p = Point(1, 2, {})
-    p.x = 5
-    assert p.x == 5
+    with pytest.raises(AttributeError):
+        p.x = 5
+    assert p.x == 1
     with pytest.raises(TypeError):
-        hash(p)
+        hash(p)  # the dict field is unhashable
     pair = Pair(1, 2)
     assert hash(pair) == hash(Pair(1, 2)) and len({pair, Pair(1, 2)}) == 1
     with pytest.raises(AttributeError):
