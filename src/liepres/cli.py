@@ -88,7 +88,7 @@ def _write_table(table, out_path: str | None) -> int:
 
 
 def cmd_derive(args) -> int:
-    from .g2 import named_basis_free, rewriter_applicable
+    from .g2 import named_basis_free, rewriter_applicable, spans_g2
     from .quotient import NamesNotBasisError, certify, closure_levels, renamed
 
     pres = _load_presentation(args.presentation)
@@ -96,15 +96,13 @@ def cmd_derive(args) -> int:
         return 2
     rewriter = args.engine == "rewriter"
     if rewriter and not rewriter_applicable(pres):
-        print(f"error: {_NOT_G2}; use --engine closure or both", file=sys.stderr)
+        print(f"error: {_NOT_G2}; use --engine both", file=sys.stderr)
         return 2
 
     # One closure climbs from the relations' degree to the ceiling and stops at the
-    # first bound that certifies.  The rewriter's input spans g2.lp's relations, whose
-    # 18 pivots are the 18 degree-4 Lyndon words: its climb has the one level 4, the
-    # rewriter's table, so --max-degree does not apply.
+    # first bound that certifies.
     try:
-        for qb in closure_levels(pres, 4 if rewriter else args.max_degree):
+        for qb in closure_levels(pres, args.max_degree):
             cert = certify(pres, qb)
             if cert.ok:
                 break
@@ -118,9 +116,9 @@ def cmd_derive(args) -> int:
               "rerun with a larger --max-degree", file=sys.stderr)
         return 4
 
-    # The gate compares this climb's echelon rows at bound 4 with g2.lp's, so when it
-    # holds the climb above is the rewriter's: that is the engines' agreement.
-    applicable = rewriter or rewriter_applicable(pres)
+    # When the certified level is g2.lp's, the climb above is the rewriter's: that is
+    # the engines' agreement.  Under the rewriter the gate before the climb showed it.
+    applicable = rewriter or spans_g2(qb)
     try:
         table = renamed(qb, cert.table, named_basis_free() if applicable else None)
     except NamesNotBasisError:
@@ -128,7 +126,7 @@ def cmd_derive(args) -> int:
               file=sys.stderr)
         return 3
 
-    if args.engine == "both":
+    if not rewriter:
         if applicable:
             print(f"engines agree on all {table.dim * (table.dim - 1) // 2} bracket pairs")
         else:
@@ -267,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="derive the quotient table from a presentation file")
     p.add_argument("presentation", help="presentation file (.lp)")
     p.add_argument("--max-degree", type=_positive_int, default=8,
-                   help="highest degree bound the closure engine climbs to (default 8)")
-    p.add_argument("--engine", choices=("rewriter", "closure", "both"), default="both")
+                   help="highest degree bound the closure climbs to (default 8)")
+    p.add_argument("--engine", choices=("rewriter", "both"), default="both")
     p.add_argument("--out", help="write the derived table as JSON to this path")
     p.set_defaults(func=cmd_derive)
 

@@ -113,10 +113,6 @@ def standard_factorization(w: Word) -> tuple:
     return w[:i], w[i:]
 
 
-def _clean(terms: dict) -> dict:
-    return {w: c for w, c in terms.items() if c != 0}
-
-
 def _add_scaled(acc: dict, terms: dict, scale: Fraction) -> None:
     for w, c in terms.items():
         v = acc.get(w, 0) + scale * c
@@ -156,12 +152,7 @@ class LiePoly:
 
     def __add__(self, other: "LiePoly") -> "LiePoly":
         acc = dict(self.terms)
-        for w, c in other.terms.items():
-            v = acc.get(w, 0) + c
-            if v:
-                acc[w] = v
-            else:
-                del acc[w]
+        _add_scaled(acc, other.terms, 1)
         return _clean_poly(acc)
 
     def __sub__(self, other: "LiePoly") -> "LiePoly":
@@ -236,12 +227,11 @@ def _bracket_words(u: Word, v: Word, cache: dict, depth: int = 1) -> dict:
     if u2 is None or u2 >= v:
         out = {u + v: 1}
     else:
-        acc: dict = {}
+        out = {}  # zero-free: _add_scaled drops every term that cancels
         for m, c in _bracket_words(u2, v, cache, depth + 1).items():
-            _add_bracket(acc, u1, m, c, cache, depth + 1)
+            _add_bracket(out, u1, m, c, cache, depth + 1)
         for m, c in _bracket_words(u1, v, cache, depth + 1).items():
-            _add_bracket(acc, u2, m, -c, cache, depth + 1)
-        out = _clean(acc)
+            _add_bracket(out, u2, m, -c, cache, depth + 1)
     cache[key] = out
     return out
 

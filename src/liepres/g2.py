@@ -1,14 +1,15 @@
 """G2, the one module that knows it: relations, named basis, the rewriter gate.
 
 The relations are read from the shipped `fixtures/g2.lp` and typed out nowhere
-else; `g2_presentation` parses it on each call.  `rewriter_applicable` compares
-the echelon rows at degree bound 4 of a presentation's closure climb with those
-of g2.lp's.  The named basis is defined once, as free Lie polynomials in
-`named_basis_free`.  A presentation that passes the gate has g2.lp's relation
-span, whose 18 echelon pivots are the 18 degree-4 Lyndon words; so its closure
-at degree bound 4, the relations' degree, has 14 representatives below degree
-4, `certify` proves dimension 14 there, and renamed to the named basis it is
-the rewriter's table.
+else; `g2_presentation` parses it on each call.  The gate `spans_g2` decides
+whether a level of a closure climb is G2's: bound 4 on 3 letters, 14
+representatives, and every g2.lp relation reducing to 0 in it.  Then the
+level's relations span those of g2.lp, so its representatives, model and table
+are those of g2.lp's climb at bound 4, the rewriter's.  `derive` applies it to
+the level it certified; `rewriter_applicable`, the rewriter's refusal before
+its climb, applies it to a presentation's level at bound 4.  The named basis is
+defined once, as free Lie polynomials in `named_basis_free`, whose key order is
+the basis order.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from . import freelie
 from .freelie import LiePoly
 from .presentation import Presentation, parse_presentation
 from .table import StructureTable
-
-G2_NAMES = ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32",
-            "x1", "x2", "x3", "y1", "y2", "y3")
 
 
 def g2_presentation_text() -> str:
@@ -47,26 +45,36 @@ def g2_relations() -> list:
     return list(g2_presentation().relations)
 
 
+def spans_g2(level) -> bool:
+    """Whether a level of a closure climb (a `QuotientBasis`) eliminates exactly g2.lp's relation span.
+
+    True when the level is at bound 4 on 3 letters, has 14 representatives and
+    reduces every g2.lp relation to 0; the cheap fields are read first, so other
+    levels never parse g2.lp.  Proof that the level's relations then span S,
+    the span of g2.lp's relations: S has dimension 18 in the 32-dimensional
+    F_4, and the level's span N has dimension 32 - 14 = 18 and contains S, so
+    N = S.  Every relation lies in N, and S has no nonzero element of top
+    degree below 4 (its 18 pivots are the 18 degree-4 Lyndon words), so the
+    level holds no relation of lower top degree and no children: N is the span
+    of the relations, which therefore span S.  Conversely, relations spanning S
+    certify at bound 4 with g2.lp's level.  Equal spans generate the same ideal,
+    so rescaled, reordered or recombined relations present G2 with its named basis.
+    """
+    return (level.degree_bound == 4 and level.alphabet == 3 and level.dim == 14
+            and all(level.reduce(r) == {} for r in g2_relations()))
+
+
 def rewriter_applicable(pres: Presentation) -> bool:
     """Whether the G2 rewriter applies: 3 generators and relations spanning g2_relations().
 
-    Equal spans generate the same ideal, so rescaled, reordered or recombined
-    relations still present G2 with its named basis.  The 18 pivots of g2.lp's
-    span S are the degree-4 Lyndon words, so each nonzero element of S has top
-    degree 4, and relations whose top degree is not 4 are refused before g2.lp
-    is parsed.  The rest compares the level-4 echelon rows of the two climbs
-    (`closure_levels`), the unique primitive reduced echelon form of what each
-    holds at bound 4.  g2.lp's level 4 holds S: its relations have top degree 4,
-    so no lower level adds children.  If the input's rows span S, every input
-    relation lies in S and so is 0 or of top degree 4; then no lower level adds
-    children either, and the rows span exactly the input's relations, which
-    therefore span S.  Conversely, relations spanning S have top degree 4, and
-    the input's level 4 holds their span S.
+    Relations whose top degree is not 4 are refused before anything is climbed,
+    since every nonzero element of g2.lp's span has top degree 4; otherwise the
+    presentation's level at bound 4 goes through `spans_g2`.
     """
     if len(pres.generators) != 3 or pres.max_relation_degree() != 4:
         return False
     from .quotient import closure_levels  # quotient imports g2
-    return next(closure_levels(pres, 4))._rows == next(closure_levels(g2_presentation(), 4))._rows
+    return spans_g2(next(closure_levels(pres, 4)))
 
 
 def rewriter_structure_table() -> StructureTable:
@@ -83,7 +91,7 @@ def rewriter_structure_table() -> StructureTable:
 
 
 def named_basis_free() -> dict:
-    """The 14 named elements as free Lie polynomials, in the order of G2_NAMES."""
+    """The 14 named elements as free Lie polynomials; the key order is the basis order."""
     half, third = Fraction(1, 2), Fraction(1, 3)
     bracket = partial(freelie.bracket, cache={})  # one Lyndon bracket memo for all 14 names
     x = {i: LiePoly.generator(i - 1) for i in (1, 2, 3)}

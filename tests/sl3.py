@@ -6,7 +6,7 @@ A test helper, as dense.py is: the h and a elements must realize the traceless
 
 import itertools
 
-from liepres.g2 import G2_NAMES
+from liepres.g2 import named_basis_free
 from liepres.record import Record
 from liepres.table import StructureTable
 
@@ -43,7 +43,8 @@ def verify_sl3_subalgebra(t: StructureTable) -> Sl3Verdict:
 
     a_ij maps to the elementary matrix E_ij, h1 to E11 - E22, h2 to E22 - E33.
     """
-    names, modules = G2_NAMES[:8], (G2_NAMES[8:11], G2_NAMES[11:])
+    basis = tuple(named_basis_free())
+    names, modules = basis[:8], (basis[8:11], basis[11:])
     idx = {name: t.index_of(name) for name in names}
     model = dict(zip(names, (
         _combine([(1, _e(1, 1)), (-1, _e(2, 2))]),

@@ -13,7 +13,7 @@ import pytest
 from presentation_text import format_presentation
 
 import liepres
-from liepres import g2
+from liepres import g2, quotient
 from liepres.cli import main
 from liepres.g2 import g2_presentation, named_basis_free
 from liepres.presentation import Presentation, parse_presentation
@@ -55,29 +55,57 @@ def test_derive_both_agrees_and_writes_golden_bytes(run, tmp_path):
 
 def test_derive_closure_engine_matches_golden(run, tmp_path):
     out = tmp_path / "t.json"
-    code, stdout, _ = run("derive", G2, "--engine", "closure", "--out", str(out))
+    code, stdout, _ = run("derive", G2, "--engine", "both", "--out", str(out))
     assert code == 0
-    assert "engine: closure" in stdout
+    assert "engine: both" in stdout
     assert "degree 4: 18 Lyndon words, 0 independent in the quotient" in stdout
     assert out.read_bytes() == Path(GOLDEN).read_bytes()
 
 
 def test_derive_rewriter_engine_matches_golden(run, tmp_path):
-    # the rewriter climbs to its own bound 4, so --max-degree does not apply
-    for extra in ((), ("--max-degree", "2")):
-        out = tmp_path / "t.json"
-        code, stdout, _ = run("derive", G2, "--engine", "rewriter", *extra, "--out", str(out))
-        assert code == 0
-        assert stdout == ("engine: rewriter\ndegree bound: 4\ndim = 14\n"
-                          "certified: yes (every representative below degree 4; model of dim 14 passes "
-                          "Jacobi on 364 triples; all 54 relations vanish)\n"
-                          "degree 1: 3 Lyndon words, 3 independent in the quotient\n"
-                          "degree 2: 3 Lyndon words, 3 independent in the quotient\n"
-                          "degree 3: 8 Lyndon words, 8 independent in the quotient\n"
-                          "degree 4: 18 Lyndon words, 0 independent in the quotient\n"
-                          f"wrote {out}\n")
-        assert out.read_bytes() == Path(GOLDEN).read_bytes()
-        out.unlink()
+    # the rewriter climbs to --max-degree like both, and certifies at bound 4
+    out = tmp_path / "t.json"
+    code, stdout, _ = run("derive", G2, "--engine", "rewriter", "--out", str(out))
+    assert code == 0
+    assert stdout == ("engine: rewriter\ndegree bound: 4\ndim = 14\n"
+                      "certified: yes (every representative below degree 4; model of dim 14 passes "
+                      "Jacobi on 364 triples; all 54 relations vanish)\n"
+                      "degree 1: 3 Lyndon words, 3 independent in the quotient\n"
+                      "degree 2: 3 Lyndon words, 3 independent in the quotient\n"
+                      "degree 3: 8 Lyndon words, 8 independent in the quotient\n"
+                      "degree 4: 18 Lyndon words, 0 independent in the quotient\n"
+                      f"wrote {out}\n")
+    assert out.read_bytes() == Path(GOLDEN).read_bytes()
+    out.unlink()
+    code, stdout, stderr = run("derive", G2, "--engine", "rewriter", "--max-degree", "2", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: degree bound 2 below max relation degree 4\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("engine, climbs", [("both", 1), ("rewriter", 2)])
+def test_derive_g2_climbs_once_and_gates_the_certified_level(run, monkeypatch, engine, climbs):
+    # both gates the level it certified; the rewriter's refusal climbs to bound 4 before
+    # its own climb.  Either way g2.lp is parsed once and never climbed.
+    calls = []
+
+    def counted(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    monkeypatch.setattr(quotient, "closure_levels", counted("climb", quotient.closure_levels))
+    monkeypatch.setattr(g2, "parse_presentation", counted("parse", g2.parse_presentation))
+    code, stdout, _ = run("derive", G2, "--engine", engine)
+    assert code == 0
+    assert "certified: yes (" in stdout
+    assert (calls.count("climb"), calls.count("parse")) == (climbs, 1)
+
+
+def test_derive_engine_closure_and_rewriter_below_bound_4_exit_2(run):
+    code, stdout, stderr = run("derive", G2, "--engine", "closure")
+    assert (code, stdout) == (2, "")
+    assert "argument --engine: invalid choice: 'closure'" in stderr
+    code, stdout, stderr = run("derive", G2, "--engine", "rewriter", "--max-degree", "3")
+    assert (code, stdout, stderr) == (2, "", "error: degree bound 3 below max relation degree 4\n")
 
 
 def test_derive_sl2_skips_rewriter(run):
@@ -118,7 +146,7 @@ GROWING = ("generators: x1 x2\nrelation: -5*[x1,x2] + [[x1,x2],x2] = 0\n"
 def test_derive_false_stabilization_is_not_certified(run, tmp_path, bound):
     lp, out = tmp_path / "p.lp", tmp_path / "t.json"
     lp.write_text(FALSE_STABLE, encoding="utf-8")
-    code, stdout, stderr = run("derive", str(lp), "--max-degree", bound, "--engine", "closure", "--out", str(out))
+    code, stdout, stderr = run("derive", str(lp), "--max-degree", bound, "--engine", "both", "--out", str(out))
     assert code == 4
     assert f"degree bound: {bound}\n" in stdout
     assert "certified: no (" in stdout
@@ -129,17 +157,16 @@ def test_derive_false_stabilization_is_not_certified(run, tmp_path, bound):
 def test_derive_false_stabilization_certifies_dim_1(run, tmp_path):
     lp, out = tmp_path / "p.lp", tmp_path / "t.json"
     lp.write_text(FALSE_STABLE, encoding="utf-8")
-    code, stdout, stderr = run("derive", str(lp), "--max-degree", "7", "--engine", "closure", "--out", str(out))
+    code, stdout, stderr = run("derive", str(lp), "--max-degree", "7", "--engine", "both", "--out", str(out))
     assert code == 0, stderr
     assert "degree bound: 7\ndim = 1\ncertified: yes (" in stdout
     assert load_table(str(out)).names == ("x2",)
 
 
-@pytest.mark.parametrize("engine", ["both", "closure"])
-def test_derive_growing_quotient_is_not_certified(run, tmp_path, engine):
+def test_derive_growing_quotient_is_not_certified(run, tmp_path):
     lp, out = tmp_path / "p.lp", tmp_path / "t.json"
     lp.write_text(GROWING, encoding="utf-8")
-    code, stdout, stderr = run("derive", str(lp), "--max-degree", "6", "--engine", engine, "--out", str(out))
+    code, stdout, stderr = run("derive", str(lp), "--max-degree", "6", "--out", str(out))
     assert code == 4
     assert "certified: no (" in stdout
     assert "not certified" in stderr
@@ -233,7 +260,7 @@ def test_derive_bound_below_relation_degree(run):
     assert "error:" in stderr
 
 
-@pytest.mark.parametrize("engine", ["both", "closure"])
+@pytest.mark.parametrize("engine", ["both", "rewriter"])
 def test_derive_bound_too_small_to_bracket_named_basis(run, tmp_path, engine):
     # the table comes from the model at the certifying bound 4, not from brackets
     # in the free algebra, so no bound is too small to bracket the named basis
@@ -609,7 +636,7 @@ def g2_variant(tmp_path, scales, drop=0):
 RESCALE = (Fraction(3, 2), Fraction(-7), Fraction(2, 5), Fraction(-1, 3))
 
 
-@pytest.mark.parametrize("engine", ["rewriter", "closure", "both"])
+@pytest.mark.parametrize("engine", ["rewriter", "both"])
 def test_derive_rescaled_shuffled_g2_writes_golden_bytes(run, tmp_path, engine):
     out = tmp_path / "t.json"
     code, stdout, stderr = run("derive", g2_variant(tmp_path, RESCALE), "--engine", engine, "--out", str(out))
@@ -633,19 +660,23 @@ def test_derive_rewriter_decides_by_relation_span(run, tmp_path):
 
 @pytest.mark.parametrize("coeffs", [(1, 2, 3), (0, 0, 0)], ids=["1-2-3", "0-0-0"])
 def test_derive_non_g2_family_member_skips_rewriter(run, tmp_path, family_member_text, coeffs):
-    # another member of the quadruple family: the rewriter does not implement it
-    lp, out, closure_out = tmp_path / "member.lp", tmp_path / "t.json", tmp_path / "closure.json"
+    # another member of the quadruple family: the rewriter does not implement it, and
+    # the gate on the certified level and the rewriter's refusal decide alike
+    lp, out = tmp_path / "member.lp", tmp_path / "t.json"
     lp.write_text(family_member_text(*coeffs), encoding="utf-8")
     code, stdout, stderr = run("derive", str(lp), "--max-degree", "6", "--out", str(out))
     assert code == 0, stderr
     assert "rewriter engine skipped:" in stdout
     assert "dim = 14" in stdout
-    code, _, stderr = run("derive", str(lp), "--max-degree", "6", "--engine", "closure", "--out", str(closure_out))
-    assert code == 0, stderr
-    assert out.read_bytes() == closure_out.read_bytes()
+    assert load_table(str(out)).names != tuple(named_basis_free())
+    out.unlink()
+    code, stdout, stderr = run("derive", str(lp), "--max-degree", "6", "--engine", "rewriter", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "standard quadruple" in stderr
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("engine", ["both", "closure"])
+@pytest.mark.parametrize("engine", ["both", "rewriter"])
 def test_derive_named_basis_rejected_exits_3(run, tmp_path, monkeypatch, engine):
     names = dict(named_basis_free())
     names["h2"] = names["h1"]

@@ -7,15 +7,16 @@ values that closure gives the degree-4 towers.
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from towers import tower_to_poly
 
+import liepres
 from liepres import g2
-from liepres.analysis import check_jacobi
+from liepres.analysis import check_jacobi, find_cartan_candidate, root_decomposition
 from liepres.freelie import LiePoly
 from liepres.g2 import (
-    G2_NAMES,
     g2_presentation,
     g2_relations,
     named_basis_free,
@@ -24,8 +25,13 @@ from liepres.g2 import (
 )
 from liepres.presentation import Presentation
 from liepres.quotient import certify, lie_map, quotient_closure, renamed
+from liepres.tabledoc import load_table
 
 _EVEN = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
+
+
+def golden_table():
+    return load_table(str(Path(liepres.__file__).parent / "fixtures" / "g2_table.json"))
 
 
 def epsilon(i: int, j: int, k: int) -> int:
@@ -170,10 +176,9 @@ def named_basis_coordinates(qb):
 
 
 def test_named_basis_towers_cover_all_names(qb):
+    # the key order of named_basis_free() is the basis order; the golden table is its oracle
     named = named_basis_coordinates(qb)
-    assert set(named) == set(G2_NAMES)
-    free = named_basis_free()
-    assert tuple(free) == G2_NAMES
+    assert tuple(named) == tuple(named_basis_free()) == golden_table().names
 
 
 def hand_written_named_coordinates(qb):
@@ -208,7 +213,6 @@ def hand_written_named_coordinates(qb):
 
 def test_named_basis_towers_equal_hand_written_values(qb):
     named = named_basis_coordinates(qb)
-    assert tuple(named) == G2_NAMES
     assert named == hand_written_named_coordinates(qb)
     assert named["y1"] == {(1, 2): Fraction(1, 2)}  # [x2,x3] / 2
     assert named["a12"] == {(1, 1, 2): Fraction(1, 6)}  # [x2,[x2,x3]] / 6
@@ -272,16 +276,42 @@ def test_g2_lp_is_parsed_once_per_call(monkeypatch):
 def test_rewriter_table_shape():
     t = rewriter_structure_table()
     assert t.dim == 14
-    assert t.names == G2_NAMES
+    assert t.names == tuple(named_basis_free())
     nonzero = sum(1 for i in range(14) for j in range(i + 1, 14) if t.bracket_map(i, j))
     assert nonzero == 56
 
 
 def test_rewriter_table_matches_golden_fixture():
-    from pathlib import Path
-    import liepres
-    from liepres.tabledoc import load_table
-    golden = load_table(str(Path(liepres.__file__).parent / "fixtures" / "g2_table.json"))
+    golden = golden_table()
     t = rewriter_structure_table()
     assert t.names == golden.names
     assert t.diff(golden) == []
+
+
+# x1, x2, x3 graded by Z^2 with w1 + w2 + w3 = 0
+GRADING = ((1, 0), (0, 1), (-1, -1))
+
+
+def weights(p: LiePoly, grading=GRADING) -> set:
+    """The weights of p's Lyndon monomials, each the sum of its letters' weights."""
+    return {tuple(sum(grading[g][k] for g in w) for k in (0, 1)) for w in p.terms}
+
+
+def test_grading_by_the_roots():
+    # Each family is homogeneous once w1 + w2 + w3 = 0: for distinct i, j, k the
+    # tower [xi,[xj,[xi,xk]]] has weight wi + (w1 + w2 + w3), the weight of xi.
+    assert all(len(weights(r)) == 1 for r in g2_relations())
+    assert not all(len(weights(r, ((1, 0), (0, 1), (0, 0)))) == 1 for r in g2_relations())
+    named = {}
+    for name, p in named_basis_free().items():
+        (named[name],) = weights(p)
+    # the linear map fixed by x1 and x2 sends each element's weight to its root
+    golden = golden_table()
+    cartan = find_cartan_candidate(golden)
+    assert [golden.names[i] for i in cartan] == ["h1", "h2"]
+    rd = root_decomposition(golden, cartan)
+    root = {golden.names[j]: r for r, members in rd.root_spaces.items() for j in members}
+    for name, (a, b) in named.items():
+        assert tuple(a * s + b * t for s, t in zip(root["x1"], root["x2"])) == root[name], name
+    assert named["h1"] == named["h2"] == (0, 0)
+    assert len({w for name, w in named.items() if name not in ("h1", "h2")}) == 12

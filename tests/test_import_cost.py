@@ -37,8 +37,6 @@ EXPECTED = {
     # the rewriter's table is the closure's, so each engine loads the same modules
     "derive --engine rewriter": (["derive", os.path.join(FIXTURES, "g2.lp"), "--engine", "rewriter",
                                   "--out", os.devnull], DERIVE),
-    "derive --engine closure": (["derive", os.path.join(FIXTURES, "g2.lp"), "--engine", "closure",
-                                 "--out", os.devnull], DERIVE),
     "classify": (["classify", "--table", GOLDEN], TABLE_IO | {"analysis", "record"}),
     "verify": (["verify", "--table", GOLDEN, "--golden", GOLDEN], TABLE_IO),
     "export": (["export", "--table", GOLDEN, "--format", "csv"], TABLE_IO),

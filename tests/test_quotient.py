@@ -19,7 +19,7 @@ from liepres import freelie, g2
 from liepres.analysis import check_jacobi, derived_subalgebra_and_center, lower_central_dims
 from liepres.cli import main
 from liepres.freelie import Generator, LiePoly, bracket, lyndon_words
-from liepres.g2 import named_basis_free, rewriter_applicable, rewriter_structure_table
+from liepres.g2 import named_basis_free, rewriter_applicable, rewriter_structure_table, spans_g2
 from liepres.linalg import Echelon
 from liepres.presentation import Presentation, parse_presentation
 from liepres.quotient import (
@@ -260,6 +260,15 @@ def test_rewriter_gate_agrees_with_a_dense_rank_oracle(g2_pres, family_member_te
     verdicts = {name: same_span_as_g2(pres, g2_pres) for name, pres in cases.items()}
     assert {name: rewriter_applicable(pres) for name, pres in cases.items()} == verdicts
     assert set(verdicts.values()) == {True, False}
+    # derive's gate: spans_g2 on the first level up to bound 5 that certifies
+    assert {name: certified_level_spans_g2(pres, 5) for name, pres in cases.items()} == verdicts
+
+
+def certified_level_spans_g2(pres: Presentation, max_bound: int) -> bool:
+    for qb in closure_levels(pres, max_bound):
+        if certify(pres, qb).ok:
+            return spans_g2(qb)
+    return False
 
 
 def test_rewriter_gate_refuses_other_top_degrees_before_parsing_g2(g2_pres, monkeypatch):
@@ -271,6 +280,9 @@ def test_rewriter_gate_refuses_other_top_degrees_before_parsing_g2(g2_pres, monk
     for text in ((FIXTURES / "sl2.lp").read_text(encoding="utf-8"), "generators: a b c",
                  "generators: a b c\nrelation: [a,[a,[a,[a,b]]]] = [c,[c,[c,[c,b]]]]\n"):
         assert not rewriter_applicable(parse_presentation(text)), text
+    # spans_g2 reads the level's bound, alphabet and dimension before it parses g2.lp
+    for name in ("sl2", "sl3", "heisenberg"):
+        assert not certified_level_spans_g2(parse_presentation((FIXTURES / f"{name}.lp").read_text()), 5), name
     monkeypatch.undo()
     assert all(rewriter_applicable(shuffled_scaled(g2_pres, seed)) for seed in (3, 4))
 
@@ -316,10 +328,9 @@ def test_unstabilized_derive_writes_no_table(tmp_path, capsys):
     assert not quotient_closure(parse_presentation(text), 4).stabilized
     lp, out = tmp_path / "pqz.lp", tmp_path / "t.json"
     lp.write_text(text, encoding="utf-8")
-    for engine in ("both", "closure"):
-        assert main(["derive", str(lp), "--max-degree", "4", "--engine", engine, "--out", str(out)]) == 4
-        assert "not certified up to degree bound 4" in capsys.readouterr().err
-        assert not out.exists()
+    assert main(["derive", str(lp), "--max-degree", "4", "--engine", "both", "--out", str(out)]) == 4
+    assert "not certified up to degree bound 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mutated_presentations_detected():
