@@ -163,10 +163,11 @@ def test_derive_false_stabilization_certifies_dim_1(run, tmp_path):
     assert load_table(str(out)).names == ("x2",)
 
 
-def test_derive_growing_quotient_is_not_certified(run, tmp_path):
+@pytest.mark.parametrize("engine", ["both"])
+def test_derive_growing_quotient_is_not_certified(run, tmp_path, engine):
     lp, out = tmp_path / "p.lp", tmp_path / "t.json"
     lp.write_text(GROWING, encoding="utf-8")
-    code, stdout, stderr = run("derive", str(lp), "--max-degree", "6", "--out", str(out))
+    code, stdout, stderr = run("derive", str(lp), "--max-degree", "6", "--engine", engine, "--out", str(out))
     assert code == 4
     assert "certified: no (" in stdout
     assert "not certified" in stderr
