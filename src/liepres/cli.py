@@ -88,21 +88,22 @@ def _write_table(table, out_path: str | None) -> int:
 
 
 def cmd_derive(args) -> int:
-    from .g2 import named_basis_free, rewriter_applicable, spans_g2
+    from .g2 import named_basis_free, spans_g2
     from .quotient import NamesNotBasisError, certify, closure_levels, renamed
 
     pres = _load_presentation(args.presentation)
     if pres is None:
         return 2
     rewriter = args.engine == "rewriter"
-    if rewriter and not rewriter_applicable(pres):
-        print(f"error: {_NOT_G2}; use --engine both", file=sys.stderr)
-        return 2
 
     # One closure climbs from the relations' degree to the ceiling and stops at the
-    # first bound that certifies.
+    # first bound that certifies.  The rewriter needs its first level to be G2's,
+    # which certifies, so its climb never passes that level.
     try:
         for qb in closure_levels(pres, args.max_degree):
+            if rewriter and not spans_g2(qb):
+                print(f"error: {_NOT_G2}; use --engine both", file=sys.stderr)
+                return 2
             cert = certify(pres, qb)
             if cert.ok:
                 break
@@ -117,7 +118,7 @@ def cmd_derive(args) -> int:
         return 4
 
     # When the certified level is g2.lp's, the climb above is the rewriter's: that is
-    # the engines' agreement.  Under the rewriter the gate before the climb showed it.
+    # the engines' agreement.  Under the rewriter the gate in the climb showed it.
     applicable = rewriter or spans_g2(qb)
     try:
         table = renamed(qb, cert.table, named_basis_free() if applicable else None)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .record import Record
 
 Word = tuple  # tuple of 0-based generator indices
@@ -113,7 +111,7 @@ def standard_factorization(w: Word) -> tuple:
     return w[:i], w[i:]
 
 
-def _add_scaled(acc: dict, terms: dict, scale: Fraction) -> None:
+def _add_scaled(acc: dict, terms: dict, scale) -> None:
     for w, c in terms.items():
         v = acc.get(w, 0) + scale * c
         if v:
@@ -123,17 +121,12 @@ def _add_scaled(acc: dict, terms: dict, scale: Fraction) -> None:
 
 
 class LiePoly:
-    """Finite Q-linear combination of Lyndon basis monomials."""
+    """Finite Q-linear combination of Lyndon basis monomials, each coefficient an int or a Fraction."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for w, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[tuple(w)] = c
-        self.terms = clean
+        self.terms = {tuple(w): c for w, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls) -> "LiePoly":
@@ -162,7 +155,6 @@ class LiePoly:
         return _clean_poly({w: -c for w, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "LiePoly":
-        scalar = Fraction(scalar)
         if scalar == 1:
             return _clean_poly(dict(self.terms))
         if not scalar:
@@ -189,7 +181,7 @@ class LiePoly:
 
 
 def _clean_poly(terms: dict) -> LiePoly:
-    """A LiePoly over terms that are already clean: tuple words, nonzero Fractions."""
+    """A LiePoly over terms that are already clean: tuple words, nonzero coefficients."""
     p = LiePoly.__new__(LiePoly)
     p.terms = terms
     return p

@@ -6,10 +6,10 @@ whether a level of a closure climb is G2's: bound 4 on 3 letters, 14
 representatives, and every g2.lp relation reducing to 0 in it.  Then the
 level's relations span those of g2.lp, so its representatives, model and table
 are those of g2.lp's climb at bound 4, the rewriter's.  `derive` applies it to
-the level it certified; `rewriter_applicable`, the rewriter's refusal before
-its climb, applies it to a presentation's level at bound 4.  The named basis is
-defined once, as free Lie polynomials in `named_basis_free`, whose key order is
-the basis order.
+the level it certified and, under the rewriter, to the first level of its
+climb; `rewriter_applicable` applies it to a presentation's level at bound 4,
+for the tests and the benchmark's replay.  The named basis is defined once, as
+free Lie polynomials in `named_basis_free`, whose key order is the basis order.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ def rewriter_applicable(pres: Presentation) -> bool:
 
     Relations whose top degree is not 4 are refused before anything is climbed,
     since every nonzero element of g2.lp's span has top degree 4; otherwise the
-    presentation's level at bound 4 goes through `spans_g2`.
+    presentation's level at bound 4 goes through `spans_g2`.  `derive` does not
+    call it: it gates the first level of its own climb.  The tests and the
+    benchmark's replay (`perfbench/replay.py`) read it.
     """
     if len(pres.generators) != 3 or pres.max_relation_degree() != 4:
         return False

@@ -153,7 +153,7 @@ class _Parser:
             return LiePoly.zero()
         return self.parse_atom()
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> int | Fraction:
         tok = self.expect("INT", "a number")
         num = tok[1]
         if self.peek()[0] == "SLASH":
@@ -162,7 +162,7 @@ class _Parser:
             if dtok[1] == 0:
                 raise ParseError("zero denominator", dtok[2], dtok[3])
             return Fraction(num, dtok[1])
-        return Fraction(num)
+        return num
 
     # atom := name | '[' expr ',' expr ']'
     def parse_atom(self) -> LiePoly:

@@ -25,7 +25,7 @@ class StructureTable:
     by (i, j, k) with i < j, and `c` reads them back off ad.
     """
 
-    __slots__ = ("names", "ad")
+    __slots__ = ("names", "ad", "_integer_ad")
 
     def __init__(self, names, c):
         self.names = tuple(names)
@@ -38,11 +38,11 @@ class StructureTable:
                 raise ValueError(f"index out of range: {(i, j, k)}")
             if i >= j:
                 raise ValueError(f"structure constants must be stored with i < j: {(i, j, k)}")
-            val = Fraction(val)
             if val:
                 ad[i].setdefault(j, {})[k] = val
                 ad[j].setdefault(i, {})[k] = -val
         self.ad = ad
+        self._integer_ad = None  # filled by the first integer_ad_maps call
 
     @property
     def c(self) -> dict:
@@ -127,10 +127,13 @@ def integer_ad_maps(t: StructureTable) -> tuple:
 
     ads[i] maps m -> {k: x} with D [b_i, b_m] = sum_k x b_k.  A sum of products of
     two constants, taken over these columns, is D**2 times the same sum over the table.
+    Built on the first call and kept on the table, whose ad is never edited; no caller writes to it.
     """
-    D = lcm(1, *(x.denominator for row in t.ad for col in row.values() for x in col.values()))
-    return D, [{m: {k: x.numerator * (D // x.denominator) for k, x in col.items()} for m, col in row.items()}
-               for row in t.ad]
+    if t._integer_ad is None:
+        D = lcm(1, *(x.denominator for row in t.ad for col in row.values() for x in col.values()))
+        t._integer_ad = D, [{m: {k: x.numerator * (D // x.denominator) for k, x in col.items()}
+                             for m, col in row.items()} for row in t.ad]
+    return t._integer_ad
 
 
 def _add_bracket(acc: dict, ad: dict, vec: dict, sign: int) -> None:

@@ -35,9 +35,8 @@ def _int_str(n: int) -> str:
     return sign + str(chunks[-1]) + "".join(str(c).zfill(_CHUNK_DIGITS) for c in reversed(chunks[:-1]))
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: int | Fraction) -> str:
     """Lowest-terms string: "p" for integers, "p/q" otherwise, exact at any number of digits."""
-    x = Fraction(x)
     num = _int_str(x.numerator)
     return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
 

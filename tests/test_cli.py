@@ -3,6 +3,7 @@ the failed writes to standard output, which need a process of their own."""
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,9 @@ import pytest
 from presentation_text import format_presentation
 
 import liepres
+import liepres.table
 from liepres import g2, quotient
-from liepres.cli import main
+from liepres.cli import _NOT_G2, main
 from liepres.g2 import g2_presentation, named_basis_free
 from liepres.presentation import Presentation, parse_presentation
 from liepres.quotient import quotient_closure
@@ -83,10 +85,10 @@ def test_derive_rewriter_engine_matches_golden(run, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("engine, climbs", [("both", 1), ("rewriter", 2)])
+@pytest.mark.parametrize("engine, climbs", [("both", 1), ("rewriter", 1)])
 def test_derive_g2_climbs_once_and_gates_the_certified_level(run, monkeypatch, engine, climbs):
-    # both gates the level it certified; the rewriter's refusal climbs to bound 4 before
-    # its own climb.  Either way g2.lp is parsed once and never climbed.
+    # both gates the level it certified, the rewriter the first level of the same
+    # climb.  Either way g2.lp is parsed once and never climbed.
     calls = []
 
     def counted(name, f):
@@ -186,12 +188,12 @@ def test_derive_without_relations_is_not_certified(run, tmp_path):
 
 
 def test_derive_rewriter_rejected_off_domain(run):
-    code, _, stderr = run("derive", SL2, "--engine", "rewriter")
-    assert code == 2
-    assert "3 generators" in stderr
-    code, _, stderr = run("derive", MUTANT, "--engine", "rewriter")
-    assert code == 2
-    assert "standard quadruple" in stderr
+    refused = f"error: {_NOT_G2}; use --engine both\n"
+    for path in (SL2, MUTANT):
+        assert run("derive", path, "--engine", "rewriter") == (2, "", refused), path
+    # the bound is checked before the climb, whose first level the rewriter gates
+    code, stdout, stderr = run("derive", MUTANT, "--engine", "rewriter", "--max-degree", "3")
+    assert (code, stdout, stderr) == (2, "", "error: degree bound 3 below max relation degree 4\n")
 
 
 def test_derive_parse_error_reports_line(run, tmp_path):
@@ -402,6 +404,16 @@ def test_classify_g2(run):
     assert "roots: 12 (multiplicities: 1)" in stdout
     assert "cartan matrix: [[2, -1], [-3, 2]]" in stdout
     assert "type: G2" in stdout
+
+
+def test_classify_scales_the_table_to_integers_once(run, monkeypatch):
+    # Jacobi and the Killing form share the table's integer ad maps, so the common
+    # denominator of the loaded table is taken once
+    calls = []
+    monkeypatch.setattr(liepres.table, "lcm", lambda *xs: calls.append(len(xs)) or math.lcm(*xs))
+    code, stdout, _ = run("classify", "--table", GOLDEN)
+    assert (code, stdout.splitlines()[-1]) == (0, "type: G2")
+    assert len(calls) == 1
 
 
 def test_classify_sl2(run, tmp_path):

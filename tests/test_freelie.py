@@ -117,12 +117,14 @@ def test_bracket_bilinear_and_antisymmetric():
 
 
 def _clean_terms(p: LiePoly) -> bool:
-    return all(type(w) is tuple and type(c) is Fraction and c != 0 for w, c in p.terms.items())
+    """Tuple words with exact nonzero coefficients: an int or a Fraction, never a bool or a float."""
+    return all(type(w) is tuple and type(c) in (int, Fraction) and c != 0 for w, c in p.terms.items())
 
 
-def test_public_constructor_coerces_and_arithmetic_stays_clean():
+def test_public_constructor_keeps_exact_coefficients_and_arithmetic_stays_clean():
     p = LiePoly({(0,): 2, (1,): 0, (0, 1): Fraction(0), (0, 2): Fraction(1, 3)})
-    assert p.terms == {(0,): Fraction(2), (0, 2): Fraction(1, 3)} and _clean_terms(p)
+    assert p.terms == {(0,): 2, (0, 2): Fraction(1, 3)} and _clean_terms(p)
+    assert type(p.terms[(0,)]) is int and type(p.terms[(0, 2)]) is Fraction
     q = LiePoly({(0,): -2, (1,): 5})
     for r in (p + q, p - q, q - q, -p, 1 * p, 0 * p, Fraction(3, 7) * p, 2 * q, bracket(p, q)):
         assert _clean_terms(r)

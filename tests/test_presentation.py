@@ -267,6 +267,7 @@ def associative(expr) -> NCPoly:
 @given(lhs=EXPRESSIONS, rhs=EXPRESSIONS)
 def test_parsed_relation_expands_like_the_expression(lhs, rhs):
     (relation,) = parse_presentation(relation_text(lhs, rhs)).relations
+    assert all(type(c) in (int, Fraction) and c != 0 for c in relation.terms.values())
     assert expand_to_associative(relation) == associative(lhs) - associative(rhs)
 
 

@@ -30,7 +30,7 @@ from liepres.quotient import (
     renamed,
     structure_table,
 )
-from liepres.tabledoc import load_table
+from liepres.tabledoc import load_table, to_json_text
 
 FIXTURES = Path(liepres.__file__).parent / "fixtures"
 
@@ -205,6 +205,23 @@ def shuffled_scaled(pres: Presentation, seed: int) -> Presentation:
     rng.shuffle(rels)
     rels = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5)) * r for r in rels]
     return Presentation(pres.generators, tuple(rels))
+
+
+@pytest.mark.parametrize("seed", [None, 31], ids=["g2", "rescaled"])
+def test_fraction_coefficients_climb_certify_and_write_like_ints(g2_pres, seed):
+    # The parser keeps integer coefficients as ints; the same relations with every
+    # coefficient a Fraction give the same echelon rows, table and JSON bytes.
+    pres = g2_pres if seed is None else parse_presentation(format_presentation(shuffled_scaled(g2_pres, seed)))
+    as_fractions = Presentation(pres.generators, tuple(
+        LiePoly({w: Fraction(c) for w, c in r.terms.items()}) for r in pres.relations))
+    assert any(type(c) is int for r in pres.relations for c in r.terms.values())
+    runs = []
+    for p in (pres, as_fractions):
+        qb = next(closure_levels(p, 4))
+        cert = certify(p, qb)
+        runs.append((qb._rows, cert.table, cert.detail, to_json_text(renamed(qb, cert.table, named_basis_free()))))
+    assert runs[0] == runs[1]
+    assert runs[0][1] is not None and runs[0][3] == (FIXTURES / "g2_table.json").read_text(encoding="utf-8")
 
 
 def test_rewriter_applicability_rule(g2_pres, family_member_text):
@@ -523,13 +540,13 @@ def test_reduce_returns_sparse_representative_coordinates(case, data):
     qb = levels[data.draw(st.integers(0, len(levels) - 1))]
     ref = reference_closure(pres, qb.degree_bound)
     words = list(ref["word_index"])
-    coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coefficients = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=3))
     for _ in range(3):
         chosen = data.draw(st.lists(st.sampled_from(words), max_size=6, unique=True))
         p = LiePoly({w: data.draw(coefficients) for w in chosen})
         got = qb.reduce(p)
         assert set(got) <= set(range(qb.dim))
-        assert all(got.values())
+        assert all(type(c) in (int, Fraction) and c != 0 for c in [*p.terms.values(), *got.values()])
         assert tuple(got.get(k, 0) for k in range(qb.dim)) == dense_reference_reduce(ref, p)
 
 
