@@ -19,6 +19,20 @@ def _derived_rows(t: StructureTable) -> dict:
     return Echelon.of(col for i, ad in enumerate(t.ad) for j, col in ad.items() if i < j).rows
 
 
+def _centralizer_rows(t: StructureTable, indices, inside):
+    """Rows {m: c_hm^k}, one per h in indices and k not in inside, read off ad(b_h).
+
+    v solves them all exactly when [b_h, v] lies in the span of the b_k, k in inside, for every h.
+    """
+    rows: dict = {}
+    for h in indices:
+        for m, col in t.ad[h].items():
+            for k, v in col.items():
+                if k not in inside:
+                    rows.setdefault((h, k), {})[m] = v
+    return rows.values()
+
+
 class DerivedCenter(Record):
     __slots__ = (
         "derived_dim",
@@ -29,19 +43,10 @@ class DerivedCenter(Record):
 
 
 def derived_subalgebra_and_center(t: StructureTable) -> DerivedCenter:
-    """[g, g] as the span of the brackets, the center as the common kernel of the ad(b_i).
-
-    v is central when the coefficient of b_k in [b_i, v] vanishes for every i and
-    k: one sparse row {m: c_im^k} per (i, k), read off ad(b_i).
-    """
+    """[g, g] as the span of the brackets, the center as the common kernel of the ad(b_i): of every centralizer row."""
     n = t.dim
     derived = _derived_rows(t)
-    rows: dict = {}
-    for i, ad in enumerate(t.ad):
-        for m, col in ad.items():
-            for k, v in col.items():
-                rows.setdefault((i, k), {})[m] = v
-    center = kernel_basis(rows.values(), n)
+    center = kernel_basis(_centralizer_rows(t, range(n), ()), n)
     return DerivedCenter(len(derived), len(center), tuple(derived[p] for p in sorted(derived)), tuple(center))
 
 
@@ -88,13 +93,7 @@ def cartan_check(t: StructureTable, indices) -> CartanCheck:
         if b in t.ad[a]:
             return CartanCheck(False, False, False, 0, (a, b))
     inside = set(indices)
-    rows: dict = {}  # (h, k) -> the coefficient of b_k in [b_h, v], for b_k outside the span
-    for h in indices:
-        for m, col in t.ad[h].items():
-            for k, v in col.items():
-                if k not in inside:
-                    rows.setdefault((h, k), {})[m] = v
-    normalizer = kernel_basis(rows.values(), n)
+    normalizer = kernel_basis(_centralizer_rows(t, indices, inside), n)
     ndim = len(normalizer)
     if ndim != len(indices):
         witness = next((v for v in normalizer if any(k not in inside for k in v)), None)

@@ -88,13 +88,16 @@ def _write_table(table, out_path: str | None) -> int:
 
 
 def cmd_derive(args) -> int:
-    from .g2 import named_basis_free, spans_g2
+    from .g2 import has_g2_shape, named_basis_free, spans_g2
     from .quotient import NamesNotBasisError, certify, closure_levels, renamed
 
     pres = _load_presentation(args.presentation)
     if pres is None:
         return 2
     rewriter = args.engine == "rewriter"
+    if rewriter and not has_g2_shape(pres):
+        print(f"error: {_NOT_G2}; use --engine both", file=sys.stderr)
+        return 2
 
     # One closure climbs from the relations' degree to the ceiling and stops at the
     # first bound that certifies.  The rewriter needs its first level to be G2's,

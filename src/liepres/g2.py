@@ -6,10 +6,10 @@ whether a level of a closure climb is G2's: bound 4 on 3 letters, 14
 representatives, and every g2.lp relation reducing to 0 in it.  Then the
 level's relations span those of g2.lp, so its representatives, model and table
 are those of g2.lp's climb at bound 4, the rewriter's.  `derive` applies it to
-the level it certified and, under the rewriter, to the first level of its
-climb; `rewriter_applicable` applies it to a presentation's level at bound 4,
-for the tests and the benchmark's replay.  The named basis is defined once, as
-free Lie polynomials in `named_basis_free`, whose key order is the basis order.
+the level it certified and, under the rewriter, to the first level of its climb
+once `has_g2_shape` has passed the presentation; `rewriter_applicable` applies
+both, for the tests and the benchmark's replay.  The named basis is defined
+once, as free Lie polynomials in `named_basis_free`, whose key order is the basis order.
 """
 
 from __future__ import annotations
@@ -64,19 +64,20 @@ def spans_g2(level) -> bool:
             and all(level.reduce(r) == {} for r in g2_relations()))
 
 
+def has_g2_shape(pres: Presentation) -> bool:
+    """3 generators and top relation degree 4, the shape of every presentation spanning g2.lp's relations."""
+    return len(pres.generators) == 3 and pres.max_relation_degree() == 4
+
+
 def rewriter_applicable(pres: Presentation) -> bool:
     """Whether the G2 rewriter applies: 3 generators and relations spanning g2_relations().
 
-    Relations whose top degree is not 4 are refused before anything is climbed,
-    since every nonzero element of g2.lp's span has top degree 4; otherwise the
-    presentation's level at bound 4 goes through `spans_g2`.  `derive` does not
-    call it: it gates the first level of its own climb.  The tests and the
-    benchmark's replay (`perfbench/replay.py`) read it.
+    `has_g2_shape`, then `spans_g2` on the presentation's level at bound 4.
+    `derive` does not call it: it gates the first level of its own climb.  The
+    tests and the benchmark's replay (`perfbench/replay.py`) read it.
     """
-    if len(pres.generators) != 3 or pres.max_relation_degree() != 4:
-        return False
     from .quotient import closure_levels  # quotient imports g2
-    return spans_g2(next(closure_levels(pres, 4)))
+    return has_g2_shape(pres) and spans_g2(next(closure_levels(pres, 4)))
 
 
 def rewriter_structure_table() -> StructureTable:

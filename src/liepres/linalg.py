@@ -1,13 +1,17 @@
 """Exact linear algebra over the rationals, on sparse rows.
 
-A vector is a sparse map {index: x} and a matrix is a list of such rows.
-`Echelon` is the package's one elimination kernel: a sparse reduced echelon form
-over the integers, and `reduce(rows, vec)` eliminates a vector against its rows
-or a snapshot of them.  Every span, rank and kernel runs on it: the closure
-engine, `QuotientBasis.reduce`, `kernel_basis`, the subalgebras and multiplicities
-in `analysis`, and `basis_change`, which renames tables (`StructureTable.rebased`)
-and solves against the Killing form on a Cartan subalgebra.  The integer
-characteristic polynomial of a square matrix (Faddeev-LeVerrier, no
+A vector is a sparse map {index: x} and a matrix is a list of such rows.  Each
+sparse operation has one implementation, here.  `integer_scaled` takes every
+common denominator.  `add_scaled` is every sparse accumulate outside `freelie`
+and the climb's `child`: `reduce`, `Echelon.add`, `compose`, `StructureTable.bracket`,
+`check_jacobi` and `quotient.lie_map`.  `compose`, the operator product, serves
+`quotient.generator_action` and `integer_char_poly`.  `Echelon` is the one
+elimination kernel, a sparse reduced echelon form over the integers, and
+`reduce(rows, vec)` eliminates against its rows or a snapshot of them: every
+span, rank and kernel runs on it.  `solve` scales, reduces and divides back; it
+is `QuotientBasis.reduce` and `basis_change`, which renames tables
+(`StructureTable.rebased`) and solves against the Killing form on a Cartan
+subalgebra.  The integer characteristic polynomial (Faddeev-LeVerrier, no
 elimination) serves only `det`.
 """
 
@@ -18,10 +22,29 @@ from math import gcd, lcm
 
 
 def integer_scaled(values) -> tuple:
-    """(D, ints): D the least common denominator of the rationals in values, ints their multiples by D."""
+    """(D, ints): D the least common denominator of the rationals in values, ints an iterator of them times D."""
     values = list(values)
     D = lcm(1, *(x.denominator for x in values))
-    return D, [x.numerator * (D // x.denominator) for x in values]
+    return D, (x.numerator * (D // x.denominator) for x in values)
+
+
+def add_scaled(acc: dict, vec: dict, scale) -> None:
+    """acc += scale * vec in place; an entry that cancels is removed, so acc holds no zero."""
+    for k, x in vec.items():
+        v = acc.get(k, 0) + scale * x
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+
+
+def compose(a: list, b: list) -> list:
+    """The product a.b of operators given as lists of sparse columns; of lists of rows, b.a."""
+    out: list = [{} for _ in b]
+    for acc, col in zip(out, b):
+        for k, x in col.items():
+            add_scaled(acc, a[k], x)
+    return out
 
 
 def _content_strip(vec: dict) -> dict:
@@ -57,13 +80,15 @@ def reduce(rows: dict, vec: dict) -> tuple:
             s *= mv
             for k in vec:
                 vec[k] *= mv
-        for k, rv in row.items():
-            nv = vec.get(k, 0) - mr * rv
-            if nv:
-                vec[k] = nv
-            else:
-                vec.pop(k, None)
+        add_scaled(vec, row, -mr)
     return vec, s
+
+
+def solve(rows: dict, vec: dict) -> dict:
+    """vec modulo the span of the Echelon rows as {index: Fraction}: scaled to integers, reduced, divided back."""
+    D, ints = integer_scaled(vec.values())
+    rem, s = reduce(rows, {k: x for k, x in zip(vec, ints) if x})
+    return {k: Fraction(x, D * s) for k, x in rem.items()}
 
 
 class Echelon:
@@ -121,12 +146,7 @@ class Echelon:
             g = gcd(rp, qv)
             mq, mr = rp // g, qv // g
             new = {k: v * mq for k, v in row.items()}
-            for k, rv in rem.items():
-                nv = new.get(k, 0) - mr * rv
-                if nv:
-                    new[k] = nv
-                else:
-                    new.pop(k, None)
+            add_scaled(new, rem, -mr)
             new = _content_strip(new)
             self.rows[q] = new
             self._register(q, new)
@@ -152,24 +172,13 @@ def basis_change(coords, n: int):
 
     One sparse elimination: the n rows sum_k c_ik X_k - Y_i, with X on the
     indices n + k, go into an Echelon.  The Y_i form a basis exactly when every
-    X_k becomes a pivot; then reducing an X-coordinate vector leaves its Y
+    X_k becomes a pivot; then `solve` leaves an X-coordinate vector's Y
     coordinates on the indices below n.  Returns None when they are not a basis.
     """
-    ech = Echelon()
-    for i, vec in enumerate(coords):
-        D, ints = integer_scaled(vec.values())
-        row = {n + k: x for k, x in zip(vec, ints) if x}
-        row[i] = -D
-        ech.add(row)
-    if sorted(ech.rows) != list(range(n, 2 * n)):
+    rows = Echelon.of({n + k: x for k, x in vec.items()} | {i: -1} for i, vec in enumerate(coords)).rows
+    if sorted(rows) != list(range(n, 2 * n)):
         return None
-
-    def new_coordinates(vec: dict) -> dict:
-        D, ints = integer_scaled(vec.values())
-        rem, s = reduce(ech.rows, {n + k: x for k, x in zip(vec, ints) if x})
-        return {i: Fraction(x, D * s) for i, x in rem.items()}
-
-    return new_coordinates
+    return lambda vec: solve(rows, {n + k: x for k, x in vec.items()})
 
 
 def integer_char_poly(rows) -> tuple:
@@ -185,8 +194,8 @@ def integer_char_poly(rows) -> tuple:
     n = len(rows)
     if any(not 0 <= j < n for row in rows for j in row):
         raise ValueError("characteristic polynomial and determinant need a square matrix")
-    D = lcm(1, *(x.denominator for row in rows for x in row.values()))
-    rows = [{j: x.numerator * (D // x.denominator) for j, x in row.items() if x} for row in rows]
+    D, ints = integer_scaled(x for row in rows for x in row.values())
+    rows = [{j: x for j in row if (x := next(ints))} for row in rows]
     coeffs = [1]
     mk = rows
     for k in range(1, n + 1):
@@ -196,16 +205,9 @@ def integer_char_poly(rows) -> tuple:
         ck = -sum(row.get(i, 0) for i, row in enumerate(mk)) // k
         coeffs.append(ck)
         if k < n:
-            shifted = [dict(row) for row in mk]
-            for i, row in enumerate(shifted):
-                row[i] = row.get(i, 0) + ck
-            mk = []
-            for row in rows:
-                acc: dict = {}
-                for l, x in row.items():
-                    for j, y in shifted[l].items():
-                        acc[j] = acc.get(j, 0) + x * y
-                mk.append({j: v for j, v in acc.items() if v})
+            mk = compose(mk, rows)  # A M_k, then + c_k A
+            for row, a in zip(mk, rows):
+                add_scaled(row, a, ck)
     return D, coeffs
 
 

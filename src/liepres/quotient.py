@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import freelie
 from .freelie import LiePoly, bracket_string
 from .g2 import rewriter_applicable  # noqa: F401  perfbench/replay.py imports it from here
-from .linalg import Echelon, integer_scaled, reduce
+from .linalg import Echelon, add_scaled, compose, integer_scaled, solve
 from .presentation import Presentation
 from .record import Record
 from .table import NamesNotBasisError, StructureTable, check_jacobi  # noqa: F401
@@ -73,15 +71,13 @@ class QuotientBasis(Record):
 
     def reduce(self, p: LiePoly) -> dict:
         """Sparse coordinates {representative index: Fraction} of p, zeros left out."""
-        D, ints = integer_scaled(p.terms.values())
         vec: dict = {}
-        for w, c in zip(p.terms, ints):
+        for w, c in p.terms.items():
             idx = self._word_index.get(w)
             if idx is None or len(w) > self.degree_bound:
                 raise ValueError(f"monomial degree {len(w)} exceeds bound {self.degree_bound} or bad alphabet: {w}")
             vec[idx] = c
-        rem, s = reduce(self._rows, vec)
-        return {self._rep_index[idx]: Fraction(c, D * s) for idx, c in rem.items()}
+        return {self._rep_index[idx]: c for idx, c in solve(self._rows, vec).items()}
 
     def representative_name(self, i: int) -> str:
         return bracket_string(self.representatives[i], self.generator_names)
@@ -237,21 +233,22 @@ def truncation_events(pres: Presentation, degree_bound: int) -> tuple:
     return tuple(events)
 
 
-def _compose(a: list, b: list) -> list:
-    """The product a.b of two operators given as lists of sparse columns."""
-    out = []
-    for col in b:
-        acc: dict = {}
-        for k, x in col.items():
-            for m, y in a[k].items():
-                acc[m] = acc.get(m, 0) + x * y
-        out.append({m: v for m, v in acc.items() if v})
+def _commutator(a: list, b: list) -> list:
+    out = compose(a, b)
+    for x, y in zip(out, compose(b, a)):
+        add_scaled(x, y, -1)
     return out
 
 
-def _commutator(a: list, b: list) -> list:
-    return [{m: v for m in x.keys() | y.keys() if (v := x.get(m, 0) - y.get(m, 0))}
-            for x, y in zip(_compose(a, b), _compose(b, a))]
+def _by_factorization(images: dict, combine):
+    """image(w) = combine(image(u), image(v)) for w's standard factorization (u, v), memoized in images."""
+    def image(w):
+        if w not in images:
+            u, v = freelie.standard_factorization(w)
+            images[w] = combine(image(u), image(v))
+        return images[w]
+
+    return image
 
 
 def generator_action(rho: dict, words) -> list:
@@ -262,14 +259,7 @@ def generator_action(rho: dict, words) -> list:
     standard factorization (u, v): ad[u, v] = [ad u, ad v] is the Jacobi identity.
     Only the words the basis factors through are computed.
     """
-    ops = dict(rho)
-
-    def op(w):
-        if w not in ops:
-            u, v = freelie.standard_factorization(w)
-            ops[w] = _commutator(op(u), op(v))
-        return ops[w]
-
+    op = _by_factorization(dict(rho), _commutator)
     return [op(w) for w in words]
 
 
@@ -287,20 +277,13 @@ def lie_map(table: StructureTable, generator_images: list):
     extended through the table's bracket alone.  Word images are memoized in the
     returned function, not across calls of lie_map.
     """
-    words: dict = {(g,): v for g, v in enumerate(generator_images)}
-
-    def image(w):
-        if w not in words:
-            u, v = freelie.standard_factorization(w)
-            words[w] = table.bracket(image(u), image(v))
-        return words[w]
+    image = _by_factorization({(g,): v for g, v in enumerate(generator_images)}, table.bracket)
 
     def phi(p) -> dict:
         acc: dict = {}
         for w, c in p.terms.items():
-            for k, v in image(w).items():
-                acc[k] = acc.get(k, 0) + c * v
-        return {k: v for k, v in acc.items() if v}
+            add_scaled(acc, image(w), c)
+        return acc
 
     return phi
 

@@ -7,9 +7,8 @@ is the Jacobi check that `certify` and `classify` both run on a table.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .linalg import basis_change
+from .linalg import add_scaled, basis_change, integer_scaled
 
 
 class NamesNotBasisError(ValueError):
@@ -66,9 +65,8 @@ class StructureTable:
         acc: dict = {}
         for i, x in a.items():
             for j, y in b.items():
-                for k, v in self.bracket_map(i, j).items():
-                    acc[k] = acc.get(k, 0) + x * y * v
-        return {k: v for k, v in acc.items() if v}
+                add_scaled(acc, self.bracket_map(i, j), x * y)
+        return acc
 
     def rebased(self, names, coords) -> "StructureTable":
         """The table over new basis elements Y_i = sum_k coords[i][k] b_k, named names[i].
@@ -130,17 +128,15 @@ def integer_ad_maps(t: StructureTable) -> tuple:
     Built on the first call and kept on the table, whose ad is never edited; no caller writes to it.
     """
     if t._integer_ad is None:
-        D = lcm(1, *(x.denominator for row in t.ad for col in row.values() for x in col.values()))
-        t._integer_ad = D, [{m: {k: x.numerator * (D // x.denominator) for k, x in col.items()}
-                             for m, col in row.items()} for row in t.ad]
+        D, ints = integer_scaled(x for row in t.ad for col in row.values() for x in col.values())
+        t._integer_ad = D, [{m: {k: next(ints) for k in col} for m, col in row.items()} for row in t.ad]
     return t._integer_ad
 
 
 def _add_bracket(acc: dict, ad: dict, vec: dict, sign: int) -> None:
     """acc += sign * [b, v] for ad = ad(b) and v given as a sparse map."""
     for m, x in vec.items():
-        for k, y in ad.get(m, {}).items():
-            acc[k] = acc.get(k, 0) + sign * x * y
+        add_scaled(acc, ad.get(m, {}), sign * x)
 
 
 def check_jacobi(t: StructureTable) -> list:
@@ -167,7 +163,6 @@ def check_jacobi(t: StructureTable) -> list:
                 _add_bracket(acc, ads[i], ads[j].get(k, {}), 1)
                 _add_bracket(acc, ads[k], ads[i].get(j, {}), 1)
                 _add_bracket(acc, ads[j], ads[i].get(k, {}), -1)  # [b_j,[b_k,b_i]] = -[b_j,[b_i,b_k]]
-                total = {m: Fraction(v, D * D) for m, v in acc.items() if v}
-                if total:
-                    violations.append((i, j, k, total))
+                if acc:
+                    violations.append((i, j, k, {m: Fraction(v, D * D) for m, v in acc.items()}))
     return violations

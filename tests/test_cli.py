@@ -3,7 +3,6 @@ the failed writes to standard output, which need a process of their own."""
 
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -194,6 +193,18 @@ def test_derive_rewriter_rejected_off_domain(run):
     # the bound is checked before the climb, whose first level the rewriter gates
     code, stdout, stderr = run("derive", MUTANT, "--engine", "rewriter", "--max-degree", "3")
     assert (code, stdout, stderr) == (2, "", "error: degree bound 3 below max relation degree 4\n")
+
+
+def test_derive_rewriter_refuses_by_shape_before_the_climb(run, monkeypatch, tmp_path):
+    # 20 generators and a degree-5 relation: the first level would pass the word
+    # budget, but the shape alone refuses it and nothing is climbed
+    calls = []
+    monkeypatch.setattr(quotient, "closure_levels", lambda *args: calls.append(args) or iter(()))
+    path = tmp_path / "wide.lp"
+    path.write_text("generators: " + " ".join(f"g{i}" for i in range(1, 21)) + "\n"
+                    "relation: [g1,[g1,[g1,[g1,g2]]]] = 0\n")
+    assert run("derive", str(path), "--engine", "rewriter") == (2, "", f"error: {_NOT_G2}; use --engine both\n")
+    assert calls == []
 
 
 def test_derive_parse_error_reports_line(run, tmp_path):
@@ -410,7 +421,8 @@ def test_classify_scales_the_table_to_integers_once(run, monkeypatch):
     # Jacobi and the Killing form share the table's integer ad maps, so the common
     # denominator of the loaded table is taken once
     calls = []
-    monkeypatch.setattr(liepres.table, "lcm", lambda *xs: calls.append(len(xs)) or math.lcm(*xs))
+    scaled = liepres.table.integer_scaled
+    monkeypatch.setattr(liepres.table, "integer_scaled", lambda values: calls.append(1) or scaled(values))
     code, stdout, _ = run("classify", "--table", GOLDEN)
     assert (code, stdout.splitlines()[-1]) == (0, "type: G2")
     assert len(calls) == 1

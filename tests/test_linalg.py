@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 from dense import gauss_jordan, identity, inverse, leibniz_det, matmul, rank, sparse_rows
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liepres.linalg import Echelon, basis_change, det, integer_char_poly, kernel_basis, reduce
+from liepres.linalg import (Echelon, add_scaled, basis_change, compose, det, integer_char_poly, kernel_basis, reduce,
+                            solve)
 from liepres.table import NamesNotBasisError, StructureTable
 
 
@@ -42,6 +43,40 @@ def dense(vec, n):
 
 def annihilates(m, vec):
     return all(sum(x * vec.get(k, 0) for k, x in enumerate(row)) == 0 for row in m)
+
+
+SCALARS = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 4)])
+SPARSE = st.dictionaries(st.integers(0, 3), SCALARS, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SPARSE, SPARSE, SCALARS)
+def test_add_scaled_adds_and_never_leaves_a_zero(acc, vec, scale):
+    # small values over four indices, so entries often cancel
+    want = [x + scale * y for x, y in zip(dense(acc, 4), dense(vec, 4))]
+    add_scaled(acc, vec, scale)
+    assert 0 not in acc.values()
+    assert dense(acc, 4) == want
+
+
+def columns_to_rows(cols, n):
+    """The dense matrix whose column k is the sparse cols[k]."""
+    return [[Fraction(col.get(m, 0)) for col in cols] for m in range(n)]
+
+
+def operators(n):
+    """Operators on Q^n as lists of n sparse columns."""
+    return st.lists(st.dictionaries(st.integers(0, n - 1), SCALARS, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(operators(n), operators(n))))
+def test_compose_is_the_dense_matrix_product(ab):
+    a, b = ab
+    n = len(a)
+    product = compose(a, b)
+    assert not any(0 in col.values() for col in product)
+    assert columns_to_rows(product, n) == matmul(columns_to_rows(a, n), columns_to_rows(b, n))
 
 
 def test_kernel_annihilates_independent_elimination():
@@ -196,6 +231,31 @@ def test_basis_change_and_rebased_agree_with_the_dense_inverse(entries, vec):
                 if x:
                     c[(i, j, k)] = x
     assert SL2.rebased(SL2.names, coords) == StructureTable(SL2.names, c)
+
+
+def solve_by_inverse_rows(m, vec):
+    """vec . m^-1 by solve against the rows sum_k m[i][k] X_k - Y_i, X on the indices n + k; None if m is singular."""
+    n = len(m)
+    rows = Echelon.of({n + k: x for k, x in enumerate(row)} | {i: -1} for i, row in enumerate(m)).rows
+    got = solve(rows, {n + k: x for k, x in enumerate(vec)})
+    assert not got.keys() & rows.keys()
+    return dense(got, n) if sorted(rows) == list(range(n, 2 * n)) else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n,
+                                                              max_size=n), st.lists(ENTRIES, min_size=n, max_size=n))))
+@example(([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]], [1, Fraction(-2, 3)]))
+@example(([[1, 2], [2, 4]], [1, 0]))
+def test_solve_agrees_with_the_dense_inverse(case):
+    # examples: the matrices inverse_by_basis_change meets in test_fraction_entries_survive
+    # and in test_basis_change_inverts_and_refuses_singular
+    m, vec = case
+    m = [[Fraction(x) for x in row] for row in m]
+    got, inv = solve_by_inverse_rows(m, vec), inverse(m)
+    assert (got is None) == (inv is None)
+    if inv is not None:
+        assert got == matmul([vec], inv)[0]
 
 
 def test_det_against_permutation_expansion():
