@@ -1,7 +1,5 @@
 """Certification of structure tables: Jacobi, Killing form, root systems, Cartan type."""
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 

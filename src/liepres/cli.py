@@ -5,8 +5,6 @@ runs inside its own function: `import liepres.cli` loads no engine module, and
 `classify`, for one, never loads the free Lie algebra or the closure.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys

@@ -1,7 +1,5 @@
 """Free Lie algebra over Q in the Lyndon word basis."""
 
-from __future__ import annotations
-
 from .record import Record
 
 Word = tuple  # tuple of 0-based generator indices
@@ -127,10 +125,6 @@ class LiePoly:
 
     def __init__(self, terms=None):
         self.terms = {tuple(w): c for w, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "LiePoly":
-        return cls()
 
     @classmethod
     def monomial(cls, word: Word, coeff=1) -> "LiePoly":

@@ -12,8 +12,6 @@ both, for the tests and the benchmark's replay.  The named basis is defined
 once, as free Lie polynomials in `named_basis_free`, whose key order is the basis order.
 """
 
-from __future__ import annotations
-
 import os
 from fractions import Fraction
 from functools import partial

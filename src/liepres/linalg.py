@@ -15,8 +15,6 @@ subalgebra.  The integer characteristic polynomial (Faddeev-LeVerrier, no
 elimination) serves only `det`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -117,9 +115,6 @@ class Echelon:
             _, ints = integer_scaled(row.values())
             ech.add({k: x for k, x in zip(row, ints) if x})
         return ech
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Echelon) and self.rows == other.rows
 
     def _register(self, p: int, row: dict) -> None:
         for k in row:

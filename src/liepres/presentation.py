@@ -1,7 +1,5 @@
 """Presentation files: generators plus relations written as bracket expressions."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .freelie import Generator, LiePoly, bracket
@@ -150,7 +148,7 @@ class _Parser:
                 return coeff * self.parse_atom()
             if coeff != 0:
                 raise ParseError(f"constant {coeff} has no meaning in a Lie expression (only 0 does)", ln, col)
-            return LiePoly.zero()
+            return LiePoly()
         return self.parse_atom()
 
     def parse_rational(self) -> int | Fraction:

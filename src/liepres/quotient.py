@@ -1,7 +1,5 @@
 """Degree-truncated quotient of a free Lie algebra by the ideal of a presentation."""
 
-from __future__ import annotations
-
 from . import freelie
 from .freelie import LiePoly, bracket_string
 from .g2 import rewriter_applicable  # noqa: F401  perfbench/replay.py imports it from here
@@ -89,22 +87,12 @@ class QuotientBasis(Record):
         return out
 
 
-def check_degree_bound(pres: Presentation, degree_bound: int) -> None:
-    """Raise ValueError unless the closure can climb to degree_bound.
-
-    The bound must be positive and reach the relations' degree.  The word budget
-    is not checked here: `closure_levels` checks it before building each level's
-    words, so a climb that certifies below the budget's degree never meets it.
-    """
-    if degree_bound < 1:
-        raise ValueError("degree bound must be positive")
-    max_rel_deg = pres.max_relation_degree()
-    if max_rel_deg > degree_bound:
-        raise ValueError(f"degree bound {degree_bound} below max relation degree {max_rel_deg}")
-
-
 def closure_levels(pres: Presentation, max_bound: int):
     """Yield the QuotientBasis at every bound from the relations' degree to max_bound.
+
+    Raises ValueError unless max_bound is positive and reaches the relations'
+    degree; the word budget is checked per level, so a climb that certifies below
+    the budget's degree never meets it.
 
     Tree_b, the consequence tree at bound b, holds the relations and their
     iterated ad(x_g) images of top degree at most b: in a free Lie algebra
@@ -129,9 +117,12 @@ def closure_levels(pres: Presentation, max_bound: int):
     a reversed pair.  Each level keeps its own copy of the rows dict, sharing the
     row dicts, and stays valid as the climb goes on.
     """
-    check_degree_bound(pres, max_bound)
-    n = len(pres.generators)
+    if max_bound < 1:
+        raise ValueError("degree bound must be positive")
     max_rel_deg = pres.max_relation_degree()
+    if max_rel_deg > max_bound:
+        raise ValueError(f"degree bound {max_bound} below max relation degree {max_rel_deg}")
+    n = len(pres.generators)
     by_top: dict = {}
     for rel in pres.relations:
         if rel.terms:

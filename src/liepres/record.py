@@ -1,7 +1,5 @@
 """Plain record classes: named fields in __slots__, with no generated code."""
 
-from __future__ import annotations
-
 
 class Record:
     """An immutable record whose fields are the subclass's __slots__, in order.

@@ -4,8 +4,6 @@ A table is renamed to a chosen basis by `StructureTable.rebased`; `check_jacobi`
 is the Jacobi check that `certify` and `classify` both run on a table.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .linalg import add_scaled, basis_change, integer_scaled
@@ -90,12 +88,6 @@ class StructureTable:
                 for k, v in new_coordinates(self.bracket(coords[i], coords[j])).items():
                     c[(i, j, k)] = v
         return StructureTable(names, c)
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"no basis element named {name!r}") from None
 
     def __eq__(self, other) -> bool:
         return (

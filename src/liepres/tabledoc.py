@@ -1,7 +1,5 @@
 """Serialization of structure tables: JSON document, CSV, LaTeX."""
 
-from __future__ import annotations
-
 import json
 import os
 import re
@@ -175,24 +173,30 @@ def save_table(t: StructureTable, path) -> None:
         raise
 
 
+def _csv_field(name: str) -> str:
+    """A name as one CSV field: quoted, each inner quote doubled, if it holds a comma, quote, CR or LF (RFC 4180)."""
+    return '"' + name.replace('"', '""') + '"' if any(ch in name for ch in ',"\r\n') else name
+
+
 def to_csv(t: StructureTable) -> str:
     """Header of names, then one row per unordered pair (zero brackets included)."""
     if t.dim == 0:
         raise ValueError("empty table")
-    lines = ["i,j," + ",".join(t.names)]
+    names = [_csv_field(n) for n in t.names]
+    lines = ["i,j," + ",".join(names)]
     for i in range(t.dim):
         for j in range(i + 1, t.dim):
             vec = t.bracket_map(i, j)
             cells = ",".join(format_rational(vec.get(k, 0)) for k in range(t.dim))
-            lines.append(f"{t.names[i]},{t.names[j]},{cells}")
+            lines.append(f"{names[i]},{names[j]},{cells}")
     return "\n".join(lines) + "\n"
 
 
 def _latex_name(name: str) -> str:
-    # x1 -> x_1, a12 -> a_{12}; anything else is emitted verbatim
+    # x1 -> x_1, a12 -> a_{12}; a name with no trailing digits, or with a "_" (x_1), is emitted verbatim
     head = name.rstrip("0123456789")
     digits = name[len(head):]
-    if not digits:
+    if not digits or "_" in name:
         return name
     return f"{head}_{digits}" if len(digits) == 1 else f"{head}_{{{digits}}}"
 

@@ -45,7 +45,7 @@ def verify_sl3_subalgebra(t: StructureTable) -> Sl3Verdict:
     """
     basis = tuple(named_basis_free())
     names, modules = basis[:8], (basis[8:11], basis[11:])
-    idx = {name: t.index_of(name) for name in names}
+    idx = {name: t.names.index(name) for name in names}
     model = dict(zip(names, (
         _combine([(1, _e(1, 1)), (-1, _e(2, 2))]),
         _combine([(1, _e(2, 2)), (-1, _e(3, 3))]),
@@ -66,9 +66,9 @@ def verify_sl3_subalgebra(t: StructureTable) -> Sl3Verdict:
     invariance_failures = []
     for na in names:
         for vnames in modules:
-            vset = {t.index_of(n) for n in vnames}
+            vset = {t.names.index(n) for n in vnames}
             for vn in vnames:
-                bmap = t.bracket_map(idx[na], t.index_of(vn))
+                bmap = t.bracket_map(idx[na], t.names.index(vn))
                 if any(k not in vset for k in bmap):
                     invariance_failures.append((na, vn))
 

@@ -88,11 +88,11 @@ def test_criterion_02_derived_table_reproduces_golden(derived, golden):
         ("a12", "a23", {"a13": 1}),
     ]
     for n1, n2, want in anchors:
-        i, j = derived.index_of(n1), derived.index_of(n2)
+        i, j = derived.names.index(n1), derived.names.index(n2)
         got = derived.bracket_map(*sorted((i, j)))
         if i > j:
             got = {k: -v for k, v in got.items()}
-        assert got == {derived.index_of(n): Fraction(v) for n, v in want.items()}, (n1, n2)
+        assert got == {derived.names.index(n): Fraction(v) for n, v in want.items()}, (n1, n2)
     print("criterion 2: all 91 pairs and 5 spot anchors match the golden table")
 
 
@@ -115,7 +115,7 @@ def test_criterion_04_jacobi_on_all_364_triples(derived):
     assert n * (n - 1) * (n - 2) // 6 == 364
     assert analysis.check_jacobi(derived) == []
     c = dict(derived.c)
-    c[(derived.index_of("h1"), derived.index_of("a12"), derived.index_of("a12"))] = Fraction(3)
+    c[(derived.names.index("h1"), derived.names.index("a12"), derived.names.index("a12"))] = Fraction(3)
     assert analysis.check_jacobi(StructureTable(derived.names, c)) != []
     print("criterion 4: Jacobi holds on 364 triples; single-entry mutation caught")
 
@@ -125,7 +125,7 @@ def test_criterion_05_killing_form_matches_eigenvalue_oracle(derived):
     assert all(K[j].get(i) == v for i, row in enumerate(K) for j, v in row.items())
     assert killing_invariance_violations(derived, K) == []
     assert det(K) != 0
-    h1, h2 = derived.index_of("h1"), derived.index_of("h2")
+    h1, h2 = derived.names.index("h1"), derived.names.index("h2")
     lam1, lam2 = [], []
     for k in range(derived.dim):
         m1 = derived.bracket_map(h1, k)
@@ -139,7 +139,7 @@ def test_criterion_05_killing_form_matches_eigenvalue_oracle(derived):
 
 
 def test_criterion_06_root_system_identifies_g2(derived, capsys):
-    h1, h2 = derived.index_of("h1"), derived.index_of("h2")
+    h1, h2 = derived.names.index("h1"), derived.names.index("h2")
     rd = analysis.root_decomposition(derived, [h1, h2])
     assert len(rd.roots) == 12
     assert all(len(rd.root_spaces[r]) == 1 for r in rd.roots)
@@ -159,9 +159,9 @@ def test_criterion_07_sl3_subalgebra_and_invariant_triples(derived):
     v = verify_sl3_subalgebra(derived)
     assert v.ok
     assert v.closure_failures == () and v.model_failures == () and v.invariance_failures == ()
-    sub = [derived.index_of(n) for n in ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32")]
-    xs = {derived.index_of(n) for n in ("x1", "x2", "x3")}
-    ys = {derived.index_of(n) for n in ("y1", "y2", "y3")}
+    sub = [derived.names.index(n) for n in ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32")]
+    xs = {derived.names.index(n) for n in ("x1", "x2", "x3")}
+    ys = {derived.names.index(n) for n in ("y1", "y2", "y3")}
     for s in sub:
         for span in (xs, ys):
             for vtx in span:

@@ -52,9 +52,9 @@ def test_jacobi_holds_on_golden(golden):
 
 
 def test_jacobi_catches_single_entry_mutation(golden):
-    i = golden.index_of("h1")
-    j = golden.index_of("a12")
-    k = golden.index_of("a12")
+    i = golden.names.index("h1")
+    j = golden.names.index("a12")
+    k = golden.names.index("a12")
     mutated = mutate_entry(golden, i, j, {k: Fraction(3)})
     violations = analysis.check_jacobi(mutated)
     assert violations != []
@@ -70,14 +70,14 @@ def test_derived_and_center(golden, sl2_table, heis_table):
     dc = analysis.derived_subalgebra_and_center(heis_table)
     assert dc.derived_dim == 1
     assert dc.center_dim == 1
-    bracket_rep = heis_table.index_of("[p,q]")
+    bracket_rep = heis_table.names.index("[p,q]")
     assert dc.center_basis[0][bracket_rep] != 0
 
 
 def test_killing_form_values_and_oracle(golden):
     K = analysis.killing_form(golden)
     assert all(K[j].get(i) == v for i, row in enumerate(K) for j, v in row.items())
-    h1, h2 = golden.index_of("h1"), golden.index_of("h2")
+    h1, h2 = golden.names.index("h1"), golden.names.index("h2")
     assert K[h1][h1] == 16
     assert K[h1][h2] == -8
     assert K[h2][h2] == 16
@@ -105,7 +105,7 @@ def test_killing_invariance_and_determinant(golden, heis_table):
 
 
 def test_cartan_check_positive_and_negative(golden):
-    h1, h2, a12 = (golden.index_of(n) for n in ("h1", "h2", "a12"))
+    h1, h2, a12 = (golden.names.index(n) for n in ("h1", "h2", "a12"))
     good = analysis.cartan_check(golden, [h1, h2])
     assert good.ok and good.abelian and good.self_normalizing
     assert good.normalizer_dim == 2
@@ -122,7 +122,7 @@ def test_cartan_check_positive_and_negative(golden):
 
 def test_normalizer_is_not_the_centralizer(sl2_table):
     # [e, h] = -2e lies in span{e}: h normalizes span{e} without centralizing it
-    e, h = sl2_table.index_of("e"), sl2_table.index_of("h")
+    e, h = sl2_table.names.index("e"), sl2_table.names.index("h")
     check = analysis.cartan_check(sl2_table, [e])
     assert (check.ok, check.normalizer_dim) == (False, 2)
     assert check.witness.get(h)
@@ -171,13 +171,13 @@ def test_root_decomposition_refuses_non_diagonal_cartan():
     # ad(p) is nilpotent and not zero, so not diagonalizable at all; the refusal
     # names the basis and no longer runs an eigenspace decomposition first
     heis = structure_table(parse_presentation(HEIS), degree_bound=5)
-    p = heis.index_of("p")
+    p = heis.names.index("p")
     with pytest.raises(ValueError, match="^root spaces are not aligned with the table basis$"):
         analysis.root_decomposition(heis, [p])
 
 
 def test_root_decomposition_on_golden(golden):
-    h1, h2 = golden.index_of("h1"), golden.index_of("h2")
+    h1, h2 = golden.names.index("h1"), golden.names.index("h2")
     rd = analysis.root_decomposition(golden, [h1, h2])
     assert len(rd.roots) == 12
     zero = (Fraction(0), Fraction(0))
@@ -194,13 +194,13 @@ def test_root_decomposition_on_golden(golden):
     }
     for name, root in expected.items():
         key = tuple(Fraction(x) for x in root)
-        assert rd.root_spaces[key] == (golden.index_of(name),), name
+        assert rd.root_spaces[key] == (golden.names.index(name),), name
     assert rd.cartan_killing == [{0: 16, 1: -8}, {0: -8, 1: 16}]
 
 
 def test_root_space_killing_orthogonality(golden):
     K = analysis.killing_form(golden)
-    h1, h2 = golden.index_of("h1"), golden.index_of("h2")
+    h1, h2 = golden.names.index("h1"), golden.names.index("h2")
     rd = analysis.root_decomposition(golden, [h1, h2])
     slot = {rd.root_spaces[r][0]: r for r in rd.roots}
     for i, ri in slot.items():
@@ -214,7 +214,7 @@ def test_root_space_killing_orthogonality(golden):
 
 
 def test_cartan_matrix_and_type_g2(golden):
-    h1, h2 = golden.index_of("h1"), golden.index_of("h2")
+    h1, h2 = golden.names.index("h1"), golden.names.index("h2")
     rd = analysis.root_decomposition(golden, [h1, h2])
     A, name = analysis.cartan_matrix_and_type(rd)
     assert name == "G2"
@@ -224,7 +224,7 @@ def test_cartan_matrix_and_type_g2(golden):
 def test_find_cartan_candidate(golden, sl2_table):
     assert analysis.find_cartan_candidate(golden) == [0, 1]
     cand = analysis.find_cartan_candidate(sl2_table)
-    assert cand == [sl2_table.index_of("h")]
+    assert cand == [sl2_table.names.index("h")]
 
 
 def test_classification_sl2_is_a1(sl2_table):
@@ -238,7 +238,7 @@ def test_classification_sl2_is_a1(sl2_table):
 
 def test_classification_sl3_subtable_is_a2(golden):
     sub_names = ("h1", "h2", "a12", "a13", "a23", "a21", "a31", "a32")
-    idx = [golden.index_of(n) for n in sub_names]
+    idx = [golden.names.index(n) for n in sub_names]
     pos = {b: a for a, b in enumerate(idx)}
     c = {}
     for (i, j, k), v in golden.c.items():
@@ -281,8 +281,8 @@ def test_sl3_subalgebra_verdict(golden):
 
 
 def test_sl3_verdict_catches_model_mutation(golden):
-    i, j = golden.index_of("a12"), golden.index_of("a23")
-    k = golden.index_of("a13")
+    i, j = golden.names.index("a12"), golden.names.index("a23")
+    k = golden.names.index("a13")
     mutated = mutate_entry(golden, i, j, {k: Fraction(2)})
     v = verify_sl3_subalgebra(mutated)
     assert not v.ok
@@ -290,8 +290,8 @@ def test_sl3_verdict_catches_model_mutation(golden):
 
 
 def test_sl3_verdict_catches_invariance_mutation(golden):
-    i, j = golden.index_of("a12"), golden.index_of("x1")
-    y1 = golden.index_of("y1")
+    i, j = golden.names.index("a12"), golden.names.index("x1")
+    y1 = golden.names.index("y1")
     mutated = mutate_entry(golden, i, j, {y1: Fraction(1)})
     v = verify_sl3_subalgebra(mutated)
     assert not v.ok

@@ -330,7 +330,7 @@ def test_verify_agreement(run):
 def test_verify_reports_differing_pair(run, tmp_path):
     golden = load_table(GOLDEN)
     c = dict(golden.c)
-    x1, y1, h1 = golden.index_of("x1"), golden.index_of("y1"), golden.index_of("h1")
+    x1, y1, h1 = golden.names.index("x1"), golden.names.index("y1"), golden.names.index("h1")
     assert c[(x1, y1, h1)] == 2
     c[(x1, y1, h1)] = Fraction(1)
     p = tmp_path / "mut.json"
@@ -487,7 +487,7 @@ def test_classify_abelian_table_brackets_nothing(run, tmp_path, monkeypatch):
 def test_classify_jacobi_failure(run, tmp_path):
     golden = load_table(GOLDEN)
     c = dict(golden.c)
-    h1, a12 = golden.index_of("h1"), golden.index_of("a12")
+    h1, a12 = golden.names.index("h1"), golden.names.index("a12")
     c[(h1, a12, a12)] = Fraction(3)
     p = tmp_path / "broken.json"
     save_table(StructureTable(golden.names, c), str(p))
@@ -513,7 +513,8 @@ def test_export_csv(run):
 
 CSV = {
     "sl2": "i,j,e,f,h\ne,f,0,0,1\ne,h,-2,0,0\nf,h,0,2,0\n",
-    "heisenberg": "i,j,p,q,[p,q]\np,q,0,0,1\np,[p,q],0,0,0\nq,[p,q],0,0,0\n",
+    # a name with a comma is one quoted field
+    "heisenberg": 'i,j,p,q,"[p,q]"\np,q,0,0,1\np,"[p,q]",0,0,0\nq,"[p,q]",0,0,0\n',
 }
 
 
@@ -536,6 +537,18 @@ def test_export_latex(run):
     assert code == 0
     assert "$2y_3$" in stdout
     assert stdout.startswith("\\begin{tabular}")
+
+
+def test_export_latex_keeps_a_subscripted_name(run, tmp_path):
+    lp = tmp_path / "sub.lp"
+    lp.write_text("generators: x_1 x_2\nrelation: [x_1,[x_1,x_2]] = 0\nrelation: [x_2,[x_1,x_2]] = 0\n")
+    table = tmp_path / "t.json"
+    code, stdout, _ = run("derive", str(lp), "--out", str(table))
+    assert code == 0 and "dim = 3" in stdout
+    code, stdout, _ = run("export", "--table", str(table), "--format", "latex")
+    assert code == 0
+    assert "__" not in stdout
+    assert "$x_1$" in stdout and "$[x_1,x_2]$" in stdout
 
 
 def test_export_empty_table(run, tmp_path):

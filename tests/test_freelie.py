@@ -102,14 +102,14 @@ def test_bracket_bilinear_and_antisymmetric():
     monos = [w for n in range(1, 4) for w in grouped[n]]
 
     def rand_poly():
-        p = LiePoly.zero()
+        p = LiePoly()
         for w in rng.sample(monos, 4):
             p = p + Fraction(rng.randint(-3, 3)) * LiePoly.monomial(w)
         return p
 
     for trial in range(15):
         p, q, r = rand_poly(), rand_poly(), rand_poly()
-        assert bracket(p, p) == LiePoly.zero()
+        assert bracket(p, p) == LiePoly()
         assert bracket(p, q) == -bracket(q, p)
         assert bracket(p + q, r) == bracket(p, r) + bracket(q, r)
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
@@ -129,7 +129,7 @@ def test_public_constructor_keeps_exact_coefficients_and_arithmetic_stays_clean(
     for r in (p + q, p - q, q - q, -p, 1 * p, 0 * p, Fraction(3, 7) * p, 2 * q, bracket(p, q)):
         assert _clean_terms(r)
     assert (p + q).terms == {(0, 2): Fraction(1, 3), (1,): 5}
-    assert q - q == LiePoly.zero() and 0 * p == LiePoly.zero()
+    assert q - q == LiePoly() and 0 * p == LiePoly()
     assert (1 * p) == p and (1 * p).terms is not p.terms
 
 
@@ -156,7 +156,7 @@ def test_jacobi_exhaustive_to_degree_6():
         total = (bracket(pa, bracket(pb, pc))
                  + bracket(pb, bracket(pc, pa))
                  + bracket(pc, bracket(pa, pb)))
-        assert total == LiePoly.zero(), (a, b, c)
+        assert total == LiePoly(), (a, b, c)
         count += 1
     assert count == 170
 
@@ -188,8 +188,8 @@ def test_associative_oracle_on_random_polys():
     grouped = lyndon_words(3, 3)
     monos = [w for n in range(1, 4) for w in grouped[n]]
     for trial in range(10):
-        p = LiePoly.zero()
-        q = LiePoly.zero()
+        p = LiePoly()
+        q = LiePoly()
         for w in rng.sample(monos, 3):
             p = p + Fraction(rng.randint(-2, 2)) * LiePoly.monomial(w)
         for w in rng.sample(monos, 3):
@@ -232,7 +232,7 @@ def test_tower_to_poly_matches_nested_brackets():
     assert tower_to_poly((0, 1, 2)) == bracket(x[0], bracket(x[1], x[2]))
     assert tower_to_poly((2, 0, 1, 2)) == bracket(x[2], bracket(x[0], bracket(x[1], x[2])))
     assert tower_to_poly((0,)) == x[0]
-    assert tower_to_poly((0, 0)) == LiePoly.zero()
+    assert tower_to_poly((0, 0)) == LiePoly()
 
 
 def test_bracket_string_round_names():
@@ -265,7 +265,7 @@ def test_depth_guard_unwinds_counter(monkeypatch):
     monkeypatch.setattr(freelie, "_DEPTH_LIMIT", default_limit)
     u, v = LiePoly.monomial((0, 0, 1)), LiePoly.monomial((1,))
     got = LiePoly(freelie._bracket_words((0, 0, 1), (1,), cache))
-    assert got != LiePoly.zero()
+    assert got != LiePoly()
     assert expand_to_associative(got) == expand_to_associative(u).commutator(expand_to_associative(v))
 
 

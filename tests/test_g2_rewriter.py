@@ -90,7 +90,7 @@ def test_fixture_relations_equal_the_families_in_order():
 
 def test_relations_never_identically_zero():
     for r in g2_relations():
-        assert r != LiePoly.zero()
+        assert r != LiePoly()
 
 
 def test_presentation_object_matches_relations():
@@ -147,7 +147,7 @@ def test_quadruple_swap_of_last_two_flips_sign(qb):
 def test_tower_reduce_agrees_with_quadruple_rule(qb):
     # the named table brackets every degree-4 tower of generators to what the closure reduces it to
     t = rewriter_structure_table()
-    x = {g: {t.index_of(f"x{g}"): Fraction(1)} for g in (1, 2, 3)}
+    x = {g: {t.names.index(f"x{g}"): Fraction(1)} for g in (1, 2, 3)}
     for a, b, c, d in itertools.product((1, 2, 3), repeat=4):
         got = t.bracket(x[a], t.bracket(x[b], t.bracket(x[c], x[d])))
         assert all(t.names[k].startswith("x") for k in got)
@@ -222,7 +222,7 @@ def test_named_bracket_worked_identities():
     t = rewriter_structure_table()
 
     def bracket(n1, n2):
-        return {t.names[k]: v for k, v in t.bracket_map(t.index_of(n1), t.index_of(n2)).items()}
+        return {t.names[k]: v for k, v in t.bracket_map(t.names.index(n1), t.names.index(n2)).items()}
 
     assert bracket("y1", "a23") == {}
     assert bracket("a12", "a23") == {"a13": Fraction(1)}

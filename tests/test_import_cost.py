@@ -9,7 +9,9 @@ closure, and `derive`, `verify` and `export` never load the analysis.  The
 package also needs none of HEAVY: its records are plain `__slots__` classes (no
 `dataclasses`, which pulls in `inspect`), and it reads the shipped G2 fixture by
 path (no `importlib.resources`, which pulls in `typing`, `pathlib` and
-`tempfile`).
+`tempfile`).  No module has `from __future__ import annotations`: the package
+needs Python 3.10 or later, which evaluates every annotation it writes, so
+neither `import liepres.cli` nor any command loads `__future__`.
 
 The check counts modules, so unlike a timing it does not vary between runs.
 The child runs `python -S`, because a site hook may import some of these modules
@@ -23,7 +25,7 @@ import sys
 
 import liepres
 
-HEAVY = ("dataclasses", "inspect", "typing", "importlib.resources", "pathlib", "tempfile")
+HEAVY = ("dataclasses", "inspect", "typing", "importlib.resources", "pathlib", "tempfile", "__future__")
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(liepres.__file__)), "fixtures")
 GOLDEN = os.path.join(FIXTURES, "g2_table.json")

@@ -69,7 +69,7 @@ def _nested_zero(depth):
 
 
 def test_nesting_depth_is_bounded():
-    assert parse_presentation(_nested_zero(MAX_NESTING)).relations == (LiePoly.zero(),)
+    assert parse_presentation(_nested_zero(MAX_NESTING)).relations == (LiePoly(),)
     for depth in (MAX_NESTING + 1, 3000):
         exc = parse_error(_nested_zero(depth))
         assert exc.message == f"brackets nested deeper than {MAX_NESTING}"
@@ -132,7 +132,7 @@ def test_nested_expressions_and_sums():
     a, b, c = (LiePoly.generator(i) for i in range(3))
     lhs = bracket(bracket(a, b), c) + bracket(b, bracket(a, c))
     assert pres.relations[0] == lhs - bracket(a, bracket(b, c))
-    assert pres.relations[0] == LiePoly.zero()
+    assert pres.relations[0] == LiePoly()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -203,7 +203,7 @@ def presentations(draw):
     terms = st.tuples(st.integers(-9, 9), st.integers(1, 4), towers)
     relations = []
     for rel in draw(st.lists(st.lists(terms, max_size=4), max_size=4)):
-        p = LiePoly.zero()
+        p = LiePoly()
         for num, den, tower in rel:
             p = p + Fraction(num, den) * tower_to_poly(tower)
         relations.append(p)

@@ -98,8 +98,8 @@ def test_reduce_is_linear_and_fixes_representatives():
     grouped = lyndon_words(3, 3)
     monos = [w for n in range(1, 4) for w in grouped[n]]
     for trial in range(10):
-        p = LiePoly.zero()
-        q = LiePoly.zero()
+        p = LiePoly()
+        q = LiePoly()
         for w in rng.sample(monos, 3):
             p = p + Fraction(rng.randint(-3, 3)) * LiePoly.monomial(w)
         for w in rng.sample(monos, 3):
@@ -517,7 +517,7 @@ def presentations_and_bounds(draw):
     terms = st.tuples(st.integers(-5, 5), st.integers(1, 3), towers)
     relations = []
     for rel in draw(st.lists(st.lists(terms, min_size=1, max_size=4), max_size=4)):
-        p = LiePoly.zero()
+        p = LiePoly()
         for num, den, tower in rel:
             p = p + Fraction(num, den) * tower_to_poly(tower)
         relations.append(p)

@@ -1,5 +1,7 @@
 """Serialization tests: JSON schema, CSV, LaTeX, rational formatting."""
 
+import csv
+import io
 import json
 import random
 from fractions import Fraction
@@ -253,8 +255,26 @@ def test_csv_shape(golden):
     assert len(lines) == 1 + 91
     row = next(l for l in lines if l.startswith("x1,x2,"))
     vec = row.split(",")[2:]
-    assert vec[golden.index_of("y3")] == "2"
+    assert vec[golden.names.index("y3")] == "2"
     assert sum(1 for x in vec if x != "0") == 1
+
+
+def test_csv_quotes_a_name_with_a_comma_or_quote():
+    names = ("p", "q", "[p,q]", 'a"b')
+    t = StructureTable(names, {(0, 1, 2): Fraction(1), (0, 3, 3): Fraction(-1, 2)})
+    text = to_csv(t)
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [len(r) for r in rows] == [t.dim + 2] * (1 + t.dim * (t.dim - 1) // 2)
+    assert tuple(rows[0][2:]) == names
+    assert [r[:2] for r in rows[1:]] == [[names[i], names[j]] for i in range(4) for j in range(i + 1, 4)]
+    assert rows[3] == ["p", 'a"b', "0", "0", "0", "-1/2"]
+    assert text.splitlines()[0] == 'i,j,p,q,"[p,q]","a""b"'
+
+
+def test_latex_name_subscripts_only_a_name_without_underscore():
+    t = StructureTable(("x_1", "x1_2", "a12", "y3", "[x_1,y3]"), {})
+    header = to_latex(t).splitlines()[1]
+    assert header == " & $x_1$ & $x1_2$ & $a_{12}$ & $y_3$ & $[x_1,y3]$ \\\\"
 
 
 def test_latex_shape(golden):
