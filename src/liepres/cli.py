@@ -29,17 +29,16 @@ def _vec_str(coeffs: dict, names) -> str:
 
 
 def _load_presentation(path: str):
-    from .freelie import DegreeCapExceeded
     from .presentation import ParseError, parse_presentation
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     try:
         return parse_presentation(text)
-    except (ParseError, DegreeCapExceeded) as exc:
+    except ParseError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None
 
@@ -181,6 +180,9 @@ def cmd_classify(args) -> int:
     K = analysis.killing_form(table)
     kd = det(K)
     print(f"killing determinant: {format_rational(kd)} ({'nonzero' if kd != 0 else 'zero: degenerate'})")
+    if n == 0:
+        print("type: unrecognized (zero algebra)")
+        return 1
     if kd == 0:
         series = analysis.lower_central_dims(table, dc.derived_basis)
         if series[-1] == 0:

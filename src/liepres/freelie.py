@@ -9,14 +9,8 @@ class Generator(Record):
     __slots__ = ("index", "name")
 
 
-DEFAULT_DEGREE_CAP = 12
-
 # lyndon_words refuses to build more words than this (G2 at degree 13 needs 192,346).
 MAX_LYNDON_WORDS = 200_000
-
-
-class DegreeCapExceeded(RuntimeError):
-    """A bracket would exceed the degree cap."""
 
 
 def is_lyndon(w: Word) -> bool:
@@ -181,10 +175,7 @@ def _clean_poly(terms: dict) -> LiePoly:
     return p
 
 
-_DEPTH_LIMIT = 500
-
-
-def _bracket_words(u: Word, v: Word, cache: dict, depth: int = 1) -> dict:
+def _bracket_words(u: Word, v: Word, cache: dict) -> dict:
     """[b_u, b_v] for Lyndon words u, v as an int term dict, memoized read-only in the caller's cache.
 
     The Lyndon basis has integer structure constants, so no Fraction is needed.
@@ -193,8 +184,9 @@ def _bracket_words(u: Word, v: Word, cache: dict, depth: int = 1) -> dict:
     Combinatorics on Words, 5.1); then [b_u, b_v] = b_uv.  Otherwise Jacobi rewrites
     [b_u, b_v] = [b_u1, [b_u2, b_v]] - [b_u2, [b_u1, b_v]].  Both inner brackets drop
     the total degree, and the outer re-brackets keep the total degree while the first
-    argument shrinks; the depth guard backstops the induction.  depth counts the
-    uncached calls on the stack, this one included.
+    argument shrinks.  The calls nest fewer than len(u) + len(v) deep
+    (tests/test_freelie.py pins it), and that total degree is at most 12 from a
+    parse and about 20 under the word budget, far inside Python's recursion limit.
 
     The cache holds one orientation, the pair (u, v) with u < v.  A call with
     u > v returns a fresh negation of the stored bracket and stores nothing; the
@@ -202,36 +194,34 @@ def _bracket_words(u: Word, v: Word, cache: dict, depth: int = 1) -> dict:
     in the stored order and apply the sign where they use the result.
     """
     if u >= v:
-        return {w: -c for w, c in _bracket_words(v, u, cache, depth).items()} if u > v else {}
+        return {w: -c for w, c in _bracket_words(v, u, cache).items()} if u > v else {}
     key = (u, v)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if depth > _DEPTH_LIMIT:
-        raise RuntimeError("bracket recursion depth guard tripped")
     u1, u2 = standard_factorization(u) if len(u) > 1 else (None, None)
     if u2 is None or u2 >= v:
         out = {u + v: 1}
     else:
         out = {}  # zero-free: _add_scaled drops every term that cancels
-        for m, c in _bracket_words(u2, v, cache, depth + 1).items():
-            _add_bracket(out, u1, m, c, cache, depth + 1)
-        for m, c in _bracket_words(u1, v, cache, depth + 1).items():
-            _add_bracket(out, u2, m, -c, cache, depth + 1)
+        for m, c in _bracket_words(u2, v, cache).items():
+            _add_bracket(out, u1, m, c, cache)
+        for m, c in _bracket_words(u1, v, cache).items():
+            _add_bracket(out, u2, m, -c, cache)
     cache[key] = out
     return out
 
 
-def _add_bracket(acc: dict, u: Word, v: Word, scale, cache: dict, depth: int = 1) -> None:
+def _add_bracket(acc: dict, u: Word, v: Word, scale, cache: dict) -> None:
     """acc += scale * [b_u, b_v], reading the memo in its stored orientation."""
     if u < v:
-        _add_scaled(acc, _bracket_words(u, v, cache, depth), scale)
+        _add_scaled(acc, _bracket_words(u, v, cache), scale)
     elif u > v:
-        _add_scaled(acc, _bracket_words(v, u, cache, depth), -scale)
+        _add_scaled(acc, _bracket_words(v, u, cache), -scale)
 
 
 def bracket(p: LiePoly, q: LiePoly, cache: dict | None = None) -> LiePoly:
-    """Lie bracket [p, q] in the Lyndon basis, refused past DEFAULT_DEGREE_CAP.
+    """Lie bracket [p, q] in the Lyndon basis, of any degree; the parser caps what input asks for.
 
     cache is the caller's word-bracket memo, shared across its calls; None uses a fresh one.
     """
@@ -240,8 +230,6 @@ def bracket(p: LiePoly, q: LiePoly, cache: dict | None = None) -> LiePoly:
         cache = {}
     for u, cu in p.terms.items():
         for v, cv in q.terms.items():
-            if len(u) + len(v) > DEFAULT_DEGREE_CAP:
-                raise DegreeCapExceeded(f"bracket degree {len(u) + len(v)} exceeds cap {DEFAULT_DEGREE_CAP}")
             _add_bracket(acc, u, v, cu * cv, cache)
     return _clean_poly(acc)
 

@@ -30,9 +30,12 @@ _PUNCT = {"[": "LBRACK", "]": "RBRACK", ",": "COMMA", "=": "EQ", "*": "STAR",
 
 _KEYWORDS = {"generators", "relation"}
 
-# Deeper bracket nesting is a ParseError, not a RecursionError: the parser recurses
-# once per level.  Brackets of nonzero terms pass the degree cap (12) long before.
+# The parser owns the input limits, each a ParseError at the bracket's '[': nesting
+# past MAX_NESTING (not a RecursionError, though the parser recurses once per level),
+# and operands whose top degrees sum past MAX_DEGREE, refused before the bracket
+# expands them.  Nonzero brackets meet the degree cap long before the nesting one.
 MAX_NESTING = 100
+MAX_DEGREE = 12
 
 
 def _tokenize(text: str):
@@ -178,6 +181,10 @@ class _Parser:
             right = self.parse_expr()
             self.expect("RBRACK", "']'")
             self.depth -= 1
+            # a zero operand has degree 0 and the other at most MAX_DEGREE: only nonzero pairs are refused
+            degree = left.max_degree() + right.max_degree()
+            if degree > MAX_DEGREE:
+                raise ParseError(f"bracket degree {degree} exceeds cap {MAX_DEGREE}", ln, col)
             return bracket(left, right, self.brackets)
         raise ParseError(f"expected a generator name or '[', found {val!r}", ln, col)
 

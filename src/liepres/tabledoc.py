@@ -156,7 +156,7 @@ def from_json_text(text: str) -> StructureTable:
 
 
 def load_table(path) -> StructureTable:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:  # a leading BOM is dropped (RFC 8259, 8.1)
         return from_json_text(f.read())
 
 

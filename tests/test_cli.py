@@ -131,6 +131,10 @@ def test_derive_mutant_certifies_dim_0_at_bound_9(run, tmp_path):
     assert "degree bound: 9\ndim = 0\ncertified: yes (" in stdout
     assert json.loads(out.read_text(encoding="utf-8")) == {
         "schema_version": "1", "dim": 0, "names": [], "brackets": []}
+    code, stdout, stderr = run("classify", "--table", str(out))
+    assert (code, stderr) == (1, "")
+    assert stdout == ("jacobi: ok (0 triples)\nderived dim: 0\ncenter dim: 0\n"
+                      "killing determinant: 1 (nonzero)\ntype: unrecognized (zero algebra)\n")
 
 
 # The bound-4 and bound-5 quotients agree on dim 4, which the old stabilization
@@ -295,7 +299,7 @@ def test_derive_relation_above_degree_cap(run, tmp_path):
     code, stdout, stderr = run("derive", str(path))
     assert code == 2
     assert stdout == ""
-    assert stderr == f"error: {path}: bracket degree 13 exceeds cap 12\n"
+    assert stderr == f"error: {path}: line 2, column 11: bracket degree 13 exceeds cap 12\n"
 
 
 def test_derive_representatives_above_degree_cap(run, tmp_path):
@@ -311,6 +315,19 @@ def test_derive_representatives_above_degree_cap(run, tmp_path):
     assert "dim = 11" in stdout
     assert "certified: yes" in stdout
     assert load_table(str(out)).dim == 11 == quotient_closure(parse_presentation(text), 13).dim
+
+
+def test_files_may_start_with_a_byte_order_mark(run, tmp_path):
+    bom = b"\xef\xbb\xbf"
+    lp, table, out = tmp_path / "g2.lp", tmp_path / "g2.json", tmp_path / "t.json"
+    lp.write_bytes(bom + Path(G2).read_bytes())
+    table.write_bytes(bom + Path(GOLDEN).read_bytes())
+    code, _, stderr = run("derive", str(lp), "--out", str(out))
+    assert code == 0, stderr
+    assert out.read_bytes() == Path(GOLDEN).read_bytes()
+    code, stdout, stderr = run("classify", "--table", str(table))
+    assert code == 0, stderr
+    assert stdout.endswith("type: G2\n")
 
 
 def test_derive_bad_flag_values(run):
@@ -643,13 +660,15 @@ def run_with_failed_stderr(argv, buffered):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-def test_failed_stderr_exits_2_without_traceback(buffered):
+def test_failed_stderr_exits_2_without_traceback(buffered, tmp_path):
     # an uncaught error in the handler would exit 1, and a failed flush at shutdown 120
     assert run_with_failed_stderr(["derive", "missing.lp"], buffered) == (2, "")
     # argparse drops the failed write of its usage; the flush in main meets it
     assert run_with_failed_stderr(["derive", "--bogus"], buffered) == (2, "")
-    # the report on standard output still goes out
-    code, out = run_with_failed_stderr(["derive", MUTANT], buffered)
+    # the report on standard output still goes out: a free algebra certifies at no bound
+    free = tmp_path / "free.lp"
+    free.write_text("generators: a b\n", encoding="utf-8")
+    code, out = run_with_failed_stderr(["derive", str(free)], buffered)
     assert code == 2 and "certified: no (" in out
     # a command that writes nothing to standard error keeps its exit
     assert run_with_failed_stderr(["free", "--alphabet", "3", "--max-degree", "3"], buffered) == (

@@ -10,7 +10,6 @@ from towers import tower_to_poly
 
 from liepres import freelie
 from liepres.freelie import (
-    DegreeCapExceeded,
     LiePoly,
     bracket,
     bracket_string,
@@ -241,32 +240,33 @@ def test_bracket_string_round_names():
     assert bracket_string((0, 0, 1), ("x1", "x2", "x3")) == "[x1,[x1,x2]]"
 
 
-def test_degree_cap_enforced(monkeypatch):
-    p = LiePoly.monomial((0, 0, 0, 0, 0, 0, 1))
-    q = LiePoly.monomial((0, 0, 0, 0, 0, 1))
-    try:
-        bracket(p, q)
-        raised = False
-    except DegreeCapExceeded:
-        raised = True
-    assert raised
-    monkeypatch.setattr(freelie, "DEFAULT_DEGREE_CAP", 13)
-    assert bracket(p, q).max_degree() == 13
+def test_bracket_recursion_nests_below_the_total_degree(monkeypatch):
+    # _bracket_words keeps no depth guard: its calls nest fewer than len(u) + len(v)
+    # deep, checked on every pair u < v of Lyndon words on 3 letters up to total
+    # degree 8, each with a fresh memo.  The bound is reached, so the wrapper sees
+    # the recursion.
+    expand = freelie._bracket_words
+    nesting = [0, 0]  # current, deepest
 
+    def counting(u, v, cache):
+        nesting[0] += 1
+        nesting[1] = max(nesting)
+        try:
+            return expand(u, v, cache)
+        finally:
+            nesting[0] -= 1
 
-def test_depth_guard_unwinds_counter(monkeypatch):
-    # the depth travels as an argument, so a tripped guard leaves no state behind:
-    # with the default limit the same bracket, on the same memo, then succeeds and is correct
-    default_limit = freelie._DEPTH_LIMIT
-    cache: dict = {}
-    monkeypatch.setattr(freelie, "_DEPTH_LIMIT", 1)
-    with pytest.raises(RuntimeError, match="depth guard"):
-        freelie._bracket_words((0, 0, 1), (1,), cache)
-    monkeypatch.setattr(freelie, "_DEPTH_LIMIT", default_limit)
-    u, v = LiePoly.monomial((0, 0, 1)), LiePoly.monomial((1,))
-    got = LiePoly(freelie._bracket_words((0, 0, 1), (1,), cache))
-    assert got != LiePoly()
-    assert expand_to_associative(got) == expand_to_associative(u).commutator(expand_to_associative(v))
+    monkeypatch.setattr(freelie, "_bracket_words", counting)
+    words = [w for ws in lyndon_words(3, 7)[1:] for w in ws]
+    pairs = [(u, v) for u, v in itertools.product(words, repeat=2) if u < v and len(u) + len(v) <= 8]
+    assert len(pairs) == 2800
+    deepest = 0
+    for u, v in pairs:
+        nesting[1] = 0
+        counting(u, v, {})
+        assert nesting[1] < len(u) + len(v), (u, v, nesting[1])
+        deepest = max(deepest, nesting[1])
+    assert deepest == 7
 
 
 def test_bracket_memo_is_the_callers_and_stores_one_orientation():

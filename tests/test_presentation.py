@@ -10,8 +10,9 @@ from presentation_text import format_presentation, poly_text
 from towers import tower_to_poly
 
 from liepres import freelie, g2
-from liepres.freelie import DegreeCapExceeded, Generator, LiePoly, bracket
+from liepres.freelie import Generator, LiePoly, bracket
 from liepres.presentation import (
+    MAX_DEGREE,
     MAX_NESTING,
     ParseError,
     Presentation,
@@ -75,6 +76,23 @@ def test_nesting_depth_is_bounded():
         assert exc.message == f"brackets nested deeper than {MAX_NESTING}"
         # the first '[' is column 11, and each level adds the 3 characters "[0,"
         assert (exc.line, exc.col) == (2, 11 + 3 * MAX_NESTING)
+
+
+def _tower(degree):
+    text = "b"
+    for _ in range(degree - 1):
+        text = f"[a,{text}]"
+    return text
+
+
+def test_bracket_degree_cap_is_a_parse_error_at_the_bracket():
+    pres = parse_presentation(f"generators: a b\nrelation: {_tower(MAX_DEGREE)} = 0")
+    assert pres.max_relation_degree() == MAX_DEGREE == 12
+    exc = parse_error(f"generators: a b\nrelation: {_tower(MAX_DEGREE + 1)} = 0")
+    assert (exc.line, exc.col, exc.message) == (2, 11, "bracket degree 13 exceeds cap 12")
+    # the inner bracket is refused first
+    exc = parse_error(f"generators: a b\nrelation: [b,{_tower(MAX_DEGREE + 1)}] = 0")
+    assert (exc.line, exc.col, exc.message) == (2, 14, "bracket degree 13 exceeds cap 12")
 
 
 def test_duplicate_generator_rejected():
@@ -288,7 +306,7 @@ def test_token_soup_parses_or_raises_a_typed_error(data):
         text = text[:i] + data.draw(SOUP) + text[i + data.draw(st.integers(0, 2)):]
     try:
         pres = parse_presentation(text)
-    except (ParseError, DegreeCapExceeded):
+    except ParseError:
         return
     assert parse_presentation(format_presentation(pres)) == pres
 
@@ -299,10 +317,10 @@ def test_a_parse_expands_each_bracket_pair_once(monkeypatch):
     expanded = Counter()
     expand = freelie._bracket_words
 
-    def counting(u, v, cache, depth=1):
+    def counting(u, v, cache):
         if u < v and (u, v) not in cache:
             expanded[(u, v)] += 1
-        return expand(u, v, cache, depth)
+        return expand(u, v, cache)
 
     monkeypatch.setattr(freelie, "_bracket_words", counting)
     parse_presentation(g2.g2_presentation_text())

@@ -641,11 +641,11 @@ def test_climb_computes_each_memo_pair_once(monkeypatch):
     memos = {}
     expand = freelie._bracket_words
 
-    def counting(u, v, cache, depth=1):
+    def counting(u, v, cache):
         memos[id(cache)] = cache
         if u < v and (u, v) not in cache:
             computed[(u, v)] += 1
-        return expand(u, v, cache, depth)
+        return expand(u, v, cache)
 
     pres = parse_presentation((FIXTURES / "g2_mutated.lp").read_text(encoding="utf-8"))
     monkeypatch.setattr(freelie, "_bracket_words", counting)
