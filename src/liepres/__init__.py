@@ -1,7 +1,7 @@
 """Exact-arithmetic engine for finitely presented Lie algebras over the rationals.
 
 The package exports only its version; import the modules themselves, e.g.
-`from liepres.quotient import quotient_closure`.  Each `liepres` command
+`from liepres.quotient import closure_levels`.  Each `liepres` command
 imports only the modules it runs.
 """
 

@@ -102,7 +102,7 @@ class StructureTable:
             raise ValueError("tables have different basis names")
         out = []
         for i in range(self.dim):
-            for j in range(i + 1, self.dim):
+            for j in sorted(k for k in self.ad[i].keys() | other.ad[i].keys() if k > i):
                 a, b = self.bracket_map(i, j), other.bracket_map(i, j)
                 if a != b:
                     out.append((i, j, a, b))
@@ -138,16 +138,18 @@ def check_jacobi(t: StructureTable) -> list:
     [b_i,[b_j,b_k]] + [b_k,[b_i,b_j]] - [b_j,[b_i,b_k]], summed over bracket maps.
     The sums run in ints over integer_ad_maps; a nonzero total is divided by D**2.
     Each term brackets one of [b_i,b_j], [b_j,b_k], [b_i,b_k], so a triple whose
-    three pair brackets vanish is skipped: when [b_i,b_j] = 0 only the k in the
-    keys of ads[i] or ads[j] are visited.
+    three pair brackets vanish is skipped: i, j and k run over the elements whose
+    ad is nonzero, and when [b_i,b_j] = 0 only the k in the keys of ads[i] or
+    ads[j] are visited.
     """
-    n = t.dim
     D, ads = integer_ad_maps(t)
+    active = [i for i, ad in enumerate(ads) if ad]
     violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    for p, i in enumerate(active):
+        for q in range(p + 1, len(active)):
+            j = active[q]
             if j in ads[i]:
-                ks = range(j + 1, n)
+                ks = active[q + 1:]
             else:
                 ks = sorted(k for k in ads[i].keys() | ads[j].keys() if k > j)
             for k in ks:

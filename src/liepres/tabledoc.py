@@ -64,15 +64,14 @@ def parse_rational(s) -> Fraction:
 def table_to_document(t: StructureTable) -> dict:
     """Canonical JSON-shaped document: brackets sorted by (i, j), zero pairs omitted."""
     brackets = []
-    for i in range(t.dim):
-        for j in range(i + 1, t.dim):
-            coeffs = t.bracket_map(i, j)
-            if coeffs:
-                brackets.append({
-                    "i": i,
-                    "j": j,
-                    "coefficients": {t.names[k]: format_rational(coeffs[k]) for k in sorted(coeffs)},
-                })
+    for i, ad in enumerate(t.ad):
+        for j in sorted(k for k in ad if k > i):
+            coeffs = ad[j]
+            brackets.append({
+                "i": i,
+                "j": j,
+                "coefficients": {t.names[k]: format_rational(coeffs[k]) for k in sorted(coeffs)},
+            })
     return {
         "schema_version": SCHEMA_VERSION,
         "dim": t.dim,
@@ -192,8 +191,14 @@ def to_csv(t: StructureTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+# & % # $ cannot be part of a math-mode name, so they are escaped; \ { } ^ ~ _ are kept,
+# because a name may be written in LaTeX on purpose (x_1, \alpha)
+_LATEX_ESCAPES = str.maketrans({"&": r"\&", "%": r"\%", "#": r"\#", "$": r"\$"})
+
+
 def _latex_name(name: str) -> str:
     # x1 -> x_1, a12 -> a_{12}; a name with no trailing digits, or with a "_" (x_1), is emitted verbatim
+    name = name.translate(_LATEX_ESCAPES)
     head = name.rstrip("0123456789")
     digits = name[len(head):]
     if not digits or "_" in name:

@@ -116,12 +116,20 @@ def test_derive_sl2_skips_rewriter(run):
     assert "rewriter engine skipped:" in stdout
 
 
-def test_derive_mutant_fails_to_stabilize(run):
+def test_derive_mutant_fails_to_stabilize(run, tmp_path):
     code, stdout, stderr = run("derive", MUTANT, "--max-degree", "6")
     assert code == 4
     assert stderr == "quotient not certified up to degree bound 6; rerun with a larger --max-degree\n"
     assert "degree bound: 6" in stdout
     assert "certified: no (relation 8 does not vanish in the model)" in stdout
+    # at the default bound it is refused alike, and --out writes no table
+    out = tmp_path / "m.json"
+    code, stdout, stderr = run("derive", MUTANT, "--out", str(out))
+    assert code == 4
+    assert stderr == "quotient not certified up to degree bound 8; rerun with a larger --max-degree\n"
+    assert "degree bound: 8" in stdout
+    assert f"wrote {out}" not in stdout
+    assert not out.exists()
 
 
 def test_derive_mutant_certifies_dim_0_at_bound_9(run, tmp_path):

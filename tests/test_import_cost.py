@@ -15,8 +15,7 @@ neither `import liepres.cli` nor any command loads `__future__`.
 
 The check counts modules, so unlike a timing it does not vary between runs.
 The child runs `python -S`, because a site hook may import some of these modules
-before the package does.  Run as a script, `PYTHONPATH=src python
-tests/test_import_cost.py` makes the same checks without pytest.
+before the package does.
 """
 
 import os
@@ -77,15 +76,3 @@ def test_cli_import_loads_no_heavy_module():
 def test_each_command_loads_only_its_modules():
     loaded = {name: modules_loaded(argv) for name, (argv, _) in EXPECTED.items()}
     assert loaded == {name: (expected, []) for name, (_, expected) in EXPECTED.items()}
-
-
-if __name__ == "__main__":
-    failed = 0
-    for name, (argv, expected) in {"import liepres.cli": ([], {"cli"}), **EXPECTED}.items():
-        engine, heavy = modules_loaded(argv)
-        if engine != expected or heavy:
-            failed += 1
-            print(f"{name}: loads {' '.join(sorted(engine) + heavy)}; "
-                  f"expected {' '.join(sorted(expected))} and none of {' '.join(HEAVY)}")
-    print(f"{failed} of {len(EXPECTED) + 1} commands load modules they should not")
-    sys.exit(1 if failed else 0)

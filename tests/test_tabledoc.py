@@ -277,6 +277,22 @@ def test_latex_name_subscripts_only_a_name_without_underscore():
     assert header == " & $x_1$ & $x1_2$ & $a_{12}$ & $y_3$ & $[x_1,y3]$ \\\\"
 
 
+def test_latex_escapes_what_a_math_mode_name_cannot_hold():
+    # & would add a column and % would comment out the rest of its row
+    t = StructureTable(("a&b", "50%", "c"), {(0, 1, 2): 1})
+    assert to_latex(t) == ("\\begin{tabular}{c|ccc}\n"
+                           " & $a\\&b$ & $50\\%$ & $c$ \\\\\n"
+                           "\\hline\n"
+                           "$a\\&b$ & $0$ & $c$ & $0$ \\\\\n"
+                           "$50\\%$ &  & $0$ & $0$ \\\\\n"
+                           "$c$ &  &  & $0$ \\\\\n"
+                           "\\end{tabular}\n")
+    # the subscript rule applies after the escape; LaTeX written on purpose is kept
+    t = StructureTable(("#2", "$y12", "\\alpha", "x_1", "{u}^~"), {})
+    header = to_latex(t).splitlines()[1]
+    assert header == " & $\\#_2$ & $\\$y_{12}$ & $\\alpha$ & $x_1$ & ${u}^~$ \\\\"
+
+
 def test_latex_shape(golden):
     out = to_latex(golden)
     assert out.startswith("\\begin{tabular}")
