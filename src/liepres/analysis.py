@@ -63,13 +63,11 @@ def killing_form(t: StructureTable) -> list:
     """The sparse rows K[i] = {j: trace(ad b_i . ad b_j)}, zeros omitted, contracted over the bracket maps.
 
     The traces are summed in ints over integer_ad_maps and each divided by D**2.
-    An entry is zero when ad b_i or ad b_j is, so only the elements with nonzero ad
-    are paired.  Symmetric by construction, verified anyway.
+    Symmetric by construction, verified anyway.
     """
+    n = t.dim
     D, ads = integer_ad_maps(t)
-    active = [i for i, ad in enumerate(ads) if ad]
-    K = [{j: Fraction(v, D * D) for j in active if (v := _killing_entry(ads[i], ads[j]))} if ads[i] else {}
-         for i in range(t.dim)]
+    K = [{j: Fraction(v, D * D) for j in range(n) if (v := _killing_entry(ads[i], ads[j]))} for i in range(n)]
     if any(K[j].get(i) != v for i, row in enumerate(K) for j, v in row.items()):
         raise RuntimeError("Killing form came out asymmetric; table is inconsistent")
     return K

@@ -138,18 +138,16 @@ def check_jacobi(t: StructureTable) -> list:
     [b_i,[b_j,b_k]] + [b_k,[b_i,b_j]] - [b_j,[b_i,b_k]], summed over bracket maps.
     The sums run in ints over integer_ad_maps; a nonzero total is divided by D**2.
     Each term brackets one of [b_i,b_j], [b_j,b_k], [b_i,b_k], so a triple whose
-    three pair brackets vanish is skipped: i, j and k run over the elements whose
-    ad is nonzero, and when [b_i,b_j] = 0 only the k in the keys of ads[i] or
-    ads[j] are visited.
+    three pair brackets vanish is skipped: when [b_i,b_j] = 0 only the k in the
+    keys of ads[i] or ads[j] are visited.
     """
+    n = t.dim
     D, ads = integer_ad_maps(t)
-    active = [i for i, ad in enumerate(ads) if ad]
     violations = []
-    for p, i in enumerate(active):
-        for q in range(p + 1, len(active)):
-            j = active[q]
+    for i in range(n):
+        for j in range(i + 1, n):
             if j in ads[i]:
-                ks = active[q + 1:]
+                ks = range(j + 1, n)
             else:
                 ks = sorted(k for k in ads[i].keys() | ads[j].keys() if k > j)
             for k in ks:

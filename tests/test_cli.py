@@ -2,8 +2,10 @@
 the failed writes to standard output, which need a process of their own."""
 
 import hashlib
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -701,10 +703,23 @@ def g2_variant(tmp_path, scales, drop=0):
 RESCALE = (Fraction(3, 2), Fraction(-7), Fraction(2, 5), Fraction(-1, 3))
 
 
-@pytest.mark.parametrize("engine", ["rewriter", "both"])
-def test_derive_rescaled_shuffled_g2_writes_golden_bytes(run, tmp_path, engine):
+def seeded_g2_variant(tmp_path):
+    """The benchmark's G2 input: perfbench/gen.py's variant of g2.lp under seed 7, relations shuffled and scaled."""
+    spec = importlib.util.spec_from_file_location("gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = tmp_path / "variant.lp"
+    text = gen.presentation_variant((FIXTURES / "g2.lp").read_text(encoding="utf-8"), random.Random(7))
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("engine, seeded", [("rewriter", False), ("both", False), ("rewriter", True), ("both", True)],
+                         ids=["rewriter", "both", "seeded-rewriter", "seeded-both"])
+def test_derive_rescaled_shuffled_g2_writes_golden_bytes(run, tmp_path, engine, seeded):
     out = tmp_path / "t.json"
-    code, stdout, stderr = run("derive", g2_variant(tmp_path, RESCALE), "--engine", engine, "--out", str(out))
+    lp = seeded_g2_variant(tmp_path) if seeded else g2_variant(tmp_path, RESCALE)
+    code, stdout, stderr = run("derive", lp, "--engine", engine, "--out", str(out))
     assert code == 0, stderr
     assert "note:" not in stdout
     assert out.read_bytes() == Path(GOLDEN).read_bytes()
