@@ -33,8 +33,6 @@ def _centralizer_rows(t: StructureTable, indices, inside):
 
 class DerivedCenter(Record):
     __slots__ = (
-        "derived_dim",
-        "center_dim",
         "derived_basis",  # sparse vectors {index: coefficient}, as are the center's
         "center_basis",
     )
@@ -45,7 +43,7 @@ def derived_subalgebra_and_center(t: StructureTable) -> DerivedCenter:
     n = t.dim
     derived = _derived_rows(t)
     center = kernel_basis(_centralizer_rows(t, range(n), ()), n)
-    return DerivedCenter(len(derived), len(center), tuple(derived[p] for p in sorted(derived)), tuple(center))
+    return DerivedCenter(tuple(derived[p] for p in sorted(derived)), tuple(center))
 
 
 def _killing_entry(adi: dict, adj: dict):
@@ -76,27 +74,24 @@ def killing_form(t: StructureTable) -> list:
 class CartanCheck(Record):
     __slots__ = (
         "ok",
-        "abelian",
-        "self_normalizing",
-        "normalizer_dim",
-        "witness",  # offending pair, or sparse normalizer vector outside the span, or None
+        "witness",  # a pair (a, b) that does not commute, a sparse normalizer vector outside the span, or None
     )
 
 
 def cartan_check(t: StructureTable, indices) -> CartanCheck:
-    """Verify a set of basis indices spans an abelian self-normalizing subalgebra."""
+    """Verify a set of basis indices spans an abelian self-normalizing subalgebra.
+
+    When the set is abelian its span lies in its normalizer, so a normalizer of
+    larger dimension has a basis vector with a coordinate outside the set.
+    """
     indices = list(indices)
-    n = t.dim
     for a, b in itertools.combinations(indices, 2):
         if b in t.ad[a]:
-            return CartanCheck(False, False, False, 0, (a, b))
+            return CartanCheck(False, (a, b))
     inside = set(indices)
-    normalizer = kernel_basis(_centralizer_rows(t, indices, inside), n)
-    ndim = len(normalizer)
-    if ndim != len(indices):
-        witness = next((v for v in normalizer if any(k not in inside for k in v)), None)
-        return CartanCheck(False, True, False, ndim, witness)
-    return CartanCheck(True, True, True, ndim, None)
+    normalizer = kernel_basis(_centralizer_rows(t, indices, inside), t.dim)
+    witness = next((v for v in normalizer if any(k not in inside for k in v)), None)
+    return CartanCheck(witness is None, witness)
 
 
 class RootDatum(Record):

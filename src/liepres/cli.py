@@ -175,8 +175,8 @@ def cmd_classify(args) -> int:
         return 5
     print(f"jacobi: ok ({triples} triples)")
     dc = analysis.derived_subalgebra_and_center(table)
-    print(f"derived dim: {dc.derived_dim}")
-    print(f"center dim: {dc.center_dim}")
+    print(f"derived dim: {len(dc.derived_basis)}")
+    print(f"center dim: {len(dc.center_basis)}")
     K = analysis.killing_form(table)
     kd = det(K)
     print(f"killing determinant: {format_rational(kd)} ({'nonzero' if kd != 0 else 'zero: degenerate'})")

@@ -1,13 +1,6 @@
 """Free Lie algebra over Q in the Lyndon word basis."""
 
-from .record import Record
-
 Word = tuple  # tuple of 0-based generator indices
-
-
-class Generator(Record):
-    __slots__ = ("index", "name")
-
 
 # lyndon_words refuses to build more words than this (G2 at degree 13 needs 192,346).
 MAX_LYNDON_WORDS = 200_000

@@ -64,7 +64,7 @@ def spans_g2(level) -> bool:
 
 def has_g2_shape(pres: Presentation) -> bool:
     """3 generators and top relation degree 4, the shape of every presentation spanning g2.lp's relations."""
-    return len(pres.generators) == 3 and pres.max_relation_degree() == 4
+    return len(pres.names) == 3 and pres.max_relation_degree() == 4
 
 
 def rewriter_applicable(pres: Presentation) -> bool:

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from .freelie import Generator, LiePoly, bracket
+from .freelie import LiePoly, bracket
 from .record import Record
 
 
@@ -15,11 +15,7 @@ class ParseError(ValueError):
 
 
 class Presentation(Record):
-    __slots__ = ("generators", "relations")
-
-    @property
-    def names(self) -> tuple:
-        return tuple(g.name for g in self.generators)
+    __slots__ = ("names", "relations")  # generator names in file order; relations as LiePoly, lhs - rhs
 
     def max_relation_degree(self) -> int:
         return max((r.max_degree() for r in self.relations), default=0)
@@ -108,14 +104,12 @@ class _Parser:
         if kind != "KEYWORD" or val != "generators":
             raise ParseError("file must start with 'generators:'", ln, col)
         self.expect("COLON", "':' after 'generators'")
-        gens = []
         while self.peek()[0] == "NAME":
             _, name, ln, col = self.next()
             if name in self.index:
                 raise ParseError(f"duplicate generator {name!r}", ln, col)
-            self.index[name] = len(gens)
-            gens.append(Generator(len(gens), name))
-        if not gens:
+            self.index[name] = len(self.index)
+        if not self.index:
             self.fail("at least one generator is required")
         relations = []
         while self.peek()[0] != "EOF":
@@ -127,7 +121,7 @@ class _Parser:
             self.expect("EQ", "'='")
             rhs = self.parse_expr()
             relations.append(lhs - rhs)
-        return Presentation(tuple(gens), tuple(relations))
+        return Presentation(tuple(self.index), tuple(relations))
 
     # expr := ['+'|'-'] term (('+'|'-') term)*
     def parse_expr(self) -> LiePoly:

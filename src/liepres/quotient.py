@@ -9,14 +9,6 @@ from .record import Record
 from .table import NamesNotBasisError, StructureTable, check_jacobi  # noqa: F401
 
 
-class TruncationEvent(Record):
-    """A consequence all of whose children exceeded the bound and were dropped."""
-    __slots__ = (
-        "relation_index",
-        "kept_degrees",  # within-bound component degrees the dropped children had
-    )
-
-
 class QuotientBasis(Record):
     """Reduced model of the truncated quotient F_b / N at one level b of `closure_levels`.
 
@@ -28,16 +20,15 @@ class QuotientBasis(Record):
     L/(I + L_{>b}), which for G2 is 0 (x1 lies in I + L_{>=4}, and iterating pushes it
     above any bound).  `certify` proves dim L/I = dim or names the check that fails.
 
-    `stabilized` (the dimension at bound b - 1 is the same and every dropped
-    subtree touched only high degrees) is a heuristic, kept with `dim_at_lower` and
-    `truncation_events` only for the benchmark's replay.  `dim_at_lower` is the
-    rank read at the level below; the events come from the one pass over the tree
-    left, `truncation_events`, run only when they are read.
+    `stabilized` is a heuristic that only the benchmark's replay reads: the
+    dimension at bound b - 1, `dim_at_lower`, is the same, and the kept degrees of
+    every truncated leaf, `truncation_events` (the one pass over the tree left, run
+    only when read), lie above b minus the relations' top degree.
 
     A level is its rows: `_rows` is a copy of the climb's `Echelon.rows` dict at
     this level, whose pivots are exactly the non-representative words, and
     `reduce` eliminates against it.  The copy shares the row dicts, which the
-    climb replaces and never edits.
+    climb replaces and never edits.  The `_` fields stay out of repr.
     """
     __slots__ = (
         "degree_bound",
@@ -50,7 +41,6 @@ class QuotientBasis(Record):
         "_rows",
         "_word_index",
     )
-    _hidden = ("_presentation", "_rep_index", "_rows", "_word_index")
 
     @property
     def dim(self) -> int:
@@ -65,7 +55,7 @@ class QuotientBasis(Record):
         if self.dim_at_lower is None or self.dim_at_lower != self.dim:
             return False
         threshold = self.degree_bound - self._presentation.max_relation_degree()
-        return all(min(e.kept_degrees) > threshold for e in self.truncation_events)
+        return all(min(kept) > threshold for kept in self.truncation_events)
 
     def reduce(self, p: LiePoly) -> dict:
         """Sparse coordinates {representative index: Fraction} of p, zeros left out."""
@@ -122,7 +112,7 @@ def closure_levels(pres: Presentation, max_bound: int):
     max_rel_deg = pres.max_relation_degree()
     if max_rel_deg > max_bound:
         raise ValueError(f"degree bound {max_bound} below max relation degree {max_rel_deg}")
-    n = len(pres.generators)
+    n = len(pres.names)
     by_top: dict = {}
     for rel in pres.relations:
         if rel.terms:
@@ -191,20 +181,21 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
 
 
 def truncation_events(pres: Presentation, degree_bound: int) -> tuple:
-    """The TruncationEvents of the consequence tree at degree_bound, in tree preorder.
+    """The kept degrees of each truncated leaf of the consequence tree at degree_bound, in tree preorder.
 
     The one pass over the tree left, for the `stabilized` heuristic; it counts the
-    leaves under each child of a relation and computes no bracket.  An event is a leaf (a node of top degree b = degree_bound) with a
-    component below b; its kept degrees are those components' degrees plus one.  A
+    leaves under each child of a relation and computes no bracket.  A truncated
+    leaf is a node of top degree b = degree_bound with a component below b, and
+    its kept degrees, a sorted tuple, are those components' degrees plus one.  A
     node's component degrees follow from its parent's alone: [x_g, u_d] has degree
     d + 1 and vanishes only when u_d is a multiple of x_g, which needs d = 1, and
     only relations have components of degree 1.  So below a relation every child
     of a node of top degree t has its degrees shifted by one, and the
     n^(b - t) leaves under a child of top degree t are all alike.
     """
-    n = len(pres.generators)
+    n = len(pres.names)
     events = []
-    for ridx, rel in enumerate(pres.relations):
+    for rel in pres.relations:
         degrees = {len(w) for w in rel.terms}
         if not degrees:
             continue
@@ -220,7 +211,7 @@ def truncation_events(pres: Presentation, degree_bound: int) -> tuple:
         for ch, depth in subtrees:
             kept = tuple(sorted(d + depth + 1 for d in ch if d + depth < degree_bound))
             if kept:
-                events += [TruncationEvent(ridx, kept) for _ in range(n ** depth)]
+                events += [kept] * n ** depth
     return tuple(events)
 
 

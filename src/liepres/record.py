@@ -4,14 +4,14 @@
 class Record:
     """An immutable record whose fields are the subclass's __slots__, in order.
 
-    The constructor takes every field, by position or by keyword.  `_hidden`
-    names fields left out of repr.  Two records are equal when they have the same
-    class and equal fields.  A field cannot be reassigned or deleted, and a
-    record is hashable when its fields are.
+    The constructor takes every field, by position or by keyword.  A field whose
+    name starts with `_` is private: repr leaves it out, but equality and the hash
+    read it.  Two records are equal when they have the same class and equal
+    fields.  A field cannot be reassigned or deleted, and a record is hashable
+    when its fields are.
     """
 
     __slots__ = ()
-    _hidden: tuple = ()
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
@@ -46,5 +46,5 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
         return f"{type(self).__qualname__}({shown})"

@@ -276,6 +276,6 @@ def test_criterion_11_control_presentations(capsys):
     K = analysis.killing_form(t)
     assert det(K) == 0
     dc = analysis.derived_subalgebra_and_center(t)
-    assert dc.derived_dim == 1
-    assert dc.center_dim == 1
+    assert len(dc.derived_basis) == 1
+    assert len(dc.center_basis) == 1
     print("criterion 11: sl2 gives dim 3 type A1; Heisenberg gives dim 3, degenerate Killing, derived 1, center 1")

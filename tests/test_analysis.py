@@ -62,14 +62,14 @@ def test_jacobi_catches_single_entry_mutation(golden):
 
 def test_derived_and_center(golden, sl2_table, heis_table):
     dc = analysis.derived_subalgebra_and_center(golden)
-    assert dc.derived_dim == 14
-    assert dc.center_dim == 0
+    assert len(dc.derived_basis) == 14
+    assert len(dc.center_basis) == 0
     dc = analysis.derived_subalgebra_and_center(sl2_table)
-    assert dc.derived_dim == 3
-    assert dc.center_dim == 0
+    assert len(dc.derived_basis) == 3
+    assert len(dc.center_basis) == 0
     dc = analysis.derived_subalgebra_and_center(heis_table)
-    assert dc.derived_dim == 1
-    assert dc.center_dim == 1
+    assert len(dc.derived_basis) == 1
+    assert len(dc.center_basis) == 1
     bracket_rep = heis_table.names.index("[p,q]")
     assert dc.center_basis[0][bracket_rep] != 0
 
@@ -107,25 +107,27 @@ def test_killing_invariance_and_determinant(golden, heis_table):
 def test_cartan_check_positive_and_negative(golden):
     h1, h2, a12 = (golden.names.index(n) for n in ("h1", "h2", "a12"))
     good = analysis.cartan_check(golden, [h1, h2])
-    assert good.ok and good.abelian and good.self_normalizing
-    assert good.normalizer_dim == 2
+    assert good.ok and good.witness is None
     not_abelian = analysis.cartan_check(golden, [h1, a12])
     assert not not_abelian.ok
-    assert not not_abelian.abelian
+    assert not_abelian.witness == (h1, a12)
+    assert golden.bracket({h1: 1}, {a12: 1})
     # span{h1} is normalized by everything whose h1-eigenvalue vanishes:
     # h1, h2 and the root vectors x3, y3 with first weight coordinate zero
     too_small = analysis.cartan_check(golden, [h1])
-    assert too_small.abelian
-    assert not too_small.self_normalizing
-    assert too_small.normalizer_dim == 4
+    assert not too_small.ok
+    assert set(too_small.witness) - {h1}
+    assert set(too_small.witness) <= {golden.names.index(n) for n in ("h1", "h2", "x3", "y3")}
+    assert set(golden.bracket({h1: 1}, too_small.witness)) <= {h1}
 
 
 def test_normalizer_is_not_the_centralizer(sl2_table):
     # [e, h] = -2e lies in span{e}: h normalizes span{e} without centralizing it
     e, h = sl2_table.names.index("e"), sl2_table.names.index("h")
     check = analysis.cartan_check(sl2_table, [e])
-    assert (check.ok, check.normalizer_dim) == (False, 2)
+    assert not check.ok
     assert check.witness.get(h)
+    assert set(sl2_table.bracket({e: 1}, check.witness)) <= {e}
 
 
 def test_cartan_candidate_with_an_asymmetric_spectrum():

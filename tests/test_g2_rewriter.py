@@ -22,9 +22,10 @@ from liepres.g2 import (
     named_basis_free,
     rewriter_applicable,
     rewriter_structure_table,
+    spans_g2,
 )
 from liepres.presentation import Presentation
-from liepres.quotient import certify, lie_map, quotient_closure, renamed
+from liepres.quotient import certify, closure_levels, lie_map, quotient_closure, renamed
 from liepres.tabledoc import load_table
 
 _EVEN = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
@@ -247,12 +248,41 @@ def test_tower_model_is_a_lie_algebra_where_the_relations_vanish(qb):
     assert rewriter_structure_table() == renamed(qb, cert.table, named_basis_free())
 
 
+def first_certificate(pres: Presentation, max_bound: int):
+    """(qb, cert) at the first level of the climb to max_bound that certify proves, else None."""
+    for qb in closure_levels(pres, max_bound):
+        cert = certify(pres, qb)
+        if cert.ok:
+            return qb, cert
+    return None
+
+
+# g2.lp's families, by its '#' headers: 18 relations each, in file order
+FAMILY = {1: slice(0, 18), 2: slice(18, 36), 3: slice(36, 54)}
+
+
+@pytest.mark.parametrize("families,bound,dim", [
+    ((1, 3), 4, 14), ((2, 3), 4, 14), ((1,), 7, 22), ((1, 2), 7, 22),
+], ids=["1+3", "2+3", "1", "1+2"])
+def test_relation_families_certified(families, bound, dim):
+    # Family 3 is needed, and family 2 lies in the ideal of family 1: each
+    # answer is a certificate, an upper bound from spanning and a lower bound
+    # from the model.
+    rels = g2_relations()
+    pres = Presentation(("x1", "x2", "x3"), tuple(r for f in families for r in rels[FAMILY[f]]))
+    qb, cert = first_certificate(pres, bound)
+    assert qb.degree_bound <= bound and qb.dim == dim
+    assert spans_g2(qb) == (dim == 14)
+    if dim == 14:
+        assert renamed(qb, cert.table, named_basis_free()) == golden_table()
+
+
 def test_tower_model_refuses_relations_that_leave_a_tower_unreduced(monkeypatch):
     # The first 43 relations of g2.lp do not span the last 11, so a degree-4 word
     # stays a representative at bound 4; ad(x_g) takes it past the bound, and the
     # table must not be built.
     pres = g2_presentation()
-    first_43 = Presentation(pres.generators, pres.relations[:43])
+    first_43 = Presentation(pres.names, pres.relations[:43])
     assert max(len(w) for w in quotient_closure(first_43, 4).representatives) == 4
     monkeypatch.setattr(g2, "g2_presentation", lambda: first_43)
     with pytest.raises(ValueError, match="exceeds bound 4"):

@@ -5,8 +5,9 @@ Every command starts a fresh interpreter, which compiles each module it imports
 (no bytecode cache is assumed), so what a command imports is a fixed cost of
 every run.  `import liepres.cli` loads no engine module: each command imports
 its own, so `classify` never loads the free Lie algebra, the parser, G2 or the
-closure, and `derive`, `verify` and `export` never load the analysis.  The
-package also needs none of HEAVY: its records are plain `__slots__` classes (no
+closure, and `derive`, `verify` and `export` never load the analysis.  `free`
+loads only the free Lie algebra: `freelie` defines no record, so it imports no
+other package module.  The package also needs none of HEAVY: its records are plain `__slots__` classes (no
 `dataclasses`, which pulls in `inspect`), and it reads the shipped G2 fixture by
 path (no `importlib.resources`, which pulls in `typing`, `pathlib` and
 `tempfile`).  No module has `from __future__ import annotations`: the package
@@ -41,7 +42,7 @@ EXPECTED = {
     "classify": (["classify", "--table", GOLDEN], TABLE_IO | {"analysis", "record"}),
     "verify": (["verify", "--table", GOLDEN, "--golden", GOLDEN], TABLE_IO),
     "export": (["export", "--table", GOLDEN, "--format", "csv"], TABLE_IO),
-    "free": (["free", "--alphabet", "3", "--max-degree", "6"], {"cli", "freelie", "record"}),
+    "free": (["free", "--alphabet", "3", "--max-degree", "6"], {"cli", "freelie"}),
 }
 
 CHILD = """

@@ -10,7 +10,7 @@ from presentation_text import format_presentation, poly_text
 from towers import tower_to_poly
 
 from liepres import freelie, g2
-from liepres.freelie import Generator, LiePoly, bracket
+from liepres.freelie import LiePoly, bracket
 from liepres.presentation import (
     MAX_DEGREE,
     MAX_NESTING,
@@ -204,7 +204,7 @@ def test_combination_text():
 def test_max_relation_degree():
     pres = parse_presentation("generators: a b\nrelation: [a,[a,[a,b]]] = 0\nrelation: [a,b] = 0")
     assert pres.max_relation_degree() == 4
-    assert Presentation(pres.generators, ()).max_relation_degree() == 0
+    assert Presentation(pres.names, ()).max_relation_degree() == 0
 
 
 # --- fuzzing the grammar ------------------------------------------------------
@@ -225,7 +225,7 @@ def presentations(draw):
         for num, den, tower in rel:
             p = p + Fraction(num, den) * tower_to_poly(tower)
         relations.append(p)
-    return Presentation(tuple(Generator(i, name) for i, name in enumerate(names)), tuple(relations))
+    return Presentation(tuple(names), tuple(relations))
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,7 +18,7 @@ import liepres
 from liepres import freelie, g2
 from liepres.analysis import check_jacobi, derived_subalgebra_and_center, lower_central_dims
 from liepres.cli import main
-from liepres.freelie import Generator, LiePoly, bracket, lyndon_words
+from liepres.freelie import LiePoly, bracket, lyndon_words
 from liepres.g2 import named_basis_free, rewriter_applicable, rewriter_structure_table, spans_g2
 from liepres.linalg import Echelon
 from liepres.presentation import Presentation, parse_presentation
@@ -192,10 +192,10 @@ def test_dependent_names_rejected():
 
 def test_truncation_events_recorded(g2_qb6):
     assert len(g2_qb6.truncation_events) > 0
-    for e in g2_qb6.truncation_events:
-        assert 0 <= e.relation_index < 54
-        assert all(d <= 6 for d in e.kept_degrees)
-        assert min(e.kept_degrees) > 2
+    for kept in g2_qb6.truncation_events:
+        assert list(kept) == sorted(kept)
+        assert all(d <= 6 for d in kept)
+        assert min(kept) > 2
 
 
 def shuffled_scaled(pres: Presentation, seed: int) -> Presentation:
@@ -204,7 +204,7 @@ def shuffled_scaled(pres: Presentation, seed: int) -> Presentation:
     rels = list(pres.relations)
     rng.shuffle(rels)
     rels = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5)) * r for r in rels]
-    return Presentation(pres.generators, tuple(rels))
+    return Presentation(pres.names, tuple(rels))
 
 
 @pytest.mark.parametrize("seed", [None, 31], ids=["g2", "rescaled"])
@@ -212,7 +212,7 @@ def test_fraction_coefficients_climb_certify_and_write_like_ints(g2_pres, seed):
     # The parser keeps integer coefficients as ints; the same relations with every
     # coefficient a Fraction give the same echelon rows, table and JSON bytes.
     pres = g2_pres if seed is None else parse_presentation(format_presentation(shuffled_scaled(g2_pres, seed)))
-    as_fractions = Presentation(pres.generators, tuple(
+    as_fractions = Presentation(pres.names, tuple(
         LiePoly({w: Fraction(c) for w, c in r.terms.items()}) for r in pres.relations))
     assert any(type(c) is int for r in pres.relations for c in r.terms.values())
     runs = []
@@ -240,7 +240,7 @@ def test_rewriter_applicability_rule(g2_pres, family_member_text):
 
 def same_span_as_g2(pres: Presentation, g2_pres: Presentation) -> bool:
     """The gate's oracle: 3 generators, and rank R_in = rank R_g2 = rank of both, dense in (degree, word)."""
-    if len(pres.generators) != 3:
+    if len(pres.names) != 3:
         return False
     cols = sorted({(len(w), w) for rel in pres.relations + g2_pres.relations for w in rel.terms})
 
@@ -261,11 +261,11 @@ def test_rewriter_gate_agrees_with_a_dense_rank_oracle(g2_pres, family_member_te
         # r_i plus multiples of later relations: a unit triangular, so invertible, recombination
         recombined = [sum((Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * s for s in rels[i + 1:i + 4]), r)
                       for i, r in enumerate(rels)]
-        cases[f"recombined-{seed}"] = Presentation(g2_pres.generators, tuple(recombined))
+        cases[f"recombined-{seed}"] = Presentation(g2_pres.names, tuple(recombined))
         dropped = list(rels)
         del dropped[rng.randrange(len(dropped))]
-        cases[f"dropped-{seed}"] = Presentation(g2_pres.generators, tuple(dropped))
-    cases["first_43"] = Presentation(g2_pres.generators, rels[:43])
+        cases[f"dropped-{seed}"] = Presentation(g2_pres.names, tuple(dropped))
+    cases["first_43"] = Presentation(g2_pres.names, rels[:43])
     for old, new in MUTATIONS:
         cases[new] = parse_presentation(base.replace(old, new, 1))
     for coeffs in ((2, 4, 6), (1, 2, 3), (0, 0, 0), (4, 8, 12), (2, 4, 5), (1, 2, 0)):
@@ -320,7 +320,7 @@ def test_closure_table_matches_rewriter_g2(g2_pres, g2_qb6):
         dropped = list(rescaled)
         del dropped[rng.randrange(len(dropped))]
         for rels in (shuffled, rescaled, dropped):
-            pres = Presentation(g2_pres.generators, tuple(rels))
+            pres = Presentation(g2_pres.names, tuple(rels))
             assert rewriter_applicable(pres), seed
             first = next(closure_levels(pres, 8))
             assert first.degree_bound == 4
@@ -392,14 +392,14 @@ def _reference_add(rows: dict, vec: dict) -> None:
 def reference_closure(pres: Presentation, bound: int) -> dict:
     """The closure as a depth-first walk over the consequence tree, with the
     stability check taken from a second, separate closure at bound - 1."""
-    n = len(pres.generators)
+    n = len(pres.names)
     grouped = lyndon_words(n, bound) if bound else [[]]
     flat = [w for d in range(1, bound + 1) for w in grouped[d]]
     word_index = {w: i for i, w in enumerate(flat)}
     rows: dict = {}
     events = []
     brackets: dict = {}
-    for ridx, rel in enumerate(pres.relations):
+    for rel in pres.relations:
         stack = [rel.terms] if rel.terms else []
         while stack:
             node = stack.pop()
@@ -407,7 +407,7 @@ def reference_closure(pres: Presentation, bound: int) -> dict:
             if max(len(w) for w in node) == bound:
                 kept = tuple(sorted({len(w) + 1 for w in node if len(w) < bound}))
                 if kept:
-                    events.append((ridx, kept))
+                    events.append(kept)
                 continue
             for g in reversed(range(n)):
                 child: dict = {}
@@ -420,7 +420,7 @@ def reference_closure(pres: Presentation, bound: int) -> dict:
     dim_at_lower, stabilized = None, False
     if bound - 1 >= top:
         dim_at_lower = len(reference_closure(pres, bound - 1)["representatives"])
-        stabilized = dim_at_lower == len(reps) and all(min(k) > bound - top for _, k in events)
+        stabilized = dim_at_lower == len(reps) and all(min(k) > bound - top for k in events)
     return {
         "representatives": reps,
         "word_index": word_index,
@@ -428,7 +428,7 @@ def reference_closure(pres: Presentation, bound: int) -> dict:
         "monic_rows": rows,
         "dim_at_lower": dim_at_lower,
         "stabilized": stabilized,
-        "truncation_events": events,
+        "truncation_events": tuple(events),
     }
 
 
@@ -489,7 +489,7 @@ def assert_matches_reference(pres: Presentation, top: int) -> None:
         assert qb.reduce(dense) == reference_reduce(ref, dense)
         assert qb.dim_at_lower == ref["dim_at_lower"]
         assert qb.stabilized == ref["stabilized"]
-        assert [(e.relation_index, e.kept_degrees) for e in qb.truncation_events] == ref["truncation_events"]
+        assert qb.truncation_events == ref["truncation_events"]
 
 
 @pytest.mark.parametrize("name", ["g2", "g2_mutated", "sl2", "heisenberg"])
@@ -521,7 +521,7 @@ def presentations_and_bounds(draw):
         for num, den, tower in rel:
             p = p + Fraction(num, den) * tower_to_poly(tower)
         relations.append(p)
-    pres = Presentation(tuple(Generator(i, f"x{i + 1}") for i in range(n)), tuple(relations))
+    pres = Presentation(tuple(f"x{i + 1}" for i in range(n)), tuple(relations))
     bound = draw(st.integers(max(pres.max_relation_degree(), 1), 6 if n == 2 else 5))
     return pres, bound
 
@@ -732,7 +732,8 @@ def test_quotient_is_invariant_under_permuting_the_generators(case, data):
         assert cert.ok == cert_other.ok, bound
         if cert.ok:
             a, b = derived_subalgebra_and_center(cert.table), derived_subalgebra_and_center(cert_other.table)
-            assert (a.derived_dim, a.center_dim) == (b.derived_dim, b.center_dim), bound
+            assert ((len(a.derived_basis), len(a.center_basis))
+                    == (len(b.derived_basis), len(b.center_basis))), bound
             assert lower_central_dims(cert.table) == lower_central_dims(cert_other.table), bound
 
 
@@ -744,8 +745,7 @@ def test_g2_with_x1_and_x3_swapped_certifies_dim_14_at_bound_4(g2_pres):
 
 def with_generators_renamed(pres: Presentation, names) -> Presentation:
     """pres written by format_presentation with its generators renamed, in order, and parsed back."""
-    renamed = Presentation(tuple(Generator(g.index, name) for g, name in zip(pres.generators, names)),
-                           pres.relations)
+    renamed = Presentation(tuple(names), pres.relations)
     return parse_presentation(format_presentation(renamed))
 
 
@@ -756,7 +756,7 @@ GENERATOR_NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
 @given(case=presentations_and_bounds(), data=st.data())
 def test_quotient_is_invariant_under_renaming_the_generators(case, data):
     pres, top = case
-    n = len(pres.generators)
+    n = len(pres.names)
     names = data.draw(st.lists(GENERATOR_NAME, min_size=n, max_size=n, unique=True))
     other = with_generators_renamed(pres, names)
     assert other.names == tuple(names)

@@ -7,7 +7,6 @@ from liepres.record import Record
 
 class Point(Record):
     __slots__ = ("x", "y", "_cache")
-    _hidden = ("_cache",)
 
 
 class Pair(Record):
