@@ -43,20 +43,31 @@ def run(capsys):
 
 
 def test_derive_both_agrees_and_writes_golden_bytes(run, tmp_path):
-    # both is the default engine, so naming it changes nothing
-    for engine in ([], ["--engine", "both"]):
-        out = tmp_path / f"t{len(engine)}.json"
-        code, stdout, stderr = run("derive", G2, *engine, "--out", str(out))
-        assert code == 0, stderr
-        assert "engine: both" in stdout
-        assert "degree bound: 4" in stdout
-        assert "dim = 14" in stdout
-        assert ("certified: yes (every representative below degree 4; model of dim 14 passes Jacobi "
-                "on 364 triples; all 54 relations vanish)") in stdout
-        assert "degree 4: 18 Lyndon words, 0 independent in the quotient" in stdout
-        assert "engines agree on all 91 bracket pairs" in stdout
-        assert f"wrote {out}" in stdout
-        assert out.read_bytes() == Path(GOLDEN).read_bytes()
+    out = tmp_path / "t.json"
+    code, stdout, stderr = run("derive", G2, "--out", str(out))
+    assert code == 0, stderr
+    assert "engine: both" in stdout
+    assert "degree bound: 4" in stdout
+    assert "dim = 14" in stdout
+    assert ("certified: yes (every representative below degree 4; model of dim 14 passes Jacobi "
+            "on 364 triples; all 54 relations vanish)") in stdout
+    assert "degree 4: 18 Lyndon words, 0 independent in the quotient" in stdout
+    assert "engines agree on all 91 bracket pairs" in stdout
+    assert f"wrote {out}" in stdout
+    assert out.read_bytes() == Path(GOLDEN).read_bytes()
+
+
+def test_derive_closure_engine_matches_golden(run, tmp_path):
+    # --engine both, the default, runs the climb that the closure engine ran;
+    # naming it prints and writes exactly what the default does
+    default, named = tmp_path / "default.json", tmp_path / "named.json"
+    code, expected, _ = run("derive", G2, "--out", str(default))
+    assert code == 0
+    code, stdout, stderr = run("derive", G2, "--engine", "both", "--out", str(named))
+    assert (code, stderr) == (0, "")
+    assert stdout == expected.replace(str(default), str(named))
+    assert "degree 4: 18 Lyndon words, 0 independent in the quotient" in stdout
+    assert named.read_bytes() == Path(GOLDEN).read_bytes()
 
 
 def test_derive_rewriter_engine_matches_golden(run, tmp_path):
