@@ -61,13 +61,16 @@ def killing_form(t: StructureTable) -> list:
     """The sparse rows K[i] = {j: trace(ad b_i . ad b_j)}, zeros omitted, contracted over the bracket maps.
 
     The traces are summed in ints over integer_ad_maps and each divided by D**2.
-    Symmetric by construction, verified anyway.
+    trace(AB) = trace(BA): the entries (i, j) and (j, i) sum the same products with
+    m and k swapped, so each unordered pair is computed once and mirrored.
     """
     n = t.dim
     D, ads = integer_ad_maps(t)
-    K = [{j: Fraction(v, D * D) for j in range(n) if (v := _killing_entry(ads[i], ads[j]))} for i in range(n)]
-    if any(K[j].get(i) != v for i, row in enumerate(K) for j, v in row.items()):
-        raise RuntimeError("Killing form came out asymmetric; table is inconsistent")
+    K: list = [{} for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if v := _killing_entry(ads[i], ads[j]):
+                K[i][j] = K[j][i] = Fraction(v, D * D)
     return K
 
 
@@ -209,18 +212,14 @@ def find_cartan_candidate(t: StructureTable) -> list:
     return chosen
 
 
-def lower_central_dims(t: StructureTable, derived_basis=None) -> list:
+def lower_central_dims(t: StructureTable) -> list:
     """Dimensions of the lower central series g, [g,g], [g,[g,g]], ... until stable.
 
-    [g, g] is derived_basis when given (a `DerivedCenter`'s), else computed.  Each
-    later term brackets the previous one with the basis elements whose ad is nonzero.
+    Each term after [g, g] brackets the previous one with the basis elements whose ad is nonzero.
     """
-    n = t.dim
-    if derived_basis is None:
-        derived_basis = _derived_rows(t).values()
-    current = list(derived_basis)
+    current = list(_derived_rows(t).values())
     active = [i for i, ad in enumerate(t.ad) if ad]
-    dims = [n, len(current)]
+    dims = [t.dim, len(current)]
     while current and dims[-1] != dims[-2]:
         current = list(Echelon.of(t.bracket({i: 1}, v) for i in active for v in current).rows.values())
         dims.append(len(current))

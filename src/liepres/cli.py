@@ -184,7 +184,7 @@ def cmd_classify(args) -> int:
         print("type: unrecognized (zero algebra)")
         return 1
     if kd == 0:
-        series = analysis.lower_central_dims(table, dc.derived_basis)
+        series = analysis.lower_central_dims(table)
         if series[-1] == 0:
             print("type: unrecognized (nilpotent: Killing form degenerate)")
         else:
@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("presentation", help="presentation file (.lp)")
     p.add_argument("--max-degree", type=_positive_int, default=8,
                    help="highest degree bound the closure climbs to (default 8)")
-    p.add_argument("--engine", choices=("rewriter", "both"), default="both")
+    p.add_argument("--engine", choices=("rewriter", "both"), default="both",
+                   help="both (default) certifies any presentation and renames a G2 level to the named "
+                        "basis; rewriter also refuses input whose relations do not span those of g2.lp")
     p.add_argument("--out", help="write the derived table as JSON to this path")
     p.set_defaults(func=cmd_derive)
 

@@ -114,11 +114,11 @@ class LiePoly:
         self.terms = {tuple(w): c for w, c in (terms or {}).items() if c}
 
     @classmethod
-    def monomial(cls, word: Word, coeff=1) -> "LiePoly":
+    def monomial(cls, word: Word) -> "LiePoly":
         word = tuple(word)
         if not is_lyndon(word):
             raise ValueError(f"not a Lyndon word: {word}")
-        return cls({word: coeff})
+        return cls({word: 1})
 
     @classmethod
     def generator(cls, index: int) -> "LiePoly":

@@ -5,8 +5,8 @@ sparse operation has one implementation, here.  `integer_scaled` takes every
 common denominator.  `add_scaled` is every sparse accumulate outside `freelie`
 and the climb's `child`: `reduce`, `Echelon.add`, `compose`, `StructureTable.bracket`,
 `check_jacobi` and `quotient.lie_map`.  `compose`, the operator product, serves
-`quotient.generator_action` and `integer_char_poly`.  `Echelon` is the one
-elimination kernel, a sparse reduced echelon form over the integers, and
+the model's commutators in `quotient._model` and `integer_char_poly`.  `Echelon`
+is the one elimination kernel, a sparse reduced echelon form over the integers, and
 `reduce(rows, vec)` eliminates against its rows or a snapshot of them: every
 span, rank and kernel runs on it.  `solve` scales, reduces and divides back; it
 is `QuotientBasis.reduce` and `basis_change`, which renames tables

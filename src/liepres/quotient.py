@@ -233,24 +233,6 @@ def _by_factorization(images: dict, combine):
     return image
 
 
-def generator_action(rho: dict, words) -> list:
-    """act[i][j]: the Lyndon word words[i] acting on basis vector j, as sparse coordinates.
-
-    rho maps each generator's word (g,) to its operator, a list of sparse columns
-    over the basis.  A longer word w acts by the commutator [rho(u), rho(v)] of its
-    standard factorization (u, v): ad[u, v] = [ad u, ad v] is the Jacobi identity.
-    Only the words the basis factors through are computed.
-    """
-    op = _by_factorization(dict(rho), _commutator)
-    return [op(w) for w in words]
-
-
-def action_table(names, act: list) -> StructureTable:
-    """The table [e_i, e_j] = act[i] e_j over the named basis, read for i < j."""
-    c = {(i, j, k): v for i, row in enumerate(act) for j in range(i + 1, len(act)) for k, v in row[j].items()}
-    return StructureTable(names, c)
-
-
 def lie_map(table: StructureTable, generator_images: list):
     """phi: free Lie polynomial -> sparse coordinates in the table.
 
@@ -273,16 +255,20 @@ def lie_map(table: StructureTable, generator_images: list):
 def _model(qb: QuotientBasis) -> tuple:
     """(act, table): the representatives' action and the model table it gives.
 
-    act[i][j] is rep_i acting on rep_j, as sparse coordinates.  rho(x_g) has the
-    columns qb.reduce([x_g, rep_j]), which needs every representative below the
-    degree bound; a Lyndon word acts through its standard factorization, by the
-    commutator of its factors' operators.
+    act[i][j] is rep_i acting on rep_j, as sparse coordinates, and the table is
+    [e_i, e_j] = act[i] e_j, read for i < j.  rho(x_g) has the columns
+    qb.reduce([x_g, rep_j]), which needs every representative below the degree
+    bound.  A longer Lyndon word w acts by the commutator [rho(u), rho(v)] of its
+    standard factorization (u, v): ad[u, v] = [ad u, ad v] is the Jacobi identity.
+    Only the words the representatives factor through are computed.
     """
     brackets: dict = {}
     rho = {(g,): [qb.reduce(LiePoly(freelie._bracket_words((g,), w, brackets))) for w in qb.representatives]
            for g in range(qb.alphabet)}
-    act = generator_action(rho, qb.representatives)
-    return act, action_table((qb.representative_name(i) for i in range(qb.dim)), act)
+    op = _by_factorization(rho, _commutator)
+    act = [op(w) for w in qb.representatives]
+    c = {(i, j, k): v for i, row in enumerate(act) for j in range(i + 1, len(act)) for k, v in row[j].items()}
+    return act, StructureTable((qb.representative_name(i) for i in range(qb.dim)), c)
 
 
 class Certificate(Record):

@@ -62,8 +62,7 @@ class StructureTable:
         """[a, b] for sparse coordinate vectors {index: coefficient}."""
         acc: dict = {}
         for i, x in a.items():
-            for j, y in b.items():
-                add_scaled(acc, self.bracket_map(i, j), x * y)
+            _add_bracket(acc, self.ad[i], b, x)
         return acc
 
     def rebased(self, names, coords) -> "StructureTable":
@@ -125,10 +124,10 @@ def integer_ad_maps(t: StructureTable) -> tuple:
     return t._integer_ad
 
 
-def _add_bracket(acc: dict, ad: dict, vec: dict, sign: int) -> None:
-    """acc += sign * [b, v] for ad = ad(b) and v given as a sparse map."""
+def _add_bracket(acc: dict, ad: dict, vec: dict, scale) -> None:
+    """acc += scale * [b, v] for ad = ad(b) and v given as a sparse map."""
     for m, x in vec.items():
-        add_scaled(acc, ad.get(m, {}), sign * x)
+        add_scaled(acc, ad.get(m, {}), scale * x)
 
 
 def check_jacobi(t: StructureTable) -> list:

@@ -7,11 +7,17 @@ With h_i := [e_i, f_i] the relations are
 [h_i, h_j] = 0 follows: [h_i, [e_j, f_j]] = a_ij [e_j, f_j] - a_ij [e_j, f_j].
 """
 
+# a_ij = alpha_j(h_i): the -2 of B3 is in the row of its short end root, and C3 is B3's transpose
 CARTAN = {
+    "A1xA1": ((2, 0), (0, 2)),
     "A2": ((2, -1), (-1, 2)),
     "B2": ((2, -1), (-2, 2)),
     "G2": ((2, -1), (-3, 2)),
     "A3": ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+    "B3": ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
+    "C3": ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    "A4": ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    "D4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
 }
 
 

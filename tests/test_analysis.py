@@ -306,21 +306,13 @@ def test_lower_central_series(golden, sl2_table, heis_table):
     assert analysis.lower_central_dims(heis_table) == [3, 1, 0]
 
 
-def test_lower_central_series_from_the_derived_basis(golden, sl2_table, heis_table):
-    for t in (golden, sl2_table, heis_table):
-        derived = analysis.derived_subalgebra_and_center(t).derived_basis
-        assert analysis.lower_central_dims(t, derived) == analysis.lower_central_dims(t)
-
-
 def test_lower_central_series_brackets_only_elements_with_nonzero_ad(monkeypatch, heis_table):
     calls = []
     bracket = StructureTable.bracket
     monkeypatch.setattr(StructureTable, "bracket", lambda t, a, b: calls.append((a, b)) or bracket(t, a, b))
     abelian = StructureTable([f"a{i}" for i in range(40)], {})
     assert analysis.lower_central_dims(abelian) == [40, 0]
-    assert analysis.lower_central_dims(abelian, analysis.derived_subalgebra_and_center(abelian).derived_basis) == [40, 0]
     assert calls == []
-    # [p, q] = z: only p and q have a nonzero ad, and [g, g] = <z> comes in
-    derived = analysis.derived_subalgebra_and_center(heis_table).derived_basis
-    assert analysis.lower_central_dims(heis_table, derived) == [3, 1, 0]
+    # [p, q] = z: only p and q have a nonzero ad, and [g, g] = <z> is read off the table
+    assert analysis.lower_central_dims(heis_table) == [3, 1, 0]
     assert len(calls) == 2

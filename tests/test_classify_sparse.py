@@ -105,14 +105,25 @@ def g2_rescaled(seed, s):
     return permuted_rescaled(GOLDEN, perm, [s * rng.choice((1, -1)) for _ in perm])
 
 
+def random_rational(seed, n=9, constants=30):
+    """A seeded table of `constants` random rational constants over n elements: antisymmetric, not a Lie algebra."""
+    rng = random.Random(seed)
+    keys = rng.sample([(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)], constants)
+    return StructureTable([f"r{i}" for i in range(n)],
+                          {key: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for key in keys})
+
+
 # jacobi-broken-thirds has Jacobi totals that are not integers, so the integer
 # contraction must divide by D**2 (D = 3) to match; jacobi-broken-sparse has
-# mostly zero brackets, so check_jacobi skips most of its triples
+# mostly zero brackets, so check_jacobi skips most of its triples; jacobi-broken-random
+# has Killing entries off the diagonal, each computed once and mirrored, that the
+# dense reference computes in both orders
 INPUTS = {"g2": GOLDEN, "sl2": SL2, "heisenberg": HEIS, "g2-seeded": seeded_g2(),
           "g2-half": g2_rescaled(11, Fraction(1, 2)), "g2-third": g2_rescaled(12, Fraction(1, 3)),
           "jacobi-broken": jacobi_broken(Fraction(3)), "jacobi-broken-thirds": jacobi_broken(Fraction(1, 3)),
           "jacobi-broken-sparse": StructureTable("abcdefg", {(0, 1, 2): 1, (2, 3, 4): 1, (1, 3, 5): 1,
-                                                             (4, 6, 0): Fraction(1, 2)})}
+                                                             (4, 6, 0): Fraction(1, 2)}),
+          "jacobi-broken-random": random_rational(13)}
 
 
 def dense_jacobi(t):

@@ -353,6 +353,14 @@ def test_derive_bad_flag_values(run):
     assert code == 2
 
 
+def test_derive_help_says_what_each_engine_does(run):
+    code, stdout, _ = run("derive", "--help")
+    assert code == 0
+    assert ("--engine {rewriter,both} both (default) certifies any presentation and renames a G2 level "
+            "to the named basis; rewriter also refuses input whose relations do not span those of g2.lp "
+            "--out OUT") in " ".join(stdout.split())
+
+
 def test_verify_agreement(run):
     code, stdout, _ = run("verify", "--table", GOLDEN, "--golden", GOLDEN)
     assert code == 0
