@@ -110,28 +110,20 @@ def cmd_derive(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"engine: {args.engine}")
     _print_closure_report(pres, qb, cert)
     if not cert.ok:
         print(f"quotient not certified up to degree bound {qb.degree_bound}; "
               "rerun with a larger --max-degree", file=sys.stderr)
         return 4
 
-    # When the certified level is g2.lp's, the climb above is the rewriter's: that is
-    # the engines' agreement.  Under the rewriter the gate in the climb showed it.
-    applicable = rewriter or spans_g2(qb)
+    # A certified level that is g2.lp's is named over g2's basis; under the
+    # rewriter the gate in the climb has shown that it is.
+    names = named_basis_free() if rewriter or spans_g2(qb) else None
     try:
-        table = renamed(qb, cert.table, named_basis_free() if applicable else None)
+        table = renamed(qb, cert.table, names)
     except NamesNotBasisError:
-        print("engines disagree: the closure quotient does not admit the rewriter basis",
-              file=sys.stderr)
+        print("error: g2's named basis is not a basis of the certified quotient", file=sys.stderr)
         return 3
-
-    if not rewriter:
-        if applicable:
-            print(f"engines agree on all {table.dim * (table.dim - 1) // 2} bracket pairs")
-        else:
-            print(f"rewriter engine skipped: {_NOT_G2}")
     return _write_table(table, args.out)
 
 

@@ -1,15 +1,16 @@
-"""G2, the one module that knows it: relations, named basis, the rewriter gate.
+"""G2, the one module that knows it: relations, named basis, the G2 gate.
 
 The relations are read from the shipped `fixtures/g2.lp` and typed out nowhere
 else; `g2_presentation` parses it on each call.  The gate `spans_g2` decides
 whether a level of a closure climb is G2's: bound 4 on 3 letters, 14
 representatives, and every g2.lp relation reducing to 0 in it.  Then the
 level's relations span those of g2.lp, so its representatives, model and table
-are those of g2.lp's climb at bound 4, the rewriter's.  `derive` applies it to
-the level it certified and, under the rewriter, to the first level of its climb
-once `has_g2_shape` has passed the presentation; `rewriter_applicable` applies
-both, for the tests and the benchmark's replay.  The named basis is defined
-once, as free Lie polynomials in `named_basis_free`, whose key order is the basis order.
+are those of g2.lp's climb at bound 4.  `derive` renames the table of a
+certified level that passes to the named basis; under `--engine rewriter` it
+also refuses, with exit 2, input that fails `has_g2_shape` or whose first level
+fails the gate.  `rewriter_applicable` applies both, for the tests and the
+benchmark's replay.  The named basis is defined once, as free Lie polynomials
+in `named_basis_free`, whose key order is the basis order.
 """
 
 import os

@@ -42,32 +42,42 @@ def run(capsys):
     return go
 
 
-def test_derive_both_agrees_and_writes_golden_bytes(run, tmp_path):
+def test_derive_g2_certifies_and_writes_golden_bytes(run, tmp_path):
     out = tmp_path / "t.json"
     code, stdout, stderr = run("derive", G2, "--out", str(out))
     assert code == 0, stderr
-    assert "engine: both" in stdout
     assert "degree bound: 4" in stdout
     assert "dim = 14" in stdout
     assert ("certified: yes (every representative below degree 4; model of dim 14 passes Jacobi "
             "on 364 triples; all 54 relations vanish)") in stdout
     assert "degree 4: 18 Lyndon words, 0 independent in the quotient" in stdout
-    assert "engines agree on all 91 bracket pairs" in stdout
     assert f"wrote {out}" in stdout
     assert out.read_bytes() == Path(GOLDEN).read_bytes()
 
 
-def test_derive_closure_engine_matches_golden(run, tmp_path):
-    # --engine both, the default, runs the climb that the closure engine ran;
-    # naming it prints and writes exactly what the default does
-    default, named = tmp_path / "default.json", tmp_path / "named.json"
-    code, expected, _ = run("derive", G2, "--out", str(default))
-    assert code == 0
-    code, stdout, stderr = run("derive", G2, "--engine", "both", "--out", str(named))
-    assert (code, stderr) == (0, "")
-    assert stdout == expected.replace(str(default), str(named))
-    assert "degree 4: 18 Lyndon words, 0 independent in the quotient" in stdout
-    assert named.read_bytes() == Path(GOLDEN).read_bytes()
+def test_derive_closure_engine_matches_golden(run, tmp_path, family_member_text):
+    # on input both engines accept, naming either prints and writes exactly what
+    # the default does: --engine rewriter adds only its refusal of other input
+    for lp in (G2, seeded_g2_variant(tmp_path)):
+        default = tmp_path / "default.json"
+        code, expected, _ = run("derive", lp, "--out", str(default))
+        assert code == 0
+        assert "degree 4: 18 Lyndon words, 0 independent in the quotient" in expected
+        assert default.read_bytes() == Path(GOLDEN).read_bytes()
+        for engine in ("both", "rewriter"):
+            named = tmp_path / f"{engine}.json"
+            code, stdout, stderr = run("derive", lp, "--engine", engine, "--out", str(named))
+            assert (code, stderr) == (0, ""), (lp, engine)
+            assert stdout == expected.replace(str(default), str(named)), (lp, engine)
+            assert named.read_bytes() == default.read_bytes(), (lp, engine)
+            assert "engine" not in stdout.replace(str(named), "PATH"), (lp, engine)
+    # no report names an engine, whether or not the table is renamed to g2's basis
+    member = tmp_path / "member.lp"
+    member.write_text(family_member_text(1, 2, 3), encoding="utf-8")
+    for lp in (SL2, HEIS, str(member)):
+        code, stdout, stderr = run("derive", lp)
+        assert (code, stderr) == (0, ""), lp
+        assert "engine" not in stdout, lp
 
 
 def test_derive_rewriter_engine_matches_golden(run, tmp_path):
@@ -75,7 +85,7 @@ def test_derive_rewriter_engine_matches_golden(run, tmp_path):
     out = tmp_path / "t.json"
     code, stdout, _ = run("derive", G2, "--engine", "rewriter", "--out", str(out))
     assert code == 0
-    assert stdout == ("engine: rewriter\ndegree bound: 4\ndim = 14\n"
+    assert stdout == ("degree bound: 4\ndim = 14\n"
                       "certified: yes (every representative below degree 4; model of dim 14 passes "
                       "Jacobi on 364 triples; all 54 relations vanish)\n"
                       "degree 1: 3 Lyndon words, 3 independent in the quotient\n"
@@ -116,11 +126,13 @@ def test_derive_engine_closure_and_rewriter_below_bound_4_exit_2(run):
     assert (code, stdout, stderr) == (2, "", "error: degree bound 3 below max relation degree 4\n")
 
 
-def test_derive_sl2_skips_rewriter(run):
-    code, stdout, _ = run("derive", SL2, "--max-degree", "4")
+def test_derive_sl2_skips_rewriter(run, tmp_path):
+    # the table stays over the representatives, named after the generators
+    out = tmp_path / "t.json"
+    code, stdout, _ = run("derive", SL2, "--max-degree", "4", "--out", str(out))
     assert code == 0
     assert "dim = 3" in stdout
-    assert "rewriter engine skipped:" in stdout
+    assert load_table(str(out)).names == parse_presentation(Path(SL2).read_text(encoding="utf-8")).names
 
 
 def test_derive_mutant_fails_to_stabilize(run, tmp_path):
@@ -200,7 +212,7 @@ def test_derive_without_relations_is_not_certified(run, tmp_path):
     lp.write_text("generators: a b\n", encoding="utf-8")
     code, stdout, stderr = run("derive", str(lp), "--max-degree", "3")
     assert code == 4
-    assert stdout == ("engine: both\ndegree bound: 3\ndim = 5\n"
+    assert stdout == ("degree bound: 3\ndim = 5\n"
                       "certified: no (representative [a,[a,b]] has degree 3, not below the degree bound 3)\n")
     assert "not certified up to degree bound 3" in stderr
 
@@ -759,7 +771,6 @@ def test_derive_non_g2_family_member_skips_rewriter(run, tmp_path, family_member
     lp.write_text(family_member_text(*coeffs), encoding="utf-8")
     code, stdout, stderr = run("derive", str(lp), "--max-degree", "6", "--out", str(out))
     assert code == 0, stderr
-    assert "rewriter engine skipped:" in stdout
     assert "dim = 14" in stdout
     assert load_table(str(out)).names != tuple(named_basis_free())
     out.unlink()
@@ -777,7 +788,7 @@ def test_derive_named_basis_rejected_exits_3(run, tmp_path, monkeypatch, engine)
     out = tmp_path / "t.json"
     code, _, stderr = run("derive", G2, "--max-degree", "6", "--engine", engine, "--out", str(out))
     assert code == 3
-    assert "does not admit the rewriter basis" in stderr
+    assert stderr == "error: g2's named basis is not a basis of the certified quotient\n"
     assert not out.exists()
 
 @pytest.mark.parametrize("argv", [

@@ -309,7 +309,7 @@ def test_closure_table_matches_rewriter_g2(g2_pres, g2_qb6):
     assert g2_qb6.stabilized
     rewriter = rewriter_structure_table()
     assert structure_table(g2_pres, named_basis_free(), qb=g2_qb6).diff(rewriter) == []
-    # derive prints "engines agree" whenever the gate holds: a gated presentation's
+    # derive names the table over g2's basis whenever the gate holds: a gated presentation's
     # climb starts at bound 4 with g2.lp's echelon rows and certifies the rewriter's table
     g2_rows = next(closure_levels(g2_pres, 4))._rows
     rng = random.Random(17)
