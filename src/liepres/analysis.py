@@ -62,13 +62,14 @@ def killing_form(t: StructureTable) -> list:
 
     The traces are summed in ints over integer_ad_maps and each divided by D**2.
     trace(AB) = trace(BA): the entries (i, j) and (j, i) sum the same products with
-    m and k swapped, so each unordered pair is computed once and mirrored.
+    m and k swapped, so each unordered pair is computed once and mirrored.  A
+    central element, whose ad is zero, has a zero row, so only the others are paired.
     """
-    n = t.dim
     D, ads = integer_ad_maps(t)
-    K: list = [{} for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
+    K: list = [{} for _ in range(t.dim)]
+    live = [i for i, ad in enumerate(ads) if ad]
+    for a, i in enumerate(live):
+        for j in live[a:]:
             if v := _killing_entry(ads[i], ads[j]):
                 K[i][j] = K[j][i] = Fraction(v, D * D)
     return K

@@ -20,10 +20,11 @@ class QuotientBasis(Record):
     L/(I + L_{>b}), which for G2 is 0 (x1 lies in I + L_{>=4}, and iterating pushes it
     above any bound).  `certify` proves dim L/I = dim or names the check that fails.
 
-    `stabilized` is a heuristic that only the benchmark's replay reads: the
-    dimension at bound b - 1, `dim_at_lower`, is the same, and the kept degrees of
-    every truncated leaf, `truncation_events` (the one pass over the tree left, run
-    only when read), lie above b minus the relations' top degree.
+    `stabilized`, read only by the benchmark's replay, is `certify`'s verdict on
+    this level.  A level that certifies stays certified at every higher bound,
+    with the same representatives and table: F_b = V + N_b, V the span of the
+    representatives, and a certified V meets I only in 0, so I meets F_b in N_b.
+    `truncation_events` serves only the replay's counter.
 
     A level is its rows: `_rows` is a copy of the climb's `Echelon.rows` dict at
     this level, whose pivots are exactly the non-representative words, and
@@ -35,7 +36,6 @@ class QuotientBasis(Record):
         "alphabet",
         "generator_names",
         "representatives",    # Lyndon words, increasing (degree, lex)
-        "dim_at_lower",       # quotient dimension at degree_bound - 1, if computable
         "_presentation",
         "_rep_index",
         "_rows",
@@ -52,10 +52,7 @@ class QuotientBasis(Record):
 
     @property
     def stabilized(self) -> bool:
-        if self.dim_at_lower is None or self.dim_at_lower != self.dim:
-            return False
-        threshold = self.degree_bound - self._presentation.max_relation_degree()
-        return all(min(kept) > threshold for kept in self.truncation_events)
+        return certify(self._presentation, self).ok
 
     def reduce(self, p: LiePoly) -> dict:
         """Sparse coordinates {representative index: Fraction} of p, zeros left out."""
@@ -142,7 +139,6 @@ def closure_levels(pres: Presentation, max_bound: int):
     elim = Echelon()
     fresh: list = []    # pivots that first appeared at the level below
     for b in range(1, max_bound + 1):
-        words_below, rank_below = len(flat), len(elim.rows)
         freelie.check_word_budget(n, b)
         words = list(freelie.lyndon_words_of_degree(n, b))
         word_index.update(zip(words, range(len(flat), len(flat) + len(words))))
@@ -166,7 +162,6 @@ def closure_levels(pres: Presentation, max_bound: int):
                 alphabet=n,
                 generator_names=pres.names,
                 representatives=reps,
-                dim_at_lower=words_below - rank_below if b - 1 >= max_rel_deg else None,
                 _presentation=pres,
                 _rep_index={word_index[w]: i for i, w in enumerate(reps)},
                 _rows=dict(elim.rows),
@@ -183,8 +178,8 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
 def truncation_events(pres: Presentation, degree_bound: int) -> tuple:
     """The kept degrees of each truncated leaf of the consequence tree at degree_bound, in tree preorder.
 
-    The one pass over the tree left, for the `stabilized` heuristic; it counts the
-    leaves under each child of a relation and computes no bracket.  A truncated
+    The one pass over the tree left, for the benchmark replay's counter; it counts
+    the leaves under each child of a relation and computes no bracket.  A truncated
     leaf is a node of top degree b = degree_bound with a component below b, and
     its kept degrees, a sorted tuple, are those components' degrees plus one.  A
     node's component degrees follow from its parent's alone: [x_g, u_d] has degree

@@ -138,15 +138,16 @@ def check_jacobi(t: StructureTable) -> list:
     The sums run in ints over integer_ad_maps; a nonzero total is divided by D**2.
     Each term brackets one of [b_i,b_j], [b_j,b_k], [b_i,b_k], so a triple whose
     three pair brackets vanish is skipped: when [b_i,b_j] = 0 only the k in the
-    keys of ads[i] or ads[j] are visited.
+    keys of ads[i] or ads[j] are visited.  A triple with a central element, one
+    whose ad is zero, has all three terms zero, so i, j and k run over the rest.
     """
-    n = t.dim
     D, ads = integer_ad_maps(t)
+    live = [i for i, ad in enumerate(ads) if ad]
     violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    for a, i in enumerate(live):
+        for b, j in enumerate(live[a + 1:], a + 1):
             if j in ads[i]:
-                ks = range(j + 1, n)
+                ks = live[b + 1:]
             else:
                 ks = sorted(k for k in ads[i].keys() | ads[j].keys() if k > j)
             for k in ks:

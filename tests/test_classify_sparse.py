@@ -6,6 +6,7 @@ import io
 import os
 import random
 import tempfile
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -166,6 +167,35 @@ def test_jacobi_skips_the_triples_whose_pair_brackets_vanish(monkeypatch):
     monkeypatch.setattr(table, "_add_bracket", lambda *args: calls.append(args))
     assert analysis.check_jacobi(StructureTable([f"z{i}" for i in range(60)], {})) == []
     assert calls == []
+
+
+def with_central(t, extra):
+    """t with `extra` central elements appended to its basis."""
+    return StructureTable(t.names + tuple(f"z{i}" for i in range(extra)), t.c)
+
+
+def test_jacobi_and_killing_visit_only_elements_with_nonzero_ad(monkeypatch):
+    # a central element enters no nonzero Jacobi term or Killing entry, so appending
+    # 200 of them to G2 leaves the work as it was (dim**2 pairs would be 34638 and 23005)
+    calls = Counter()
+    for module, name in ((table, "_add_bracket"), (analysis, "_killing_entry")):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=f, name=name: calls.update([name]) or f(*args))
+
+    def work(t):
+        calls.clear()
+        result = analysis.check_jacobi(t), analysis.killing_form(t)
+        return result, (calls["_add_bracket"], calls["_killing_entry"])
+
+    (violations, killing), counts = work(with_central(GOLDEN, 200))
+    assert counts == work(GOLDEN)[1] == (1038, 105)
+    assert violations == []
+    assert killing == analysis.killing_form(GOLDEN) + [{}] * 200
+    broken = jacobi_broken(Fraction(3))
+    assert work(with_central(broken, 200))[0][0] == analysis.check_jacobi(broken) != []
+    # a bracket-free table brackets nothing (dim**2 pairs would be 2,001,000 Killing entries)
+    (violations, killing), counts = work(StructureTable([f"z{i}" for i in range(2000)], {}))
+    assert (violations, killing, counts) == ([], [{}] * 2000, (0, 0))
 
 
 def classify_lines(t):

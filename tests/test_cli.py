@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from presentation_text import format_presentation
+from presentation_text import FALSE_STABLE, GROWING, format_presentation
 
 import liepres
 import liepres.table
@@ -57,8 +57,9 @@ def test_derive_g2_certifies_and_writes_golden_bytes(run, tmp_path):
 
 def test_derive_closure_engine_matches_golden(run, tmp_path, family_member_text):
     # on input both engines accept, naming either prints and writes exactly what
-    # the default does: --engine rewriter adds only its refusal of other input
-    for lp in (G2, seeded_g2_variant(tmp_path)):
+    # the default does: --engine rewriter adds only its refusal of other input.
+    # The variants reorder and rescale the relations.
+    for lp in (G2, seeded_g2_variant(tmp_path), g2_variant(tmp_path, RESCALE)):
         default = tmp_path / "default.json"
         code, expected, _ = run("derive", lp, "--out", str(default))
         assert code == 0
@@ -162,16 +163,6 @@ def test_derive_mutant_certifies_dim_0_at_bound_9(run, tmp_path):
     assert (code, stderr) == (1, "")
     assert stdout == ("jacobi: ok (0 triples)\nderived dim: 0\ncenter dim: 0\n"
                       "killing determinant: 1 (nonzero)\ntype: unrecognized (zero algebra)\n")
-
-
-# The bound-4 and bound-5 quotients agree on dim 4, which the old stabilization
-# test took for the answer; the quotient is 1-dimensional.
-FALSE_STABLE = ("generators: x1 x2\nrelation: x1 - [[[x1,x2],x2],x2] = 0\n"
-                "relation: 3/2*[x1,x2] - 4*[x1,[x1,x2]] = 0\n")
-# Dims 3, 3, 5, 6, 9 at bounds 5-9: the old test called bound 6 stabilized.
-GROWING = ("generators: x1 x2\nrelation: -5*[x1,x2] + [[x1,x2],x2] = 0\n"
-           "relation: -3*x2 - 2/3*[x1,x2] - 2*[x1,[[x1,x2],x2]] = 0\n"
-           "relation: 5/2*x2 + 4/3*[[x1,x2],x2] = 0\n")
 
 
 @pytest.mark.parametrize("bound", ["5", "6"])
@@ -733,21 +724,10 @@ def seeded_g2_variant(tmp_path):
     spec = importlib.util.spec_from_file_location("gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    path = tmp_path / "variant.lp"
+    path = tmp_path / "seeded.lp"
     text = gen.presentation_variant((FIXTURES / "g2.lp").read_text(encoding="utf-8"), random.Random(7))
     path.write_text(text, encoding="utf-8")
     return str(path)
-
-
-@pytest.mark.parametrize("engine, seeded", [("rewriter", False), ("both", False), ("rewriter", True), ("both", True)],
-                         ids=["rewriter", "both", "seeded-rewriter", "seeded-both"])
-def test_derive_rescaled_shuffled_g2_writes_golden_bytes(run, tmp_path, engine, seeded):
-    out = tmp_path / "t.json"
-    lp = seeded_g2_variant(tmp_path) if seeded else g2_variant(tmp_path, RESCALE)
-    code, stdout, stderr = run("derive", lp, "--engine", engine, "--out", str(out))
-    assert code == 0, stderr
-    assert "note:" not in stdout
-    assert out.read_bytes() == Path(GOLDEN).read_bytes()
 
 
 def test_derive_rewriter_decides_by_relation_span(run, tmp_path):

@@ -135,7 +135,6 @@ def test_g2_dimension_and_stability_at_bound_6(g2_pres, g2_qb6):
     qb = g2_qb6
     assert qb.dim == 14
     assert qb.stabilized
-    assert qb.dim_at_lower == 14
     assert qb.dims_by_degree() == {1: 3, 2: 3, 3: 8}
 
 
@@ -390,8 +389,7 @@ def _reference_add(rows: dict, vec: dict) -> None:
 
 
 def reference_closure(pres: Presentation, bound: int) -> dict:
-    """The closure as a depth-first walk over the consequence tree, with the
-    stability check taken from a second, separate closure at bound - 1."""
+    """The closure as a depth-first walk over the consequence tree."""
     n = len(pres.names)
     grouped = lyndon_words(n, bound) if bound else [[]]
     flat = [w for d in range(1, bound + 1) for w in grouped[d]]
@@ -416,18 +414,11 @@ def reference_closure(pres: Presentation, bound: int) -> dict:
                 if child:
                     stack.append(child)
     reps = tuple(w for i, w in enumerate(flat) if i not in rows)
-    top = pres.max_relation_degree()
-    dim_at_lower, stabilized = None, False
-    if bound - 1 >= top:
-        dim_at_lower = len(reference_closure(pres, bound - 1)["representatives"])
-        stabilized = dim_at_lower == len(reps) and all(min(k) > bound - top for k in events)
     return {
         "representatives": reps,
         "word_index": word_index,
         "_rep_index": {word_index[w]: i for i, w in enumerate(reps)},
         "monic_rows": rows,
-        "dim_at_lower": dim_at_lower,
-        "stabilized": stabilized,
         "truncation_events": tuple(events),
     }
 
@@ -487,8 +478,6 @@ def assert_matches_reference(pres: Presentation, top: int) -> None:
                 terms[w] = Fraction(i % 5 - 2, i % 3 + 1)
         dense = LiePoly(terms)
         assert qb.reduce(dense) == reference_reduce(ref, dense)
-        assert qb.dim_at_lower == ref["dim_at_lower"]
-        assert qb.stabilized == ref["stabilized"]
         assert qb.truncation_events == ref["truncation_events"]
 
 
@@ -555,7 +544,6 @@ def test_g2_closure_counters(g2_pres, bound, pivots, events):
     qb = quotient_closure(g2_pres, bound)
     assert len(qb._rows) == pivots
     assert len(qb.truncation_events) == events
-    assert qb.dim_at_lower == 14
     assert qb.dim == 14
 
 
@@ -585,7 +573,6 @@ def test_a_climb_after_an_unrelated_climb_has_the_rows_of_the_first():
 def test_bound_one_without_relations_is_not_stabilized():
     qb = quotient_closure(parse_presentation("generators: a b"), 1)
     assert qb.dim == 2
-    assert qb.dim_at_lower == 0
     assert not qb.stabilized
 
 
@@ -712,6 +699,24 @@ def test_certificate_fixes_the_quotient_above_its_bound(case):
         assert above.dim == qb.dim, higher
         assert above.representatives == qb.representatives, higher
         assert certify(pres, above).table == cert.table, higher
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=presentations_and_bounds())
+def test_a_certified_level_stays_certified_up_the_climb(case):
+    # `stabilized` reads certify at the one bound it is given, and derive stops at the
+    # first level that certifies: they agree because every later level certifies too,
+    # with the same representatives and model table
+    pres, top = case
+    first = None
+    for qb in closure_levels(pres, top + 1):
+        cert = certify(pres, qb)
+        assert qb.stabilized == cert.ok, qb.degree_bound
+        if first is not None:
+            assert cert.ok, (qb.degree_bound, cert.detail)
+            assert (qb.representatives, cert.table) == first, qb.degree_bound
+        elif cert.ok:
+            first = qb.representatives, cert.table
 
 
 def with_generators_reordered(pres: Presentation, names) -> Presentation:
