@@ -104,7 +104,7 @@ def cmd_derive(args) -> int:
             if rewriter and not spans_g2(qb):
                 print(f"error: {_NOT_G2}; use --engine both", file=sys.stderr)
                 return 2
-            cert = certify(pres, qb)
+            cert = certify(qb)
             if cert.ok:
                 break
     except ValueError as exc:
@@ -206,22 +206,19 @@ def cmd_classify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from .tabledoc import to_csv, to_json_text, to_latex
+    from .tabledoc import csv_rows, to_json_text, to_latex
 
     table = _load_table(args.table)
     if table is None:
         return 2
     try:
-        if args.format == "json":
-            text = to_json_text(table)
-        elif args.format == "csv":
-            text = to_csv(table)
-        else:
-            text = to_latex(table)
+        # csv rows are written as they are made; json and latex are one string each
+        lines = (csv_rows(table) if args.format == "csv"
+                 else [to_json_text(table) if args.format == "json" else to_latex(table)])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
+    sys.stdout.writelines(lines)
     return 0
 
 

@@ -18,7 +18,8 @@ class QuotientBasis(Record):
     in the relation ideal I, and the representatives are a basis of F_b / N.  The
     climb reaches N without building the tree (see `closure_levels`).  This is not
     L/(I + L_{>b}), which for G2 is 0 (x1 lies in I + L_{>=4}, and iterating pushes it
-    above any bound).  `certify` proves dim L/I = dim or names the check that fails.
+    above any bound).  `certify(qb)` proves dim L/I = dim for `_presentation`, the
+    presentation the level was climbed from, or names the check that fails.
 
     `stabilized`, read only by the benchmark's replay, is `certify`'s verdict on
     this level.  A level that certifies stays certified at every higher bound,
@@ -34,7 +35,6 @@ class QuotientBasis(Record):
     __slots__ = (
         "degree_bound",
         "alphabet",
-        "generator_names",
         "representatives",    # Lyndon words, increasing (degree, lex)
         "_presentation",
         "_rep_index",
@@ -48,11 +48,39 @@ class QuotientBasis(Record):
 
     @property
     def truncation_events(self) -> tuple:
-        return truncation_events(self._presentation, self.degree_bound)
+        """The kept degrees of each truncated leaf of the consequence tree at this bound, in tree preorder.
+
+        The one pass over the tree left, for the benchmark replay's counter; it counts
+        the leaves under each child of a relation and computes no bracket.  A truncated
+        leaf is a node of top degree b = degree_bound with a component below b, and
+        its kept degrees, a sorted tuple, are those components' degrees plus one.  A
+        node's component degrees follow from its parent's alone: [x_g, u_d] has degree
+        d + 1 and vanishes only when u_d is a multiple of x_g, which needs d = 1, and
+        only relations have components of degree 1.  So below a relation every child
+        of a node of top degree t has its degrees shifted by one, and the
+        n^(b - t) leaves under a child of top degree t are all alike.
+        """
+        n, b = self.alphabet, self.degree_bound
+        events = []
+        for rel in self._presentation.relations:
+            degrees = {len(w) for w in rel.terms}
+            if not degrees:
+                continue
+            if max(degrees) == b:
+                subtrees = [(degrees, 0)]
+            else:
+                letters = {w for w in rel.terms if len(w) == 1}
+                children = ({d + 1 for d in degrees if d > 1 or letters != {(g,)}} for g in range(n))
+                subtrees = [(ch, b - max(ch)) for ch in children if ch]
+            for ch, depth in subtrees:
+                kept = tuple(sorted(d + depth + 1 for d in ch if d + depth < b))
+                if kept:
+                    events += [kept] * n ** depth
+        return tuple(events)
 
     @property
     def stabilized(self) -> bool:
-        return certify(self._presentation, self).ok
+        return certify(self).ok
 
     def reduce(self, p: LiePoly) -> dict:
         """Sparse coordinates {representative index: Fraction} of p, zeros left out."""
@@ -65,7 +93,7 @@ class QuotientBasis(Record):
         return {self._rep_index[idx]: c for idx, c in solve(self._rows, vec).items()}
 
     def representative_name(self, i: int) -> str:
-        return bracket_string(self.representatives[i], self.generator_names)
+        return bracket_string(self.representatives[i], self._presentation.names)
 
     def dims_by_degree(self) -> dict:
         out: dict = {}
@@ -160,7 +188,6 @@ def closure_levels(pres: Presentation, max_bound: int):
             yield QuotientBasis(
                 degree_bound=b,
                 alphabet=n,
-                generator_names=pres.names,
                 representatives=reps,
                 _presentation=pres,
                 _rep_index={word_index[w]: i for i, w in enumerate(reps)},
@@ -173,41 +200,6 @@ def quotient_closure(pres: Presentation, degree_bound: int) -> QuotientBasis:
     """The quotient F_b / N at b = degree_bound: the last level of a `closure_levels` climb."""
     *_, qb = closure_levels(pres, degree_bound)
     return qb
-
-
-def truncation_events(pres: Presentation, degree_bound: int) -> tuple:
-    """The kept degrees of each truncated leaf of the consequence tree at degree_bound, in tree preorder.
-
-    The one pass over the tree left, for the benchmark replay's counter; it counts
-    the leaves under each child of a relation and computes no bracket.  A truncated
-    leaf is a node of top degree b = degree_bound with a component below b, and
-    its kept degrees, a sorted tuple, are those components' degrees plus one.  A
-    node's component degrees follow from its parent's alone: [x_g, u_d] has degree
-    d + 1 and vanishes only when u_d is a multiple of x_g, which needs d = 1, and
-    only relations have components of degree 1.  So below a relation every child
-    of a node of top degree t has its degrees shifted by one, and the
-    n^(b - t) leaves under a child of top degree t are all alike.
-    """
-    n = len(pres.names)
-    events = []
-    for rel in pres.relations:
-        degrees = {len(w) for w in rel.terms}
-        if not degrees:
-            continue
-        if max(degrees) == degree_bound:
-            subtrees = [(degrees, 0)]
-        else:
-            letters = {w for w in rel.terms if len(w) == 1}
-            subtrees = []
-            for g in range(n):
-                ch = {d + 1 for d in degrees if d > 1 or letters != {(g,)}}
-                if ch:
-                    subtrees.append((ch, degree_bound - max(ch)))
-        for ch, depth in subtrees:
-            kept = tuple(sorted(d + depth + 1 for d in ch if d + depth < degree_bound))
-            if kept:
-                events += [kept] * n ** depth
-    return tuple(events)
 
 
 def _commutator(a: list, b: list) -> list:
@@ -278,13 +270,14 @@ class Certificate(Record):
         return self.table is not None
 
 
-def certify(pres: Presentation, qb: QuotientBasis) -> Certificate:
-    """Prove dim L/I = qb.dim, where L/I is the algebra pres presents, or say why not.
+def certify(qb: QuotientBasis) -> Certificate:
+    """Prove dim L/I = qb.dim, where L/I is the algebra qb's presentation presents, or say why not.
 
-    Upper bound: every representative has degree below the bound b.  Then
-    [x_g, rep] lies in F_b = V + N, V the span of the representatives, and N lies
-    in I; so V + I is closed under every ad(x_g), contains the generators and is
-    all of L, and dim L/I <= #reps.
+    Upper bound, which makes the certificate the level's own: every representative
+    has degree below the bound b.  Then [x_g, rep] lies in F_b = V + N, V the span
+    of the representatives, and N lies in I only for the presentation qb was
+    climbed from; so V + I is closed under every ad(x_g), contains the generators
+    and is all of L, and dim L/I <= #reps.
 
     Lower bound: the model table [e_i, e_j] = rho(rep_i) e_j must be
     antisymmetric and satisfy Jacobi, so it is a Lie algebra T.  The map phi from
@@ -294,7 +287,7 @@ def certify(pres: Presentation, qb: QuotientBasis) -> Certificate:
     every representative maps to its own basis vector it is onto T; so
     dim L/I >= dim T = #reps, and T is the quotient's table.
     """
-    b = qb.degree_bound
+    pres, b = qb._presentation, qb.degree_bound
     for i, w in enumerate(qb.representatives):
         if len(w) >= b:
             return Certificate(None, f"representative {qb.representative_name(i)} has degree "

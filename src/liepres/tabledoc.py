@@ -177,18 +177,26 @@ def _csv_field(name: str) -> str:
     return '"' + name.replace('"', '""') + '"' if any(ch in name for ch in ',"\r\n') else name
 
 
-def to_csv(t: StructureTable) -> str:
-    """Header of names, then one row per unordered pair (zero brackets included)."""
+def csv_rows(t: StructureTable):
+    """Header of names, then one row per unordered pair (zero brackets included): the
+    CSV lines, each made when it is read.  An empty table raises ValueError at once."""
     if t.dim == 0:
         raise ValueError("empty table")
     names = [_csv_field(n) for n in t.names]
-    lines = ["i,j," + ",".join(names)]
-    for i in range(t.dim):
-        for j in range(i + 1, t.dim):
-            vec = t.bracket_map(i, j)
-            cells = ",".join(format_rational(vec.get(k, 0)) for k in range(t.dim))
-            lines.append(f"{names[i]},{names[j]},{cells}")
-    return "\n".join(lines) + "\n"
+
+    def rows():
+        yield "i,j," + ",".join(names) + "\n"
+        for i in range(t.dim):
+            for j in range(i + 1, t.dim):
+                vec = t.bracket_map(i, j)
+                cells = ",".join(format_rational(vec.get(k, 0)) for k in range(t.dim))
+                yield f"{names[i]},{names[j]},{cells}\n"
+    return rows()
+
+
+def to_csv(t: StructureTable) -> str:
+    """The table as one CSV string: the lines of `csv_rows`."""
+    return "".join(csv_rows(t))
 
 
 # & % # $ cannot be part of a math-mode name, so they are escaped; \ { } ^ ~ _ are kept,

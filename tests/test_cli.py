@@ -3,6 +3,7 @@ the failed writes to standard output, which need a process of their own."""
 
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -22,7 +23,7 @@ from liepres.g2 import g2_presentation, named_basis_free
 from liepres.presentation import Presentation, parse_presentation
 from liepres.quotient import quotient_closure
 from liepres.table import StructureTable
-from liepres.tabledoc import load_table, save_table
+from liepres.tabledoc import load_table, save_table, to_csv
 
 FIXTURES = Path(liepres.__file__).parent / "fixtures"
 G2 = str(FIXTURES / "g2.lp")
@@ -601,6 +602,37 @@ def test_export_empty_table(run, tmp_path):
     assert "empty table" in stderr
 
 
+class _RecordedWrites(io.StringIO):
+    """Standard output that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+def test_export_csv_writes_row_by_row(tmp_path, monkeypatch):
+    # 100 elements and no brackets: about 1 MB of CSV, written one row at a time
+    table = StructureTable([f"e{k}" for k in range(100)], {})
+    path = tmp_path / "t.json"
+    save_table(table, path)
+    out = _RecordedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["export", "--table", str(path), "--format", "csv"]) == 0
+    text = to_csv(table)
+    assert out.getvalue() == text
+    assert max(out.sizes) <= max(len(row) for row in text.splitlines(keepends=True))
+    # the refusal of an empty table comes before any output
+    path.write_text('{"schema_version": "1", "dim": 0, "names": [], "brackets": []}')
+    out = _RecordedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["export", "--table", str(path), "--format", "csv"]) == 2
+    assert out.sizes == []
+
+
 def test_export_unknown_format(run):
     code, _, stderr = run("export", "--table", GOLDEN, "--format", "yaml")
     assert code == 2
@@ -736,7 +768,11 @@ def test_derive_rescaled_shuffled_g2_writes_golden_bytes(run, tmp_path, engine, 
     lp = seeded_g2_variant(tmp_path) if seeded else g2_variant(tmp_path, RESCALE)
     code, stdout, stderr = run("derive", lp, "--engine", engine, "--out", str(out))
     assert code == 0, stderr
-    assert "note:" not in stdout
+    # the report is g2.lp's, once its "wrote" line names the same path
+    g2_out = tmp_path / "g2.json"
+    g2_code, g2_stdout, _ = run("derive", G2, "--engine", engine, "--out", str(g2_out))
+    assert g2_code == 0
+    assert stdout == g2_stdout.replace(f"wrote {g2_out}\n", f"wrote {out}\n")
     assert out.read_bytes() == Path(GOLDEN).read_bytes()
 
 

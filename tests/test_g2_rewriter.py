@@ -187,7 +187,7 @@ def hand_written_named_coordinates(qb):
     h = ([x, y] - [x', y'])/3, bracketed in the model table over the
     representatives.  The reference for the coordinates of named_basis_free()."""
     half, third = Fraction(1, 2), Fraction(1, 3)
-    model = certify(g2_presentation(), qb).table
+    model = certify(qb).table
     index = {w: i for i, w in enumerate(qb.representatives)}
 
     def combo(*terms):
@@ -238,7 +238,7 @@ def test_named_bracket_worked_identities():
 def test_tower_model_is_a_lie_algebra_where_the_relations_vanish(qb):
     # the rewriter's table is the certified model of g2.lp at bound 4, renamed
     pres = g2_presentation()
-    cert = certify(pres, qb)
+    cert = certify(qb)
     assert cert.ok
     assert check_jacobi(cert.table) == []
     phi = lie_map(cert.table, [{g: Fraction(1)} for g in range(3)])
@@ -262,7 +262,7 @@ def test_relation_families_certified(families, bound, dim):
     rels = g2_relations()
     pres = Presentation(("x1", "x2", "x3"), tuple(r for f in families for r in rels[FAMILY[f]]))
     for qb in closure_levels(pres, bound):
-        cert = certify(pres, qb)
+        cert = certify(qb)
         if cert.ok:
             break
     assert cert.ok and qb.dim == dim

@@ -217,7 +217,7 @@ def test_fraction_coefficients_climb_certify_and_write_like_ints(g2_pres, seed):
     runs = []
     for p in (pres, as_fractions):
         qb = next(closure_levels(p, 4))
-        cert = certify(p, qb)
+        cert = certify(qb)
         runs.append((qb._rows, cert.table, cert.detail, to_json_text(renamed(qb, cert.table, named_basis_free()))))
     assert runs[0] == runs[1]
     assert runs[0][1] is not None and runs[0][3] == (FIXTURES / "g2_table.json").read_text(encoding="utf-8")
@@ -282,7 +282,7 @@ def test_rewriter_gate_agrees_with_a_dense_rank_oracle(g2_pres, family_member_te
 
 def certified_level_spans_g2(pres: Presentation, max_bound: int) -> bool:
     for qb in closure_levels(pres, max_bound):
-        if certify(pres, qb).ok:
+        if certify(qb).ok:
             return spans_g2(qb)
     return False
 
@@ -324,7 +324,7 @@ def test_closure_table_matches_rewriter_g2(g2_pres, g2_qb6):
             first = next(closure_levels(pres, 8))
             assert first.degree_bound == 4
             assert first._rows == g2_rows
-            cert = certify(pres, first)
+            cert = certify(first)
             assert cert.ok, cert.detail
             assert renamed(first, cert.table, named_basis_free()) == rewriter
 
@@ -357,7 +357,7 @@ def test_mutated_presentations_detected():
         for bound in (6, 7, 8):
             assert not quotient_closure(pres, bound).stabilized, (new, bound)
         for bound in range(4, 9):
-            assert not certify(pres, quotient_closure(pres, bound)).ok, (new, bound)
+            assert not certify(quotient_closure(pres, bound)).ok, (new, bound)
 
 
 def _reference_add(rows: dict, vec: dict) -> None:
@@ -579,7 +579,7 @@ def test_bound_one_without_relations_is_not_stabilized():
 def _certified_dim(pres: Presentation, bound: int):
     """qb.dim when certify proves it at this bound, else None."""
     qb = quotient_closure(pres, bound)
-    cert = certify(pres, qb)
+    cert = certify(qb)
     return qb.dim if cert.ok else None
 
 
@@ -612,7 +612,7 @@ def test_climb_of_the_mutated_g2_stays_under_its_memory_bound():
     base = tracemalloc.get_traced_memory()[0]
     try:
         for qb in closure_levels(pres, 8):
-            certify(pres, qb)
+            certify(qb)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
@@ -652,7 +652,7 @@ def test_family_member_1_2_4_is_not_certified(family_member_text):
 
 def test_certified_g2_model_is_the_golden_table(g2_pres):
     qb = quotient_closure(g2_pres, 4)
-    cert = certify(g2_pres, qb)
+    cert = certify(qb)
     assert cert.ok
     assert cert.table == structure_table(g2_pres, None, qb=qb)
     assert cert.table.names == tuple(qb.representative_name(i) for i in range(14))
@@ -663,12 +663,25 @@ def test_certified_g2_model_is_the_golden_table(g2_pres):
 def test_certify_names_the_first_failed_check():
     # representatives reach the bound: no upper bound
     pres = parse_presentation("generators: a b")
-    assert certify(pres, quotient_closure(pres, 3)).detail == (
+    assert certify(quotient_closure(pres, 3)).detail == (
         "representative [a,[a,b]] has degree 3, not below the degree bound 3")
     # no representative at all: the upper bound alone proves dim 0
     pres = parse_presentation("generators: a b\nrelation: a = 0\nrelation: b = 0\n")
-    cert = certify(pres, quotient_closure(pres, 1))
+    cert = certify(quotient_closure(pres, 1))
     assert cert.ok and cert.table.dim == 0
+
+
+def test_a_level_certifies_against_its_own_presentation_alone():
+    # Family 1 alone presents g2 + sl3 (dim 22 at bound 7), so g2.lp's bound-4
+    # level certifies nothing about it; certify takes no presentation besides the
+    # one the level was climbed from.
+    pres = g2.g2_presentation()
+    family_1 = Presentation(pres.names, pres.relations[:18])
+    level = next(closure_levels(pres, 4))
+    with pytest.raises(TypeError):
+        certify(family_1, level)
+    assert certify(level).detail.endswith("all 54 relations vanish")
+    assert not certify(next(closure_levels(family_1, 4))).ok
 
 
 def test_certify_maps_relations_through_the_table_bracket():
@@ -680,7 +693,7 @@ def test_certify_maps_relations_through_the_table_bracket():
                               "relation: x1 + [x1,[x1,[x1,x3]]] = 0\nrelation: x3 = 0\n")
     qb = quotient_closure(pres, 4)
     assert qb.dim == 1
-    assert certify(pres, qb).detail == "relation 1 does not vanish in the model"
+    assert certify(qb).detail == "relation 1 does not vanish in the model"
     assert _certified_dim(pres, 5) == 0
 
 
@@ -689,7 +702,7 @@ def test_certify_maps_relations_through_the_table_bracket():
 def test_certificate_fixes_the_quotient_above_its_bound(case):
     pres, bound = case
     qb = quotient_closure(pres, bound)
-    cert = certify(pres, qb)
+    cert = certify(qb)
     if not cert.ok:
         return
     assert check_jacobi(cert.table) == []
@@ -698,7 +711,7 @@ def test_certificate_fixes_the_quotient_above_its_bound(case):
         above = quotient_closure(pres, higher)
         assert above.dim == qb.dim, higher
         assert above.representatives == qb.representatives, higher
-        assert certify(pres, above).table == cert.table, higher
+        assert certify(above).table == cert.table, higher
 
 
 @settings(max_examples=60, deadline=None)
@@ -710,7 +723,7 @@ def test_a_certified_level_stays_certified_up_the_climb(case):
     pres, top = case
     first = None
     for qb in closure_levels(pres, top + 1):
-        cert = certify(pres, qb)
+        cert = certify(qb)
         assert qb.stabilized == cert.ok, qb.degree_bound
         if first is not None:
             assert cert.ok, (qb.degree_bound, cert.detail)
@@ -733,7 +746,7 @@ def test_quotient_is_invariant_under_permuting_the_generators(case, data):
     for bound in range(max(pres.max_relation_degree(), 1), top + 1):
         qb, qb_other = quotient_closure(pres, bound), quotient_closure(other, bound)
         assert qb.dims_by_degree() == qb_other.dims_by_degree(), bound
-        cert, cert_other = certify(pres, qb), certify(other, qb_other)
+        cert, cert_other = certify(qb), certify(qb_other)
         assert cert.ok == cert_other.ok, bound
         if cert.ok:
             a, b = derived_subalgebra_and_center(cert.table), derived_subalgebra_and_center(cert_other.table)
@@ -770,7 +783,7 @@ def test_quotient_is_invariant_under_renaming_the_generators(case, data):
         qb, qb_other = quotient_closure(pres, bound), quotient_closure(other, bound)
         assert qb.dims_by_degree() == qb_other.dims_by_degree(), bound
         assert qb.representatives == qb_other.representatives, bound
-        cert, cert_other = certify(pres, qb), certify(other, qb_other)
+        cert, cert_other = certify(qb), certify(qb_other)
         assert cert.ok == cert_other.ok, bound
         if cert.ok:
             assert cert.table.c == cert_other.table.c, bound

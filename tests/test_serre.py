@@ -14,7 +14,7 @@ def derive_and_classify(tmp_path, capsys, monkeypatch, name) -> tuple:
     """(derive's report, classify's report, pivots at the certified level) for the Serre presentation of CARTAN[name]."""
     levels = []
     certify = quotient.certify
-    monkeypatch.setattr(quotient, "certify", lambda pres, qb: levels.append(qb) or certify(pres, qb))
+    monkeypatch.setattr(quotient, "certify", lambda qb: levels.append(qb) or certify(qb))
     lp, out = tmp_path / f"{name}.lp", tmp_path / f"{name}.json"
     lp.write_text(serre_text(CARTAN[name]), encoding="utf-8")
     assert main(["derive", str(lp), "--out", str(out)]) == 0
