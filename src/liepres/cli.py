@@ -53,12 +53,12 @@ def _load_table(path: str):
         return None
 
 
-def _print_closure_report(pres, qb, cert) -> None:
+def _print_closure_report(qb, cert) -> None:
     from .freelie import lyndon_counts
     print(f"degree bound: {qb.degree_bound}")
     print(f"dim = {qb.dim}")
     print(f"certified: {'yes' if cert.ok else 'no'} ({cert.detail})")
-    top = min(qb.degree_bound, pres.max_relation_degree())
+    top = min(qb.degree_bound, qb._presentation.max_relation_degree())
     if top:
         survive = qb.dims_by_degree()
         for d, count in enumerate(lyndon_counts(qb.alphabet, top), start=1):
@@ -67,17 +67,17 @@ def _print_closure_report(pres, qb, cert) -> None:
 
 
 def _write_table(table, out_path: str | None) -> int:
-    """Write the table to out_path, if given; 2 after printing the error when it cannot be written.
+    """Write the table to out_path, if given; 2 after printing why it cannot be written or read back.
 
     The report goes out first: when standard output fails, its OSError reaches
     `main` before the table is written, in either buffering mode.
     """
     if out_path:
-        from .tabledoc import save_table
+        from .tabledoc import SchemaError, save_table
         sys.stdout.flush()
         try:
             save_table(table, out_path)
-        except OSError as exc:
+        except (OSError, SchemaError) as exc:
             print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
             return 2
         print(f"wrote {out_path}")
@@ -110,7 +110,7 @@ def cmd_derive(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_closure_report(pres, qb, cert)
+    _print_closure_report(qb, cert)
     if not cert.ok:
         print(f"quotient not certified up to degree bound {qb.degree_bound}; "
               "rerun with a larger --max-degree", file=sys.stderr)

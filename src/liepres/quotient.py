@@ -34,9 +34,8 @@ class QuotientBasis(Record):
     """
     __slots__ = (
         "degree_bound",
-        "alphabet",
         "representatives",    # Lyndon words, increasing (degree, lex)
-        "_presentation",
+        "_presentation",      # the level's one copy of its presentation; `alphabet` reads it
         "_rep_index",
         "_rows",
         "_word_index",
@@ -45,6 +44,10 @@ class QuotientBasis(Record):
     @property
     def dim(self) -> int:
         return len(self.representatives)
+
+    @property
+    def alphabet(self) -> int:
+        return len(self._presentation.names)
 
     @property
     def truncation_events(self) -> tuple:
@@ -183,11 +186,10 @@ def closure_levels(pres: Presentation, max_bound: int):
         new.sort(key=max)
         fresh = [p for p in map(elim.add, new) if p is not None]
 
-        if b >= max(max_rel_deg, 1):
+        if b >= max_rel_deg:
             reps = tuple(w for i, w in enumerate(flat) if i not in elim.rows)
             yield QuotientBasis(
                 degree_bound=b,
-                alphabet=n,
                 representatives=reps,
                 _presentation=pres,
                 _rep_index={word_index[w]: i for i, w in enumerate(reps)},
@@ -239,11 +241,10 @@ def lie_map(table: StructureTable, generator_images: list):
     return phi
 
 
-def _model(qb: QuotientBasis) -> tuple:
-    """(act, table): the representatives' action and the model table it gives.
+def _model(qb: QuotientBasis) -> StructureTable:
+    """The model table [e_i, e_j] = rep_i acting on rep_j, read for i < j: antisymmetric as built.
 
-    act[i][j] is rep_i acting on rep_j, as sparse coordinates, and the table is
-    [e_i, e_j] = act[i] e_j, read for i < j.  rho(x_g) has the columns
+    The action is in sparse coordinates.  rho(x_g) has the columns
     qb.reduce([x_g, rep_j]), which needs every representative below the degree
     bound.  A longer Lyndon word w acts by the commutator [rho(u), rho(v)] of its
     standard factorization (u, v): ad[u, v] = [ad u, ad v] is the Jacobi identity.
@@ -255,7 +256,7 @@ def _model(qb: QuotientBasis) -> tuple:
     op = _by_factorization(rho, _commutator)
     act = [op(w) for w in qb.representatives]
     c = {(i, j, k): v for i, row in enumerate(act) for j in range(i + 1, len(act)) for k, v in row[j].items()}
-    return act, StructureTable((qb.representative_name(i) for i in range(qb.dim)), c)
+    return StructureTable((qb.representative_name(i) for i in range(qb.dim)), c)
 
 
 class Certificate(Record):
@@ -279,25 +280,21 @@ def certify(qb: QuotientBasis) -> Certificate:
     climbed from; so V + I is closed under every ad(x_g), contains the generators
     and is all of L, and dim L/I <= #reps.
 
-    Lower bound: the model table [e_i, e_j] = rho(rep_i) e_j must be
-    antisymmetric and satisfy Jacobi, so it is a Lie algebra T.  The map phi from
-    the free Lie algebra, fixed on the generators by their coordinates and
-    extended through T's bracket alone, phi([u, v]) = [phi(u), phi(v)], is then a
-    homomorphism.  When every relation maps to 0 it factors through L/I, and when
-    every representative maps to its own basis vector it is onto T; so
-    dim L/I >= dim T = #reps, and T is the quotient's table.
+    Lower bound, from three checks on the model table [e_i, e_j] = rho(rep_i) e_j,
+    which is read for i < j and so is antisymmetric as built.  When it satisfies
+    Jacobi it is a Lie algebra T, and the map phi from the free Lie algebra, fixed
+    on the generators by their coordinates and extended through T's bracket alone,
+    phi([u, v]) = [phi(u), phi(v)], is a homomorphism.  When every relation maps to
+    0 it factors through L/I, and when every representative maps to its own basis
+    vector it is onto T; so dim L/I >= dim T = #reps, and T is the quotient's table.
     """
     pres, b = qb._presentation, qb.degree_bound
     for i, w in enumerate(qb.representatives):
         if len(w) >= b:
             return Certificate(None, f"representative {qb.representative_name(i)} has degree "
                                      f"{len(w)}, not below the degree bound {b}")
-    act, table = _model(qb)
+    table = _model(qb)
     names = table.names
-    for i in range(qb.dim):
-        for j in range(i, qb.dim):
-            if act[i][j] != {k: -v for k, v in act[j][i].items()}:
-                return Certificate(None, f"model not antisymmetric at [{names[i]},{names[j]}]")
     violations = check_jacobi(table)
     if violations:
         i, j, k, _ = violations[0]
@@ -319,13 +316,15 @@ def structure_table(pres: Presentation, names: dict | None = None,
                     degree_bound: int = 8, qb: QuotientBasis | None = None) -> StructureTable:
     """Bracket table of the quotient over named elements (default: the representatives).
 
-    The table is the model that `certify` checks, built from the generators'
-    action on the representatives (every representative must lie below the
-    degree bound) and then `renamed`.
+    The table is the model that `certify` checks, built from the generators' action
+    on the representatives (each must lie below the degree bound) and `renamed`.
+    A level qb must be pres's, or ValueError is raised; degree_bound is read only without one.
     """
     if qb is None:
         qb = quotient_closure(pres, degree_bound)
-    return renamed(qb, _model(qb)[1], names)
+    elif qb._presentation != pres:
+        raise ValueError("the level was climbed from another presentation")
+    return renamed(qb, _model(qb), names)
 
 
 def renamed(qb: QuotientBasis, model: StructureTable, names: dict | None) -> StructureTable:

@@ -61,8 +61,16 @@ def parse_rational(s) -> Fraction:
         raise SchemaError(f"bad rational {_excerpt(s)}: too many digits") from None
 
 
+def _coefficient(x: Fraction) -> str:
+    """format_rational(x); past a chunk's length the reader's own rule may refuse it (SchemaError)."""
+    s = format_rational(x)
+    if len(s) > _CHUNK_DIGITS:
+        parse_rational(s)
+    return s
+
+
 def table_to_document(t: StructureTable) -> dict:
-    """Canonical JSON-shaped document: brackets sorted by (i, j), zero pairs omitted."""
+    """Canonical JSON-shaped document: brackets sorted by (i, j), zero pairs omitted, each coefficient readable."""
     brackets = []
     for i, ad in enumerate(t.ad):
         for j in sorted(k for k in ad if k > i):
@@ -70,7 +78,7 @@ def table_to_document(t: StructureTable) -> dict:
             brackets.append({
                 "i": i,
                 "j": j,
-                "coefficients": {t.names[k]: format_rational(coeffs[k]) for k in sorted(coeffs)},
+                "coefficients": {t.names[k]: _coefficient(coeffs[k]) for k in sorted(coeffs)},
             })
     return {
         "schema_version": SCHEMA_VERSION,

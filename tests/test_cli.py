@@ -172,7 +172,10 @@ def test_derive_false_stabilization_is_not_certified(run, tmp_path, bound):
     code, stdout, stderr = run("derive", str(lp), "--max-degree", bound, "--engine", "both", "--out", str(out))
     assert code == 4
     assert f"degree bound: {bound}\n" in stdout
-    assert "certified: no (" in stdout
+    assert {
+        "5": "certified: no (model fails Jacobi at (x1,[x1,x2],[[x1,x2],x2]))\n",
+        "6": "certified: no (representative [[x1,x2],x2] does not map to its own basis vector)\n",
+    }[bound] in stdout
     assert stderr == f"quotient not certified up to degree bound {bound}; rerun with a larger --max-degree\n"
     assert not out.exists()
 
@@ -288,6 +291,34 @@ def test_derive_out_that_cannot_be_written_exits_2(run, tmp_path, where):
     assert stderr.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def big_coefficient_text(k: int) -> str:
+    """A dim-3 presentation with N = 10**k, whose certified table has the coefficient N**2 of 2k + 1 digits."""
+    return (f"generators: a b c\nrelation: [a,b] = {10 ** k}*a\n"
+            f"relation: [a,c] = {10 ** k}*[a,b]\nrelation: [b,c] = 0\n")
+
+
+def test_derive_writes_no_table_that_the_reader_refuses(run, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("integer string conversion is unlimited")
+    lp, out = tmp_path / "p.lp", tmp_path / "t.json"
+    lp.write_text(big_coefficient_text(limit // 2 + 1), encoding="utf-8")
+    code, stdout, stderr = run("derive", str(lp), "--out", str(out))
+    assert code == 2
+    assert "dim = 3\ncertified: yes (" in stdout
+    assert "wrote" not in stdout
+    assert stderr.startswith(f"error: cannot write {out}: bad rational '1000")
+    assert stderr.endswith(": too many digits\n")
+    assert not out.exists()
+
+    # N**2 of at most `limit` digits is read back
+    lp.write_text(big_coefficient_text((limit - 1) // 2), encoding="utf-8")
+    code, stdout, stderr = run("derive", str(lp), "--out", str(out))
+    assert (code, stderr) == (0, "")
+    assert stdout.endswith(f"wrote {out}\n")
+    assert run("verify", "--table", str(out), "--golden", str(out))[0] == 0
 
 
 def test_derive_bound_below_relation_degree(run):

@@ -237,7 +237,6 @@ def test_named_bracket_worked_identities():
 
 def test_tower_model_is_a_lie_algebra_where_the_relations_vanish(qb):
     # the rewriter's table is the certified model of g2.lp at bound 4, renamed
-    pres = g2_presentation()
     cert = certify(qb)
     assert cert.ok
     assert check_jacobi(cert.table) == []

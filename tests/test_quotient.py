@@ -684,6 +684,17 @@ def test_a_level_certifies_against_its_own_presentation_alone():
     assert not certify(next(closure_levels(family_1, 4))).ok
 
 
+def test_structure_table_refuses_a_level_of_another_presentation():
+    # the table of g2.lp's bound-4 level is g2's (dim 14), while family 1 presents
+    # g2 + sl3: a level gives the table of its own presentation alone
+    pres = g2.g2_presentation()
+    family_1 = Presentation(pres.names, pres.relations[:18])
+    level = next(closure_levels(pres, 4))
+    with pytest.raises(ValueError, match="another presentation"):
+        structure_table(family_1, None, 4, qb=level)
+    assert structure_table(pres, None, qb=level).dim == 14
+
+
 def test_certify_maps_relations_through_the_table_bracket():
     # At bound 4 the closure keeps x2 alone and reduces [x1,x2] to -x2.  The model
     # table is the 1-dim abelian algebra, where relation 1 maps to x2, not 0.  The
@@ -712,6 +723,33 @@ def test_certificate_fixes_the_quotient_above_its_bound(case):
         assert above.dim == qb.dim, higher
         assert above.representatives == qb.representatives, higher
         assert certify(above).table == cert.table, higher
+
+
+def assert_table_is_the_generators_action(qb, cert) -> None:
+    # the model table is read from rep_i acting on rep_j for i < j alone; a certified
+    # one brackets each generator with each representative as the quotient does
+    for g in range(qb.alphabet):
+        x_g = qb.reduce(LiePoly.generator(g))
+        for j, rep in enumerate(qb.representatives):
+            got = qb.reduce(bracket(LiePoly.generator(g), LiePoly.monomial(rep)))
+            assert got == cert.table.bracket(x_g, {j: 1}), (g, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=presentations_and_bounds())
+def test_a_certified_table_is_the_generators_action(case):
+    qb = quotient_closure(*case)
+    cert = certify(qb)
+    if cert.ok:
+        assert_table_is_the_generators_action(qb, cert)
+
+
+@pytest.mark.parametrize("text,bound,dim", [(SL2, 3, 3), (HEIS, 4, 3), (None, 4, 14)], ids=["sl2", "heis", "g2"])
+def test_the_certified_fixture_tables_are_the_generators_action(text, bound, dim):
+    qb = quotient_closure(g2.g2_presentation() if text is None else parse_presentation(text), bound)
+    cert = certify(qb)
+    assert cert.ok and qb.dim == dim
+    assert_table_is_the_generators_action(qb, cert)
 
 
 @settings(max_examples=60, deadline=None)
